@@ -27,11 +27,11 @@ from .oracle import (SublevelComplex, enumerate_sublevel, root_oracle,
 from .lens import (LensSpace, SpincCoeffs, neg_cf, cf_value, spinc_coeffs,
                    chi_lprime, dedekind_sum, dedekind_sum_direct,
                    lens_invariants, torsion_fourier, verify_lens_sweep,
-                   NotCoprime, RangeError)
+                   LensTable, NotCoprime, RangeError, LensIdentityError)
 from .seifert import (SeifertData, SeifertSpinc, brieskorn, seifert_graph,
                       enumerate_seifert_spinc, seifert_chi_lprime, seifert_k2s,
                       seifert_tau, dp_invariant, seifert_torsion_limit,
-                      verify_sw_identity, PositiveOrbifoldEuler, CountMismatch,
+                      SeifertOrbit, seifert_orbit, verify_sw_identity, PositiveOrbifoldEuler, CountMismatch,
                       IdentityViolated)
 
 __version__ = "0.1.0"

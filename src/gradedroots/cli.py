@@ -178,21 +178,14 @@ def _seifert_reports(data):
     k2s = seifert_mod.seifert_k2s(data)
     rows = []
     for idx, sp in enumerate(seifert_mod.enumerate_seifert_spinc(data)):
-        chi_l = seifert_mod.seifert_chi_lprime(data, sp)
-        kr2s = k2s - 8 * chi_l
-        tf = seifert_mod.seifert_tau(data, sp)
-        vals = tf.values
-        min_tau = min(vals)
-        rank = min_tau + sum(max(0, vals[i] - vals[i + 1]) for i in range(len(vals) - 1))
-        d = kr2s / 4 - 2 * min_tau
-        Lim = seifert_mod.seifert_torsion_limit(data, sp)
-        torsion = Lim + rank - min_tau
+        orb = seifert_mod.seifert_orbit(data, sp, k2s)
+        rank = orb.rank_red
         rows.append({"orbit": idx, "a0": sp.a0,
                      "a": ";".join(str(v) for v in sp.a),
-                     "d": _fmt_q(d), "rank_red": rank, "chi_hf": rank,
-                     "sw_osz": _fmt_q(rank - d / 2),
-                     "torsion": _fmt_q(torsion), "torsion_limit": _fmt_q(Lim),
-                     "certified": tf.certified})
+                     "d": _fmt_q(orb.d), "rank_red": rank, "chi_hf": rank,
+                     "sw_osz": _fmt_q(rank - orb.d / 2),
+                     "torsion": _fmt_q(orb.torsion), "torsion_limit": _fmt_q(orb.limit),
+                     "certified": orb.tau.certified})
     return rows
 
 

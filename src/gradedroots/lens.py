@@ -14,7 +14,10 @@ the minimal representative is l' = -(a_1 g_1 + ... + a_s g_s) where the
 nonnegative coefficient vector E(a) solves the staircase inequalities (SI).
 Closed forms: chi(l'), d, the Casson-Walker invariant p s(q,p)/2, and the
 Reidemeister-Turaev torsion (p-1)/(4p) - s(q,p) - chi(l'), where s(q,p) is
-the Dedekind sum.  A Fourier sum over p-th roots of unity provides an
+the Dedekind sum.  These are evaluated for every a at once, as integer
+numerators over the common denominator 12p (LensTable); chi_lprime,
+torsion, k2s_quarter and casson_walker keep the per-a definitions they are
+tested against.  A Fourier sum over p-th roots of unity provides an
 independent numeric check of the torsion.
 """
 
@@ -38,6 +41,10 @@ class RangeError(ValueError):
     """Argument outside its required range."""
 
 
+class LensIdentityError(AssertionError):
+    """A lens identity failed; the message carries the counterexample."""
+
+
 # ---------------------------------------------------------------------------
 # negative continued fractions
 
@@ -56,7 +63,8 @@ def neg_cf(p, q):
         k = -((-p) // q)  # ceil(p / q)
         ks.append(k)
         p, q = q, k * q - p
-    assert all(k >= 2 for k in ks)
+    if any(k < 2 for k in ks):
+        raise LensIdentityError(f"Hirzebruch-Jung expansion {ks} has an entry < 2")
     return ks
 
 
@@ -123,7 +131,8 @@ class LensSpace:
     @cached_property
     def q_prime(self):
         qp = self.n(1, self.s - 1)
-        assert 0 < qp < self.p and (self.q * qp) % self.p == 1
+        if not (0 < qp < self.p and (self.q * qp) % self.p == 1):
+            raise LensIdentityError(f"{self}: q' = n(1,s-1) = {qp} is not 1/q mod p")
         return qp
 
     def __str__(self):
@@ -151,8 +160,14 @@ class LensSpace:
                 for t in range(i + 2, s):
                     cur[t] = k[t] - 2
             out[a - 1] = tuple(cur)
-        assert all(v == 0 for v in out[0])
+        if any(out[0]):
+            raise LensIdentityError(f"{self}: descending generation ends at {out[0]}")
         return tuple(out)
+
+    @cached_property
+    def table(self):
+        """Every closed form of the space, once (see LensTable)."""
+        return lens_table(self)
 
 
 @dataclass(frozen=True)
@@ -198,10 +213,15 @@ def spinc_coeffs(lens, a):
         E.append(ai)
         rem -= ai * lens.n(i + 1, s)
     E = tuple(E)
-    assert E == lens._e_table[a], "floor and descending generations disagree"
-    assert sum(lens.n(t + 2, s) * E[t] for t in range(s)) == a
-    for i in range(1, s + 1):
-        assert sum(lens.n(t + 1, s) * E[t - 1] for t in range(i, s + 1)) < lens.n(i, s)
+    if E != lens._e_table[a]:
+        raise LensIdentityError(f"{lens}: floor and descending generations of E({a}) disagree")
+    tail = 0  # sum_{t>=i} n_{t+1,s} a_t, one suffix pass for i = s..1
+    for i in range(s, 0, -1):
+        tail += lens.n(i + 1, s) * E[i - 1]
+        if tail >= lens.n(i, s):
+            raise LensIdentityError(f"{lens}: (SI) fails at i={i} for a={a}")
+    if tail != a:
+        raise LensIdentityError(f"{lens}: sum_t n_(t+1,s) a_t = {tail} != a = {a}")
     return SpincCoeffs(a=a, E=E)
 
 
@@ -273,15 +293,9 @@ def chi_lprime(lens, a):
 
 
 def chi_lprime_table(lens):
-    """chi(l') for every a at once (cumulative fractional-part sums)."""
-    p, qp = lens.p, lens.q_prime
-    out = []
-    acc = 0
-    for a in range(p):
-        if a:
-            acc += (a * qp) % p
-        out.append(Fraction(a * (1 - p), 2 * p) + Fraction(acc, p))
-    return out
+    """chi(l') for every a at once, read off the lens table."""
+    tab = lens.table
+    return [Fraction(c, tab.den) for c in tab.chi.tolist()]
 
 
 def casson_walker(lens):
@@ -320,7 +334,8 @@ def torsion_fourier(lens, a, dps=50):
             xi = mp.e ** (2j * mp.pi * j / p)
             total += xi ** (-a) / ((xi - 1) * (xi ** q - 1))
         val = total / p
-        assert abs(mp.im(val)) < mp.mpf(10) ** (-dps + 10)
+        if abs(mp.im(val)) >= mp.mpf(10) ** (-dps + 10):
+            raise LensIdentityError(f"{lens}: Fourier torsion at a={a} is not real: {val}")
         return float(mp.re(val))
 
 
@@ -335,6 +350,58 @@ def torsion_fourier_all(lens):
     return vals.real
 
 
+def _int_dtype(p):
+    """int64 where every integer of the lens table and of the sweep's array
+    checks provably fits, else exact object integers.  Since |s(q,p)| <
+    p/12, the table entries are below 30 p^2 (< 2^53, so exact as floats)
+    and their column sums below 30 p^3; E(a) . n sums and a q' are below
+    p^3.  30 p^3 < 2^63 for p < 2^19."""
+    return np.int64 if p < 1 << 19 else object
+
+
+def _require(ok, lens, what):
+    """Raise LensIdentityError naming the first a at which the per-a array
+    check ``ok`` fails."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise LensIdentityError(f"{lens}: {what} at a={bad[0]}")
+
+
+@dataclass(frozen=True)
+class LensTable:
+    """The closed forms of L(p, q) for every a at once, as integer
+    numerators over the common denominator ``den`` = 12p (6p s(q,p) is an
+    integer, so 12p clears every denominator):
+
+        s_num = 12p s(q,p),   chi[a] = 12p chi(l'_[-a g_s]),
+        d[a] = 12p d = 6(p-1) - 3 s_num - 2 chi[a],
+        torsion[a] = 12p T(1) = 3(p-1) - s_num - chi[a].
+    """
+
+    den: int
+    s_num: int
+    chi: np.ndarray
+    d: np.ndarray
+    torsion: np.ndarray
+
+
+def lens_table(lens):
+    """Build the LensTable: s(q,p) once by reciprocity, 12p chi from the
+    cumulative sums of (a q') mod p, and the sw identity T - lambda/p = d/2
+    checked on every row as the integer equation 2 torsion - s_num = d."""
+    p = lens.p
+    s6 = 6 * p * dedekind_sum(lens.q, p)
+    if s6.denominator != 1:
+        raise LensIdentityError(f"{lens}: 6p s(q,p) = {s6} is not an integer")
+    s_num = 2 * s6.numerator
+    a = np.arange(p, dtype=_int_dtype(p))
+    chi = 6 * (1 - p) * a + 12 * np.cumsum(a * lens.q_prime % p)
+    d = 6 * (p - 1) - 3 * s_num - 2 * chi
+    tors = 3 * (p - 1) - s_num - chi
+    _require(2 * tors - s_num == d, lens, "sw identity")
+    return LensTable(den=12 * p, s_num=s_num, chi=chi, d=d, torsion=tors)
+
+
 @dataclass(frozen=True)
 class LensInvariants:
     a: int
@@ -347,30 +414,56 @@ class LensInvariants:
 
 
 def lens_invariants(lens, a, check_numeric=True, numeric_tol=1e-9):
-    """All closed-form invariants of (L(p,q), [-a g_s]).
-
-    The sw identity T - lambda/|H| = d/2 is asserted exactly; with
+    """All closed-form invariants of (L(p,q), [-a g_s]), read off the lens
+    table, which checks the sw identity T - lambda/|H| = d/2 exactly; with
     ``check_numeric`` the Fourier-sum torsion must agree within
     ``numeric_tol``."""
-    chi = chi_lprime(lens, a)
-    d = k2s_quarter(lens) - 2 * chi
-    T = torsion(lens, a)
-    lam = casson_walker(lens)
-    assert T - lam / lens.p == d / 2, "sw identity failed"
+    if not 0 <= a < lens.p:
+        raise RangeError(f"need 0 <= a < p, got a={a}")
+    tab = lens.table
+    den = tab.den
+    d_num, t_num = int(tab.d[a]), int(tab.torsion[a])
+    T = Fraction(t_num, den)
     if check_numeric:
         approx = torsion_fourier(lens, a)
-        assert abs(approx - float(T)) < numeric_tol, \
-            f"Fourier torsion {approx} vs exact {float(T)}"
-    return LensInvariants(a=a, chi=chi, d=d, torsion=T, lam=lam,
-                          sw_osz=-d / 2, sw_tcw=-T + lam / lens.p)
+        if not abs(approx - float(T)) < numeric_tol:
+            raise LensIdentityError(f"{lens}: Fourier torsion {approx} vs exact {float(T)}")
+    # lambda = p s(q,p)/2 = s_num/24 and lambda/p = s_num/(2 den)
+    return LensInvariants(a=a, chi=Fraction(int(tab.chi[a]), den), d=Fraction(d_num, den),
+                          torsion=T, lam=Fraction(tab.s_num, 24),
+                          sw_osz=Fraction(-d_num, 2 * den),
+                          sw_tcw=Fraction(tab.s_num - 2 * t_num, 2 * den))
 
 
 # ---------------------------------------------------------------------------
 # exhaustive verification (used by tests and the CLI `verify` command)
 
 
-class LensIdentityError(AssertionError):
-    """A lens identity failed; the message carries the counterexample."""
+def _check_e_table(lens, a):
+    """The checks of spinc_coeffs for every a at once, plus the floor and
+    fractional identities
+
+        [a q'/p] = sum_t a_t n_{t+1,s-1},   (a q') mod p = sum_t a_t n_{1,t-1}.
+
+    ``a`` is arange(p) in the dtype of ``_int_dtype(p)``."""
+    p, s = lens.p, lens.s
+    E = np.array(lens._e_table, dtype=a.dtype)
+
+    def col(f):
+        return np.array([f(t) for t in range(1, s + 1)], dtype=a.dtype)
+
+    w = col(lambda t: lens.n(t + 1, s))
+    rem = a
+    for i in range(s):
+        digit = rem // w[i]
+        _require(digit == E[:, i], lens, "floor and descending generations of E(a) disagree")
+        rem = rem - digit * w[i]
+    tails = np.cumsum((E * w)[:, ::-1], axis=1)[:, ::-1]  # sum_{t>=i} n_{t+1,s} a_t
+    _require((tails < col(lambda i: lens.n(i, s))).all(axis=1), lens, "(SI)")
+    _require(tails[:, 0] == a, lens, "a = sum_t n_(t+1,s) a_t")
+    aq = a * lens.q_prime
+    _require(E @ col(lambda t: lens.n(t + 1, s - 1)) == aq // p, lens, "floor identity")
+    _require(E @ col(lambda t: lens.n(1, t - 1)) == aq % p, lens, "fractional identity")
 
 
 def verify_lens_sweep(p_max, fourier_tol=1e-9, progress=None):
@@ -381,10 +474,12 @@ def verify_lens_sweep(p_max, fourier_tol=1e-9, progress=None):
     [a q'/p] = sum_t a_t n_{t+1,s-1}, the sw identity T - lambda/p = d/2,
     sum_a T = 0 and sum_a chi = (p-1)/4 - p s(q,p), the chain-formula
     Casson-Walker against p s(q,p)/2, and the FFT torsion against the
-    closed form within ``fourier_tol``.  Returns counters."""
+    closed form within ``fourier_tol``.  The per-a identities are array
+    checks on the lens table's integer numerators.  Returns counters."""
     pairs = 0
     orbits = 0
     for p in range(2, p_max + 1):
+        a = np.arange(p, dtype=_int_dtype(p))
         for q in range(1, p):
             if math.gcd(p, q) != 1:
                 continue
@@ -397,42 +492,19 @@ def verify_lens_sweep(p_max, fourier_tol=1e-9, progress=None):
                 for jj in range(i, s + 1):
                     if lens.n(i, jj) != lens.cf[jj - 1] * lens.n(i, jj - 1) - lens.n(i, jj - 2):
                         raise LensIdentityError(f"{ctx}: n symmetry at ({i},{jj})")
-            sq = dedekind_sum(q, p)
-            k2q = Fraction(p - 1, 2 * p) - 3 * sq
-            lam = Fraction(p) * sq / 2
-            if casson_walker_chain_formula(lens) != lam:
+            tab = lens.table
+            if casson_walker_chain_formula(lens) != Fraction(tab.s_num, 24):
                 raise LensIdentityError(f"{ctx}: Casson-Walker chain formula")
-            chis = chi_lprime_table(lens)
-            qp = lens.q_prime
-            etab = lens._e_table
-            sum_T = Fraction(0)
-            t_exact = []
-            for a in range(p):
-                E = etab[a]
-                if spinc_coeffs(lens, a).E != E:
-                    raise LensIdentityError(f"{ctx}: E({a}) generation mismatch")
-                floor_id = sum(E[t - 1] * lens.n(t + 1, s - 1) for t in range(1, s + 1))
-                if floor_id != (a * qp) // p:
-                    raise LensIdentityError(f"{ctx}: floor identity at a={a}")
-                frac_id = sum(E[t - 1] * lens.n(1, t - 1) for t in range(1, s + 1))
-                if frac_id != (a * qp) % p:
-                    raise LensIdentityError(f"{ctx}: fractional identity at a={a}")
-                chi = chis[a]
-                d = k2q - 2 * chi
-                T = Fraction(p - 1, 4 * p) - sq - chi
-                if T - lam / p != d / 2:
-                    raise LensIdentityError(f"{ctx}: sw identity at a={a}")
-                sum_T += T
-                t_exact.append(T)
-                orbits += 1
-            if sum_T != 0:
+            _check_e_table(lens, a)
+            if tab.torsion.sum() != 0:
                 raise LensIdentityError(f"{ctx}: sum of torsions != 0")
-            if sum(chis) != Fraction(p - 1, 4) - p * sq:
+            # 12p ((p-1)/4 - p s(q,p))
+            if tab.chi.sum() != 3 * p * (p - 1) - p * tab.s_num:
                 raise LensIdentityError(f"{ctx}: sum of chi")
-            approx = torsion_fourier_all(lens)
-            err = max(abs(approx[a] - float(t_exact[a])) for a in range(p))
+            err = np.abs(torsion_fourier_all(lens) - tab.torsion / tab.den).max()
             if err > fourier_tol:
                 raise LensIdentityError(f"{ctx}: Fourier torsion off by {err}")
+            orbits += p
             pairs += 1
         if progress is not None:
             progress(p)

@@ -96,7 +96,8 @@ class SeifertData:
     @cached_property
     def o(self):
         v = -self.e * self.alpha_lcm
-        assert v.denominator == 1 and v > 0
+        if v.denominator != 1 or v <= 0:
+            raise IdentityViolated(f"{self.describe()}: o = -e alpha = {v}")
         return int(v)
 
     @cached_property
@@ -104,7 +105,8 @@ class SeifertData:
         v = -self.e
         for a, _ in self.legs:
             v *= a
-        assert v.denominator == 1 and v > 0
+        if v.denominator != 1 or v <= 0:
+            raise IdentityViolated(f"{self.describe()}: |H| = -e alpha_1...alpha_nu = {v}")
         return int(v)
 
     @cached_property
@@ -148,7 +150,8 @@ def brieskorn(*alphas):
     data: the unique solution with e = -1/lcm... more precisely with
     |H| = 1 (integral homology sphere); requires pairwise coprime alphas."""
     alphas = sorted(int(a) for a in alphas)
-    assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(alphas, 2))
+    if any(math.gcd(a, b) != 1 for a, b in itertools.combinations(alphas, 2)):
+        raise ValueError(f"Sigma{tuple(alphas)} needs pairwise coprime alphas")
     A = math.prod(alphas)
     # solve e0 + sum w_l/alpha_l = -1/A with 1 <= w_l < alpha_l
     # sum over l of w_l * (A/alpha_l) = -1 - e0*A  for some integer e0 < 0
@@ -347,7 +350,8 @@ def seifert_torsion_limit(data, sp):
     o = data.o
     at = sp.atilde
     alpha_at = alpha * at
-    assert alpha_at.denominator == 1, "alpha * atilde must be integral"
+    if alpha_at.denominator != 1:
+        raise IdentityViolated(f"{data.describe()}: alpha * atilde = {alpha_at} is not integral")
     alpha_at = int(alpha_at)
 
     R = 8  # guard digits of relative series precision
@@ -374,14 +378,21 @@ def seifert_torsion_limit(data, sp):
         p1 = p1 * den.inverse()
 
     diff = p_series - p1.scaled(Fraction(1, data.h_order))
-    assert diff.coeff(-2) == 0 and diff.coeff(-1) == 0, \
-        "pole of P - P1/|H| failed to cancel"
+    if diff.coeff(-2) != 0 or diff.coeff(-1) != 0:
+        raise IdentityViolated(f"{data.describe()} orbit {sp.a0};{sp.a}: "
+                               "pole of P - P1/|H| failed to cancel")
     return diff.coeff(0)
 
 
 def _float_dtype():
     ld = np.longdouble
     return ld if np.finfo(ld).eps < 1e-18 else None
+
+
+# Terms per block of the numeric partial sums.  A call sums about
+# 60/(o h) terms (6 * 10^6 for o = 1 at h = 1e-5); blocks keep its arrays
+# at a few MB however many terms there are.
+NUMERIC_BLOCK = 1 << 16
 
 
 def torsion_limit_numeric(data, sp, hs=(1e-3, 1e-4, 1e-5)):
@@ -391,30 +402,42 @@ def torsion_limit_numeric(data, sp, hs=(1e-3, 1e-4, 1e-5)):
 
     Both P (float partial sums) and P1 (mpmath) are evaluated at the
     identical binary value of t; near t = 1 they are each of size 1/h^2,
-    so even a one-ulp disagreement in t would not cancel correctly."""
+    so even a one-ulp disagreement in t would not cancel correctly.  The
+    terms c(i) t^(o i + alpha atilde) are summed in blocks of
+    NUMERIC_BLOCK, with the weights of the block starting at i = start
+    written as t^(o j) t^(o start + alpha atilde)."""
     import mpmath as mp
     alpha, o = data.alpha_lcm, data.o
     alpha_at = int(alpha * sp.atilde)
     omegas = np.array([w for _, w in data.legs], dtype=np.int64)
     alphas = np.array([a for a, _ in data.legs], dtype=np.int64)
     avec = np.array(sp.a, dtype=np.int64)
+    j = np.arange(NUMERIC_BLOCK, dtype=np.int64)
+    ld = _float_dtype()
+
+    def blocks(n_terms):
+        """(start, i, c(i)) for consecutive blocks of i in [0, n_terms)."""
+        for start in range(0, n_terms, NUMERIC_BLOCK):
+            i = start + j[:n_terms - start]
+            c = 1 + sp.a0 - i * data.e0
+            for l in range(data.nu):
+                c = c + (-i * omegas[l] + avec[l]) // alphas[l]
+            yield start, i, c
 
     pts = []
     for h in hs:
         t = float(1.0 - h)
         n_terms = int(60.0 / (o * h)) + 8
-        i = np.arange(n_terms, dtype=np.int64)
-        c = 1 + sp.a0 - i * data.e0
-        for l in range(data.nu):
-            c = c + (-i * omegas[l] + avec[l]) // alphas[l]
-        ld = _float_dtype()
         if ld is not None:
             logt = np.log(ld(t))
-            weights = np.exp((o * i.astype(ld) + ld(alpha_at)) * logt)
-            p_val = float((c.astype(ld) * weights).sum())
+            step = np.exp(o * j[:n_terms].astype(ld) * logt)
+            p_val = float(sum((c.astype(ld) * step[:c.size]).sum()
+                              * np.exp((o * start + alpha_at) * logt)
+                              for start, _, c in blocks(n_terms)))
         else:  # pragma: no cover - platforms without extended doubles
             logt = math.log(t)
             p_val = math.fsum(int(ci) * math.exp((o * ii + alpha_at) * logt)
+                              for _, i, c in blocks(n_terms)
                               for ci, ii in zip(c.tolist(), i.tolist()))
         with mp.workdps(50):
             tm = mp.mpf(t)  # exact binary conversion: same t as above
@@ -434,7 +457,36 @@ def torsion_limit_numeric(data, sp, hs=(1e-3, 1e-4, 1e-5)):
 
 
 # ---------------------------------------------------------------------------
-# the sw identity suite
+# per-orbit invariants and the sw identity suite
+
+
+@dataclass(frozen=True)
+class SeifertOrbit:
+    """The closed-form invariants of one spin^c orbit."""
+
+    chi_lprime: Fraction
+    kr2s: Fraction        # k_r^2 + s = K^2 + s - 8 chi(l')
+    tau: TauFunction
+    min_tau: int
+    rank_red: int
+    d: Fraction
+    limit: Fraction       # the exact torsion limit L
+    torsion: Fraction     # L + rank_red - min_tau
+
+
+def seifert_orbit(data, sp, k2s):
+    """Per-orbit record of ``sp`` on the Seifert manifold with K^2 + s =
+    ``k2s``: tau, min tau, the reduced rank, d and the torsion."""
+    chi_l = seifert_chi_lprime(data, sp)
+    kr2s = k2s - 8 * chi_l
+    tau_f = seifert_tau(data, sp)
+    vals = tau_f.values
+    min_tau = min(vals)
+    rank_red = min_tau + sum(max(0, vals[i] - vals[i + 1]) for i in range(len(vals) - 1))
+    limit = seifert_torsion_limit(data, sp)
+    return SeifertOrbit(chi_lprime=chi_l, kr2s=kr2s, tau=tau_f, min_tau=min_tau,
+                        rank_red=rank_red, d=kr2s / 4 - 2 * min_tau, limit=limit,
+                        torsion=limit + rank_red - min_tau)
 
 
 def verify_sw_identity(data, check_numeric=True, numeric_tol=1e-6):
@@ -459,22 +511,14 @@ def verify_sw_identity(data, check_numeric=True, numeric_tol=1e-6):
     rows = []
     global_sum = Fraction(0)
     for sp in enumerate_seifert_spinc(data):
-        chi_l = seifert_chi_lprime(data, sp)
-        kr2s = k2s - 8 * chi_l
-        tau_f = seifert_tau(data, sp)
-        vals = tau_f.values
-        min_tau = min(vals)
-        rank_red = min_tau + sum(max(0, vals[i] - vals[i + 1])
-                                 for i in range(len(vals) - 1))
-        d = kr2s / 4 - 2 * min_tau
-        L = seifert_torsion_limit(data, sp)
+        orb = seifert_orbit(data, sp, k2s)
+        L, kr2s = orb.limit, orb.kr2s
         expect = lam / data.h_order + kr2s / 8
         if L != expect:
             raise IdentityViolated(
                 f"{data.describe()} orbit {sp.a0};{sp.a}: torsion limit {L} != "
                 f"lambda/|H| + (k_r^2+s)/8 = {expect}")
-        torsion = L + rank_red - min_tau
-        if torsion - lam / data.h_order != rank_red - min_tau + kr2s / 8:
+        if orb.torsion - lam / data.h_order != orb.rank_red - orb.min_tau + kr2s / 8:
             raise IdentityViolated(f"{data.describe()} orbit {sp.a0};{sp.a}: sw identity")
         if check_numeric:
             approx = torsion_limit_numeric(data, sp)
@@ -482,10 +526,10 @@ def verify_sw_identity(data, check_numeric=True, numeric_tol=1e-6):
                 raise IdentityViolated(
                     f"{data.describe()} orbit {sp.a0};{sp.a}: numeric limit "
                     f"{approx} vs exact {float(L)}")
-        global_sum += -rank_red - d / 2
-        rows.append({"a0": sp.a0, "a": sp.a, "chi_lprime": chi_l, "kr2s": kr2s,
-                     "min_tau": min_tau, "rank_red": rank_red, "d": d,
-                     "torsion": torsion, "limit": L})
+        global_sum += -orb.rank_red - orb.d / 2
+        rows.append({"a0": sp.a0, "a": sp.a, "chi_lprime": orb.chi_lprime, "kr2s": kr2s,
+                     "min_tau": orb.min_tau, "rank_red": orb.rank_red, "d": orb.d,
+                     "torsion": orb.torsion, "limit": L})
     if global_sum != lam:
         raise IdentityViolated(
             f"{data.describe()}: sum over orbits {global_sum} != lambda {lam}")

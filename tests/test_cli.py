@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -122,6 +123,30 @@ def test_lens_single_orbit():
     code, out, _ = run_cli(["lens", "7", "4", "--spinc", "2", "--no-numeric"])
     assert code == 0
     assert len(out.strip().splitlines()) == 2
+
+
+@pytest.mark.parametrize("p", [151, 601])
+def test_lens_table_json_matches_slow_rendering(p, rng):
+    """`lens p q --table --format json` equals a row-by-row rendering from
+    the per-a definitions, for two seeded q."""
+    from gradedroots.lens import (LensSpace, casson_walker, chi_lprime, k2s_quarter,
+                                  torsion, torsion_fourier_all)
+    from gradedroots.roots import _fmt_q
+    qs = []
+    while len(qs) < 2:
+        q = rng.randint(2, p - 2)
+        if math.gcd(p, q) == 1 and q not in qs:
+            qs.append(q)
+    for q in qs:
+        L = LensSpace(p, q)
+        k2q, lam = k2s_quarter(L), casson_walker(L)
+        approx = torsion_fourier_all(L)
+        rows = [{"p": p, "q": q, "a": a, "d": _fmt_q(k2q - 2 * chi_lprime(L, a)),
+                 "rank_red": 0, "torsion": _fmt_q(torsion(L, a)), "lambda": _fmt_q(lam),
+                 "torsion_approx": repr(float(approx[a]))} for a in range(p)]
+        code, out, _ = run_cli(["lens", str(p), str(q), "--table", "--format", "json"])
+        assert code == 0
+        assert out == json.dumps(rows, indent=2) + "\n", (p, q)
 
 
 def test_seifert_command():

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from gradedroots import engine, spinc
-from gradedroots.lens import (LensSpace, NotCoprime, RangeError,
+from gradedroots import lens as lens_mod
+from gradedroots.lens import (LensIdentityError, LensSpace, NotCoprime, RangeError,
                               casson_walker, casson_walker_chain_formula,
                               cf_value, chi_lprime, chi_lprime_table,
                               dedekind_sum, dedekind_sum_direct, k2s_quarter,
@@ -215,3 +219,85 @@ def test_generalized_cf_string():
     assert generalized_cf_string(L, 0).startswith("0/5")
     # display only: digits come from E(a)
     assert "1" in text
+
+
+def test_table_matches_slow_definitions(rng):
+    """Every row of the lens table equals the per-a reference definitions,
+    on seeded random coprime (p, q) with p <= 400 and on p = 2."""
+    pairs = [(2, 1)]
+    while len(pairs) < 11:
+        p = rng.randint(3, 400)
+        q = rng.randint(1, p - 1)
+        if math.gcd(p, q) == 1:
+            pairs.append((p, q))
+    for p, q in pairs:
+        L = LensSpace(p, q)
+        lam, k2q = casson_walker(L), k2s_quarter(L)
+        chis = chi_lprime_table(L)
+        for a in range(p):
+            inv = lens_invariants(L, a, check_numeric=False)
+            chi = chi_lprime(L, a)
+            assert inv.chi == chis[a] == chi, (p, q, a)
+            assert inv.d == k2q - 2 * chi, (p, q, a)
+            assert inv.torsion == torsion(L, a), (p, q, a)
+            assert inv.lam == lam, (p, q, a)
+            assert inv.sw_osz == -inv.d / 2 == inv.sw_tcw == -inv.torsion + lam / p
+
+
+def test_lens_invariants_range():
+    with pytest.raises(RangeError):
+        lens_invariants(LensSpace(7, 3), 7)
+    with pytest.raises(RangeError):
+        lens_invariants(LensSpace(7, 3), -1)
+
+
+def test_object_dtype_table_agrees(monkeypatch):
+    """The exact object-integer path, taken beyond the int64 bound, gives
+    the same table and the same sweep as int64."""
+    spaces = [(2, 1), (12, 5), (31, 22), (97, 40)]
+    fixed = {pq: LensSpace(*pq).table for pq in spaces}
+    swept = verify_lens_sweep(20)
+    monkeypatch.setattr(lens_mod, "_int_dtype", lambda p: object)
+    for pq in spaces:
+        tab, ref = LensSpace(*pq).table, fixed[pq]
+        assert tab.chi.dtype == object
+        assert (tab.den, tab.s_num) == (ref.den, ref.s_num)
+        for field in ("chi", "d", "torsion"):
+            assert getattr(tab, field).tolist() == getattr(ref, field).tolist()
+    assert verify_lens_sweep(20) == swept
+
+
+def test_corrupted_e_table_raises(monkeypatch):
+    """A wrong descending generation of E(a) raises the named error, both
+    in spinc_coeffs and in the sweep."""
+    honest = LensSpace._e_table.func
+
+    def corrupted(self):
+        tab = list(honest(self))
+        tab[1] = tab[1][:-1] + (tab[1][-1] + 1,)
+        return tuple(tab)
+
+    monkeypatch.setattr(LensSpace, "_e_table", property(corrupted))
+    with pytest.raises(LensIdentityError, match="generations"):
+        spinc_coeffs(LensSpace(5, 3), 1)
+    with pytest.raises(LensIdentityError, match="generations"):
+        verify_lens_sweep(5)
+
+
+def test_identity_checks_survive_optimize():
+    """Under python -O, where assert statements are stripped, a corrupted
+    E(a) table still raises LensIdentityError."""
+    snippet = """
+from gradedroots.lens import LensIdentityError, LensSpace, spinc_coeffs
+L = LensSpace(5, 3)
+vars(L)["_e_table"] = (L._e_table[0], (9, 9)) + L._e_table[2:]
+try:
+    spinc_coeffs(L, 1)
+except LensIdentityError:
+    raise SystemExit(0)
+raise SystemExit(1)
+"""
+    src_dir = os.path.dirname(os.path.dirname(lens_mod.__file__))
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    proc = subprocess.run([sys.executable, "-O", "-c", snippet], env=env, timeout=120)
+    assert proc.returncode == 0
