@@ -12,7 +12,7 @@ from .plumbing import (PlumbingGraph, IntersectionForm, LatticeVector, DualVecto
                        canonical_class, chi_k, chi_rational, k_squared_plus_s,
                        casson_walker, blow_up, blow_down,
                        NotATree, NotNegativeDefinite, InvalidSite,
-                       NotBlowDownable, ParityViolation)
+                       NotBlowDownable, ParityViolation, InvariantViolated)
 from .roots import (GradedRoot, TauFunction, ZUModule, root_from_tau,
                     root_from_minima, module_of_root, rank_red_from_tau,
                     shift_root, shift_module, dot_export, ray_root,

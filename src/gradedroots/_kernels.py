@@ -1,117 +1,28 @@
-"""Hot kernels for the sublevel-set oracle, with selectable backends.
+"""Array kernels of the sublevel-set oracle.
 
 The oracle enumerates integer points x in a box with h(x) = x^T Q x - c.x
-below a limit, then runs a level-filtered union-find to read off connected
-components of every sublevel set.  Both steps are exact integer arithmetic;
-they are the only compute-bound loops in the package, so they exist twice:
-
-* a numba ``@njit`` version (default when numba imports), and
-* a pure numpy/python fallback with identical semantics.
-
-Select with the environment variable ``GRADEDROOTS_BACKEND`` set to
-``numba``, ``numpy`` or ``auto`` (default).  Callers may also pass an
-explicit ``backend=`` argument; results are bit-identical across backends
-(the test suite and ``benchmarks/bench_kernels.py`` both compare them).
+below a limit, joins the points that differ by one basis vector, and reads
+off the components of the sublevel sets.  All of it is exact integer
+arithmetic.
 
 int64 is used only after the caller proves |h| cannot overflow; otherwise
-the numpy fallback runs on Python big integers (dtype=object).
+the box scan runs on Python big integers (dtype=object).
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-    HAVE_NUMBA = True
-except Exception:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-        return wrap if not (args and callable(args[0])) else args[0]
-
-
-def backend_name(backend=None):
-    """Resolve the active backend: explicit arg > env var > auto."""
-    choice = backend or os.environ.get("GRADEDROOTS_BACKEND", "auto").lower()
-    if choice == "auto":
-        return "numba" if HAVE_NUMBA else "numpy"
-    if choice not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {choice!r}")
-    if choice == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is unavailable")
-    return choice
-
+from .roots import array_filtration, level_sweep
 
 # ---------------------------------------------------------------------------
 # box scan: all integer points of [lo, hi] with x^T Q x - c.x <= limit
 
 
-@njit(cache=True)
-def _box_scan_numba(Q, c, limit, lo, hi):  # pragma: no cover - jitted
-    s = Q.shape[0]
-    total = 1
-    for d in range(s):
-        total *= hi[d] - lo[d] + 1
-    x = lo.copy()
-    prefix = np.zeros(s + 1, dtype=np.int64)
-
-    count = 0
-    k = 0
-    coords = np.empty((0, s), dtype=np.int64)
-    hvals = np.empty(0, dtype=np.int64)
-    for _pass in range(2):
-        if _pass == 1:
-            coords = np.empty((count, s), dtype=np.int64)
-            hvals = np.empty(count, dtype=np.int64)
-            k = 0
-        for d in range(s):
-            x[d] = lo[d]
-        for d in range(s):
-            acc = 0
-            for i in range(d):
-                acc += Q[i, d] * x[i]
-            prefix[d + 1] = (prefix[d] + Q[d, d] * x[d] * x[d]
-                             + 2 * x[d] * acc - c[d] * x[d])
-        pos = 0
-        while pos < total:
-            h = prefix[s]
-            if h <= limit:
-                if _pass == 0:
-                    count += 1
-                else:
-                    for d in range(s):
-                        coords[k, d] = x[d]
-                    hvals[k] = h
-                    k += 1
-            pos += 1
-            # odometer advance
-            d = s - 1
-            while d >= 0:
-                if x[d] < hi[d]:
-                    x[d] += 1
-                    break
-                x[d] = lo[d]
-                d -= 1
-            if d < 0:
-                break
-            for dd in range(d, s):
-                acc = 0
-                for i in range(dd):
-                    acc += Q[i, dd] * x[i]
-                prefix[dd + 1] = (prefix[dd] + Q[dd, dd] * x[dd] * x[dd]
-                                  + 2 * x[dd] * acc - c[dd] * x[dd])
-    return coords, hvals
-
-
 _CHUNK = 1 << 17
 
 
-def _box_scan_numpy(Q, c, limit, lo, hi, dtype=np.int64):
+def _box_scan(Q, c, limit, lo, hi, dtype=np.int64):
     s = len(lo)
     dims = tuple(int(h - l + 1) for l, h in zip(lo, hi))
     total = 1
@@ -138,12 +49,12 @@ def _box_scan_numpy(Q, c, limit, lo, hi, dtype=np.int64):
     return coords, np.asarray([int(v) for v in hv], dtype=np.int64)
 
 
-def box_scan(Q, c, limit, lo, hi, backend=None, exact_object=False):
+def box_scan(Q, c, limit, lo, hi, exact_object=False):
     """All x in the integer box [lo, hi] with x^T Q x - c.x <= limit.
 
     Returns (coords [N, s] int64, h [N] int64) in odometer (row-major)
-    order.  ``exact_object`` forces the big-integer path regardless of
-    backend (used when int64 bounds cannot be certified)."""
+    order.  ``exact_object`` selects the big-integer path (used when int64
+    bounds cannot be certified)."""
     Q = np.asarray(Q, dtype=np.int64)
     c = np.asarray(c, dtype=np.int64)
     lo = np.asarray(lo, dtype=np.int64)
@@ -151,135 +62,76 @@ def box_scan(Q, c, limit, lo, hi, backend=None, exact_object=False):
     if np.any(hi < lo):
         return (np.empty((0, len(lo)), dtype=np.int64), np.empty(0, dtype=np.int64))
     if exact_object:
-        return _box_scan_numpy(Q.tolist(), [int(v) for v in c], int(limit),
-                               [int(v) for v in lo], [int(v) for v in hi],
-                               dtype=object)
-    if backend_name(backend) == "numba":
-        return _box_scan_numba(Q, c, np.int64(limit), lo, hi)
-    return _box_scan_numpy(Q, c, int(limit), lo, hi)
+        return _box_scan(Q.tolist(), [int(v) for v in c], int(limit),
+                         [int(v) for v in lo], [int(v) for v in hi], dtype=object)
+    return _box_scan(Q, c, int(limit), lo, hi)
 
 
 # ---------------------------------------------------------------------------
-# adjacency of enumerated points (pure numpy; shared by both backends)
+# adjacency of enumerated points
 
 
-def lattice_edges(coords, lo, hi):
+def _tuple_ids(coords, order, cols):
+    """For k = 0 .. len(cols), ids of the tuples coords[p, cols[:k]]:
+    equal tuples get equal ids, each below the number of rows n < 2^31.
+    ``order`` must sort the rows by those columns, cols[0] first."""
+    n = len(coords)
+    changed = np.zeros(n - 1, dtype=bool)
+    ids = np.zeros(n, dtype=np.int32)
+    yield ids
+    for d in cols:
+        col = coords[order, d]
+        changed |= col[1:] != col[:-1]
+        ids = np.empty(n, dtype=np.int32)
+        ids[order] = np.concatenate(([0], np.cumsum(changed)))
+        yield ids
+
+
+def lattice_edges(coords):
     """Pairs (u, v) of row indices with coords[v] = coords[u] + e_j.
 
-    The enumerated set is closed in the box, so key lookup is a complete
-    adjacency test for the sublevel complex."""
+    Rows must be distinct.  For each j the rows are grouped by all their
+    coordinates but the j-th, and sorted by the j-th inside a group, so
+    u + e_j, when present, follows u.  A group is named by the ids of its
+    prefix (columns before j) and suffix (columns after j), both below
+    the number of rows n, so the group key stays below n^2 < 2^62; no key
+    depends on the width of the box."""
     n, s = coords.shape
-    if n == 0:
+    if n >= 1 << 31:
+        raise ValueError(f"{n} points exceed the 2^31 rows lattice_edges supports")
+    if n < 2:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    dims = (hi - lo + 1).astype(np.int64)
-    strides = np.ones(s, dtype=np.int64)
-    for d in range(s - 2, -1, -1):
-        strides[d] = strides[d + 1] * dims[d + 1]
-    keys = (coords - lo) @ strides
-    order = np.argsort(keys, kind="stable")
-    skeys = keys[order]
+    lex = np.lexsort(coords.T[::-1])
+    suffix = list(_tuple_ids(coords, np.lexsort(coords.T), range(s - 1, 0, -1)))
+    prefix = _tuple_ids(coords, lex, range(s - 1))
     us, vs = [], []
     for j in range(s):
-        valid = np.nonzero(coords[:, j] < hi[j])[0]
-        if len(valid) == 0:
-            continue
-        target = keys[valid] + strides[j]
-        pos = np.searchsorted(skeys, target)
-        pos_c = np.minimum(pos, n - 1)
-        hit = skeys[pos_c] == target
-        us.append(valid[hit])
-        vs.append(order[pos_c[hit]])
-    if not us:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        group = next(prefix).astype(np.int64) * n + suffix[s - 1 - j]
+        # stable sort of the lexicographic order keeps each group sorted by x_j
+        rows = lex[np.argsort(group[lex], kind="stable")]
+        g, x = group[rows], coords[rows, j]
+        hit = np.nonzero((g[1:] == g[:-1]) & (x[1:] == x[:-1] + 1))[0]
+        us.append(rows[hit])
+        vs.append(rows[hit + 1])
     return np.concatenate(us), np.concatenate(vs)
 
 
 # ---------------------------------------------------------------------------
-# level-filtered components (merge forest)
+# level-filtered components
 
 
-@njit(cache=True)
-def _labels_numba(chi, eu, ev, elev, n_lo, n_hi):  # pragma: no cover - jitted
-    n = chi.shape[0]
-    nlev = n_hi - n_lo + 1
-    parent = np.arange(n)
-    labels = np.full((nlev, n), -1, dtype=np.int64)
-    pi = 0
-    ei = 0
-    for li in range(nlev):
-        lev = n_lo + li
-        while pi < n and chi[pi] <= lev:
-            pi += 1
-        while ei < eu.shape[0] and elev[ei] <= lev:
-            a, b = eu[ei], ev[ei]
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            while parent[b] != b:
-                parent[b] = parent[parent[b]]
-                b = parent[b]
-            if a != b:
-                if a < b:
-                    parent[b] = a
-                else:
-                    parent[a] = b
-            ei += 1
-        for p in range(pi):
-            a = p
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            labels[li, p] = a
-    return labels
-
-
-def _labels_numpy(chi, eu, ev, elev, n_lo, n_hi):
-    n = len(chi)
-    nlev = n_hi - n_lo + 1
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    labels = np.full((nlev, n), -1, dtype=np.int64)
-    pi = 0
-    ei = 0
-    ne = len(eu)
-    for li in range(nlev):
-        lev = n_lo + li
-        while pi < n and chi[pi] <= lev:
-            pi += 1
-        while ei < ne and elev[ei] <= lev:
-            a, b = find(int(eu[ei])), find(int(ev[ei]))
-            if a != b:
-                if a < b:
-                    parent[b] = a
-                else:
-                    parent[a] = b
-            ei += 1
-        for p in range(pi):
-            labels[li, p] = find(p)
-    return labels
-
-
-def sublevel_labels(chi, eu, ev, n_lo, n_hi, backend=None):
-    """Component labels of every sublevel set, one row per level.
-
-    ``chi`` must be sorted ascending; labels[li, p] is the smallest point
-    index in the component of point p inside the sublevel set
-    {chi <= n_lo + li}, or -1 while p is inactive.  Unions are performed by
-    minimal index, so labels are deterministic and backend-independent.
-    """
+def sublevel_labels(chi, eu, ev, n_lo, n_hi):
+    """Component labels of the sublevel sets {chi <= n}, one row for each
+    n_lo <= n <= n_hi: labels[li, p] is the smallest point index in the
+    component of point p inside {chi <= n_lo + li}, or -1 while p is
+    outside it.  Each row runs the union-find of :func:`roots.level_sweep`."""
     chi = np.asarray(chi, dtype=np.int64)
-    assert np.all(np.diff(chi) >= 0), "points must be sorted by chi"
-    eu = np.asarray(eu, dtype=np.int64)
-    ev = np.asarray(ev, dtype=np.int64)
-    elev = np.maximum(chi[eu], chi[ev]) if len(eu) else np.empty(0, dtype=np.int64)
-    order = np.argsort(elev, kind="stable")
-    eu, ev, elev = eu[order], ev[order], elev[order]
-    if backend_name(backend) == "numba":
-        return _labels_numba(chi, eu, ev, elev, int(n_lo), int(n_hi))
-    return _labels_numpy(chi, eu, ev, elev, int(n_lo), int(n_hi))
+    labels = np.full((n_hi - n_lo + 1, len(chi)), -1, dtype=np.int64)
+    for li in range(n_hi - n_lo + 1):
+        find = None
+        for _, _, find in level_sweep(*array_filtration(chi, eu, ev), top=n_lo + li):
+            pass
+        if find is not None:
+            inside = np.nonzero(chi <= n_lo + li)[0]
+            labels[li, inside] = [find(p) for p in inside.tolist()]
+    return labels

@@ -32,7 +32,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .plumbing import LatticeVector, PlumbingGraph, canonical_class, chi_k
+from .plumbing import (InvariantViolated, LatticeVector, PlumbingGraph,
+                       canonical_class, chi_k)
 from .roots import TauFunction, module_of_root, root_from_tau, shift_module
 from .spinc import SpincOrbit, enumerate_spinc, _orbit_from_rep
 
@@ -287,7 +288,9 @@ def analyze_orbit(graph, orbit, classification=None):
     drops = sum(max(0, vals[i] - vals[i + 1]) for i in range(len(vals) - 1))
     rank_red = min_tau + drops
     module = shift_module(module_of_root(root), -Fraction(kr2s, 4))
-    assert module.rank_reduced() == rank_red, "Cor-2.10 rank vs module rank"
+    if module.rank_reduced() != rank_red:
+        raise InvariantViolated(f"Cor-2.10 rank {rank_red} != module rank "
+                                f"{module.rank_reduced()}")
     chi_hf = rank_red
     return ARReport(orbit=orbit, tau=t, root=root, module=module,
                     kr2s=Fraction(kr2s), d=d, min_tau=min_tau,

@@ -26,21 +26,22 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .plumbing import (LatticeVector, canonical_class, invert_form,
-                       leading_principal_minors)
-from .roots import make_root
+from .plumbing import (InvariantViolated, LatticeVector, canonical_class,
+                       invert_form, leading_principal_minors)
+from .roots import array_filtration, merge_tree
 
 DEFAULT_POINT_CAP = 10 ** 7
 _LEAF_VOLUME = 1 << 15
 
 
 class LevelTooLarge(ValueError):
-    """Predicted enumeration size exceeds the configured cap."""
+    """The enumeration would scan more box volume than the configured cap."""
 
 
 def _floor_plus_sqrt(mu, rad2):
     """max integer t with t <= mu + sqrt(rad2), all exact."""
-    assert rad2 >= 0
+    if rad2 < 0:
+        raise InvariantViolated(f"negative squared radius {rad2}")
     t = math.floor(mu) + math.isqrt(rad2.numerator // rad2.denominator) + 2
     while not (t <= mu or (t - mu) ** 2 <= rad2):
         t -= 1
@@ -97,18 +98,19 @@ def _adjugate(Q, det_q):
         row = []
         for j in range(s):
             v = inv[i][j] * det_q
-            assert v.denominator == 1
+            if v.denominator != 1:
+                raise InvariantViolated(f"adjugate entry ({i},{j}) = {v} is not an integer")
             row.append(int(v))
         adj.append(row)
     return adj
 
 
-def _enumerate_region(Q, adj_q, det_q, c, limit, backend, budget):
+def _enumerate_region(Q, adj_q, det_q, c, limit, budget):
     """All integer x with x^T Q x - c.x <= limit, with exact splitting.
 
-    ``budget`` is a one-element list holding the remaining scan allowance;
-    every kernel leaf charges its box volume against it, so the configured
-    cap bounds actual work rather than the crude top-level box.
+    ``budget`` is [remaining scan allowance, configured cap]; every kernel
+    leaf charges its box volume against the allowance, so the cap bounds
+    actual work rather than the crude top-level box.
     Returns (coords ndarray [N, s], h ndarray [N])."""
     s = len(c)
     box = _ellipsoid_box(adj_q, det_q, c, limit)
@@ -120,11 +122,11 @@ def _enumerate_region(Q, adj_q, det_q, c, limit, backend, budget):
         return np.empty((0, s), dtype=np.int64), np.empty(0, dtype=np.int64)
     if s == 1 or vol <= _LEAF_VOLUME:
         if vol > budget[0]:
-            raise LevelTooLarge("enumeration exceeded the configured point cap")
+            raise LevelTooLarge(f"a leaf box of volume {vol} exceeds the {budget[0]} "
+                                f"left of the point cap {budget[1]}")
         budget[0] -= vol
         safe = _int64_safe(Q, c, limit, lo, hi)
-        return _kernels.box_scan(Q, c, limit, lo, hi, backend=backend,
-                                 exact_object=not safe)
+        return _kernels.box_scan(Q, c, limit, lo, hi, exact_object=not safe)
     # split along the widest coordinate; fixing x_d = t leaves the
     # same kind of subproblem in the remaining coordinates
     d = max(range(s), key=lambda i: hi[i] - lo[i])
@@ -137,7 +139,7 @@ def _enumerate_region(Q, adj_q, det_q, c, limit, backend, budget):
         c_sub = [c[i] - 2 * t * Q[d][i] for i in rest]
         const = Q[d][d] * t * t - c[d] * t
         sc, sh = _enumerate_region(Q_sub, adj_sub, det_sub, c_sub,
-                                   limit - const, backend, budget)
+                                   limit - const, budget)
         if len(sh):
             full = np.empty((len(sh), s), dtype=np.int64)
             full[:, d] = t
@@ -177,15 +179,16 @@ class SublevelComplex:
         return int(self.labels[hits[0]])
 
 
-def _enumerate_points(graph, k, n, point_cap, backend):
+def _enumerate_points(graph, k, n, point_cap):
     s = graph.s
     B = graph.form.B
     Q = [[-B[i][j] for j in range(s)] for i in range(s)]
     adj_q = graph.form.adjugate_neg
     det_q = graph.form.order
     c = [int(v) for v in k.pairings]
-    coords, h = _enumerate_region(Q, adj_q, det_q, c, 2 * n, backend, [point_cap])
-    assert not len(h) or not np.any(h % 2), "chi must be integral"
+    coords, h = _enumerate_region(Q, adj_q, det_q, c, 2 * n, [point_cap, point_cap])
+    if np.any(h % 2):
+        raise InvariantViolated("chi_k takes a non-integral value")
     chi = h // 2
     # deterministic global order: by chi, then lexicographic coordinates
     if len(chi):
@@ -194,75 +197,46 @@ def _enumerate_points(graph, k, n, point_cap, backend):
     return coords, chi
 
 
-def enumerate_sublevel(graph, k, n, point_cap=DEFAULT_POINT_CAP, backend=None):
+def enumerate_sublevel(graph, k, n, point_cap=DEFAULT_POINT_CAP):
     """Complete enumeration of {x in L : chi_k(x) <= n} with components.
 
-    Raises :class:`LevelTooLarge` when the certified bounding box exceeds
-    ``point_cap`` candidate points."""
-    coords, chi = _enumerate_points(graph, k, n, point_cap, backend)
-    s = graph.s
-    if not len(chi):
-        return SublevelComplex(level=n, coords=coords, chi_values=chi,
-                               labels=np.empty(0, dtype=np.int64))
-    lo = coords.min(axis=0)
-    hi = coords.max(axis=0)
-    eu, ev = _kernels.lattice_edges(coords, lo, hi)
-    labels = _kernels.sublevel_labels(chi, eu, ev, n, n, backend=backend)[0]
+    Raises :class:`LevelTooLarge` when the scanned box volume would exceed
+    ``point_cap``."""
+    coords, chi = _enumerate_points(graph, k, n, point_cap)
+    eu, ev = _kernels.lattice_edges(coords)
+    labels = _kernels.sublevel_labels(chi, eu, ev, n, n)[0]
     return SublevelComplex(level=n, coords=coords, chi_values=chi, labels=labels)
 
 
-def root_oracle(graph, k, n_max, point_cap=DEFAULT_POINT_CAP, backend=None):
+def root_oracle(graph, k, n_max, point_cap=DEFAULT_POINT_CAP):
     """Graded root of (Gamma, k) up to level n_max, straight from sublevels.
 
-    Vertices at level n are components of the enumerated complex; edges are
-    containment between consecutive levels.  For the canonical class with
-    n_max >= 1 the result is the exact infinite root (all sublevel sets at
-    levels >= 1 are connected); otherwise it is marked truncated.
+    The merge tree of the enumerated points (entering at chi_k) and their
+    lattice edges: vertices at level n are components of the sublevel
+    complex, edges are containment between consecutive levels.  For the
+    canonical class with n_max >= 1 the result is the exact infinite root
+    (all sublevel sets at levels >= 1 are connected); otherwise it is
+    marked truncated.
     """
-    coords, chi = _enumerate_points(graph, k, n_max, point_cap, backend)
+    coords, chi = _enumerate_points(graph, k, n_max, point_cap)
     if not len(chi):
         raise ValueError("empty sublevel set; raise n_max above min chi_k")
-    nmin = int(chi.min())
-    if n_max < nmin + 1:
+    if n_max < int(chi.min()) + 1:
         raise ValueError("need n_max >= min chi_k + 1")
-    lo = coords.min(axis=0)
-    hi = coords.max(axis=0)
-    eu, ev = _kernels.lattice_edges(coords, lo, hi)
-    labels = _kernels.sublevel_labels(chi, eu, ev, nmin, n_max, backend=backend)
-
-    chi_list = []
-    edges = []
-    prev = {}
-    for li in range(labels.shape[0]):
-        row = labels[li]
-        comps = {}
-        for p in np.nonzero(row >= 0)[0]:
-            comps.setdefault(int(row[p]), p)
-        cur = {}
-        for lab in sorted(comps):
-            vid = len(chi_list)
-            chi_list.append(nmin + li)
-            cur[lab] = vid
-        if prev:
-            nxt = labels[li]
-            for lab, vid in prev.items():
-                parent_lab = int(nxt[lab])  # label index is a point index
-                edges.append((vid, cur[parent_lab]))
-        prev = cur
+    eu, ev = _kernels.lattice_edges(coords)
     K = canonical_class(graph)
     is_canonical = tuple(k.pairings) == tuple(K.pairings)
-    truncated = not (is_canonical and n_max >= 1)
-    return make_root(chi_list, edges, n_max, truncated=truncated)
+    return merge_tree(*array_filtration(chi, eu, ev), top=n_max,
+                      truncated=not (is_canonical and n_max >= 1))
 
 
-def min_chi(graph, k, point_cap=DEFAULT_POINT_CAP, backend=None):
+def min_chi(graph, k, point_cap=DEFAULT_POINT_CAP):
     """min over L of chi_k, from the (always nonempty) level-0 set."""
-    level = enumerate_sublevel(graph, k, 0, point_cap=point_cap, backend=backend)
+    level = enumerate_sublevel(graph, k, 0, point_cap=point_cap)
     return int(level.chi_values.min())
 
 
-def component_zero_structure(graph, n=0, k=None, point_cap=DEFAULT_POINT_CAP,
-                             backend=None):
+def component_zero_structure(graph, n=0, k=None, point_cap=DEFAULT_POINT_CAP):
     """Check the component of the zero cycle at level 0 for the canonical
     class: every nonzero member must satisfy x < 0 and chi(x) = 0.
 
@@ -270,8 +244,9 @@ def component_zero_structure(graph, n=0, k=None, point_cap=DEFAULT_POINT_CAP,
     counterexample, if any."""
     if k is None:
         k = canonical_class(graph)
-    assert n == 0, "the structure statement concerns level 0"
-    level = enumerate_sublevel(graph, k, 0, point_cap=point_cap, backend=backend)
+    if n != 0:
+        raise ValueError(f"the structure statement concerns level 0, not {n}")
+    level = enumerate_sublevel(graph, k, 0, point_cap=point_cap)
     zero_label = level.component_of([0] * graph.s)
     members = level.coords[level.labels == zero_label]
     chis = level.chi_values[level.labels == zero_label]

@@ -45,6 +45,12 @@ class ParityViolation(ValueError):
     """A claimed characteristic element fails the parity condition."""
 
 
+class InvariantViolated(AssertionError):
+    """An internal invariant of a computation failed.  Raised explicitly,
+    so the check survives ``python -O``; an ``AssertionError``, so the CLI
+    still exits 1."""
+
+
 # ---------------------------------------------------------------------------
 # coefficient vectors
 

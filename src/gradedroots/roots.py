@@ -10,6 +10,19 @@ When ``truncated`` is False the object above top_level is certified to be
 the single ray, so the data determines the infinite root exactly; when
 True only the displayed part is known.
 
+Every root is built by :func:`merge_tree`, the merge tree of a filtered
+graph: elements enter at their level, edges at theirs (by default the higher
+level of their ends), and the vertices at level n are the components of
+what has entered by level n, each joined to the component containing it
+one level up (Nemethi, Graded roots and singularities, 2005, section 2).
+One union-find runs over elements and edges in level order; a union keeps
+the smaller element as representative, so each component is named by its
+smallest element.  Vertices are numbered level by level and, within a
+level, by that smallest element.  A tau function is a path graph
+(:func:`root_from_tau`), (n_i, n_ij) data a complete graph on the rays
+(:func:`root_from_minima`), and the oracle's sublevel sets the lattice
+graph of the enumerated points.
+
 The module H(R, chi) of a graded root decomposes as one infinite tower
 T+[2*chi(v1)] plus finite towers T[2*chi(v_k)](chi(w_k) - chi(v_k)) read
 off a greedy ordering of the local minima; see :func:`module_of_root`.
@@ -19,6 +32,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, groupby
+from operator import itemgetter
+
+import numpy as np
+
+_END = (float("inf"), ())  # sentinel group after the last level
+_BLOCK = 1 << 14           # rows per list conversion in array_filtration
 
 
 class EmptyTau(ValueError):
@@ -180,32 +200,112 @@ class GradedRoot:
                 f"top={self.top_level}, {kind})")
 
 
-def _trim_ray(chi, edges, top_level):
-    """Drop redundant single-ray vertices from the top so the stored
-    top_level is minimal; the infinite ray marker covers what is removed."""
-    chi = list(chi)
-    edges = {tuple(sorted(e)) for e in edges}
-    while len(chi) > 1:
-        top = [v for v, c in enumerate(chi) if c == top_level]
-        if len(top) != 1:
-            break
-        t = top[0]
-        incident = [e for e in edges if t in e]
-        if len(incident) != 1:
-            break
-        edges.remove(incident[0])
-        del chi[t]
-        edges = {tuple(sorted((x - (x > t), y - (y > t)))) for x, y in edges}
-        top_level -= 1
-    return tuple(chi), tuple(sorted(edges)), top_level
+def level_sweep(size, elements, links, top=None):
+    """One union-find over a filtered graph on the elements 0 .. size-1,
+    run in level order.
+
+    ``elements`` yields (level, p) for every element and ``links`` yields
+    (level, u, v) for every edge, both sorted by level; no edge may enter
+    below either of its ends.  For every level n (up to ``top``) at which
+    something enters, the elements of level n are added and the edges of
+    level n joined; then the sweep yields (n, entered, find), where
+    ``entered`` lists the elements added at n and find(p) is the smallest
+    element of the component of p.
+    """
+    parent = list(range(size))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    elements = groupby(elements, itemgetter(0))
+    links = groupby(links, itemgetter(0))
+    el, ed = next(elements, _END), next(links, _END)
+    while True:
+        n = min(el[0], ed[0])
+        if n == _END[0] or (top is not None and n > top):
+            return
+        entered = []
+        if el[0] == n:
+            entered = [p for _, p in el[1]]
+            el = next(elements, _END)
+        if ed[0] == n:
+            for _, a, b in ed[1]:
+                # find, inlined: this loop is the hot path of the oracle
+                while parent[a] != a:
+                    parent[a] = a = parent[parent[a]]
+                while parent[b] != b:
+                    parent[b] = b = parent[parent[b]]
+                if a < b:
+                    parent[b] = a
+                elif b < a:
+                    parent[a] = b
+            ed = next(links, _END)
+        yield n, entered, find
 
 
-def make_root(chi, edges, top_level, truncated):
-    """Build a :class:`GradedRoot`, normalizing away a redundant top ray."""
-    if not truncated:
-        chi, edges, top_level = _trim_ray(tuple(chi), tuple(edges), top_level)
-    return GradedRoot(chi=tuple(chi), edges=tuple(sorted(tuple(sorted(e)) for e in edges)),
-                      top_level=top_level, truncated=truncated)
+def _rows(*arrays):
+    """Tuples of the entries of equal-length arrays as Python ints."""
+    return chain.from_iterable(zip(*(a[i:i + _BLOCK].tolist() for a in arrays))
+                               for i in range(0, len(arrays[0]), _BLOCK))
+
+
+def array_filtration(levels, eu, ev):
+    """The arguments of :func:`level_sweep` for a graph given as arrays:
+    element p enters at levels[p] and edge (eu[i], ev[i]) with its higher
+    end.  The sorted arrays are converted to Python ints ``_BLOCK`` rows at
+    a time, so that no whole-array list is held."""
+    levels, eu, ev = (np.asarray(a, dtype=np.int64) for a in (levels, eu, ev))
+    edge_levels = np.maximum(levels[eu], levels[ev])
+    order, eorder = np.argsort(levels), np.argsort(edge_levels)
+    return (len(levels), _rows(levels[order], order),
+            _rows(edge_levels[eorder], eu[eorder], ev[eorder]))
+
+
+def merge_tree(size, elements, links, top=None, truncated=False):
+    """The graded root of a filtered graph (arguments as for
+    :func:`level_sweep`): its vertices at level n are the components of the
+    subgraph of everything entered by level n, each joined to the
+    component that contains it one level up.
+
+    Levels run from the lowest element level to ``top`` (default: the last
+    level at which something enters).  Vertices are numbered level by
+    level and, within a level, by the smallest element of their component.
+    A non-truncated root is stored up to the last level at which the number
+    of components changes; above it the root is the single infinite ray.
+    """
+    chi, edges = [], []
+    reps, ids, last = [], [], None  # components of the last stored level
+    end = None
+
+    def copy_up_to(n):
+        # levels last+1 .. n hold the same components as level last
+        nonlocal ids, last
+        for m in range(last + 1, n + 1):
+            base = len(chi)
+            chi.extend([m] * len(ids))
+            new = range(base, base + len(ids))
+            edges.extend(zip(ids, new))
+            ids = list(new)
+        last = n
+
+    for n, entered, find in level_sweep(size, elements, links, top):
+        end = n
+        cur = sorted({find(r) for r in reps}.union(map(find, entered)))
+        if len(cur) == len(reps) == 1:
+            continue  # the single component only grew
+        if last is not None:
+            copy_up_to(n - 1)
+        base = len(chi)
+        chi.extend([n] * len(cur))
+        vid = {r: base + i for i, r in enumerate(cur)}
+        edges.extend((i, vid[find(r)]) for r, i in zip(reps, ids))
+        reps, ids, last = cur, list(range(base, base + len(cur))), n
+    if chi and (truncated or len(reps) != 1):
+        copy_up_to(end if top is None else top)
+    return GradedRoot(chi=tuple(chi), edges=tuple(edges), top_level=last,
+                      truncated=truncated)
 
 
 def ray_root(n):
@@ -228,48 +328,12 @@ def root_from_tau(tau, truncate_at=None):
     if not isinstance(tau, TauFunction):
         tau = TauFunction(tuple(tau), certified=True)
     vals = tau.values
-    lo = min(vals)
-    top = max(vals)
-    truncated = not tau.certified
-    if truncate_at is not None:
-        if truncate_at < lo:
-            raise ValueError("truncation level below min tau")
-        top = min(top, truncate_at)
-        truncated = True
-
-    chi = []
-    edges = []
-    prev_runs = {}  # start index of run -> vertex id at previous level
-    for n in range(lo, top + 1):
-        runs = []
-        start = None
-        for i, v in enumerate(vals):
-            if v <= n and start is None:
-                start = i
-            elif v > n and start is not None:
-                runs.append((start, i - 1))
-                start = None
-        if start is not None:
-            runs.append((start, len(vals) - 1))
-        cur = {}
-        for a, b in runs:
-            vid = len(chi)
-            chi.append(n)
-            cur[(a, b)] = vid
-            for (pa, pb), pid in prev_runs.items():
-                if a <= pa and pb <= b:
-                    edges.append((pid, vid))
-        prev_runs = cur
-    if truncate_at is not None and truncate_at > top:
-        # pad the single ray up to the requested level for uniform comparison
-        assert len(prev_runs) == 1
-        vid = list(prev_runs.values())[0]
-        for n in range(top + 1, truncate_at + 1):
-            chi.append(n)
-            edges.append((vid, len(chi) - 1))
-            vid = len(chi) - 1
-        top = truncate_at
-    return make_root(chi, edges, top, truncated)
+    if truncate_at is not None and truncate_at < min(vals):
+        raise ValueError("truncation level below min tau")
+    m = len(vals)
+    return merge_tree(m, sorted(zip(vals, range(m))),
+                      sorted((max(vals[i], vals[i + 1]), i, i + 1) for i in range(m - 1)),
+                      top=truncate_at, truncated=truncate_at is not None or not tau.certified)
 
 
 def root_from_minima(n_i, n_ij):
@@ -299,39 +363,8 @@ def root_from_minima(n_i, n_ij):
                 if N[j][k] > max(N[i][j], N[i][k]):
                     raise ConditionViolated(
                         f"n_jk > max(n_ij, n_ik) at (i,j,k)=({i},{j},{k})")
-
-    lo = min(n_i)
-    top = max(max(row) for row in N)
-    chi = []
-    edges = []
-    prev = {}
-    for n in range(lo, top + 1):
-        active = [i for i in range(m) if n_i[i] <= n]
-        parent = {i: i for i in active}
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for ii in active:
-            for jj in active:
-                if ii < jj and N[ii][jj] <= n:
-                    parent[find(ii)] = find(jj)
-        classes = {}
-        for i in active:
-            classes.setdefault(find(i), set()).add(i)
-        cur = {}
-        for members in classes.values():
-            vid = len(chi)
-            chi.append(n)
-            cur[frozenset(members)] = vid
-            for pm, pid in prev.items():
-                if pm <= members:
-                    edges.append((pid, vid))
-        prev = cur
-    return make_root(chi, edges, top, truncated=False)
+    return merge_tree(m, sorted(zip(n_i, range(m))),
+                      sorted((N[i][j], i, j) for i in range(m) for j in range(i + 1, m)))
 
 
 # ---------------------------------------------------------------------------

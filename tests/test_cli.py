@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -191,3 +192,32 @@ def test_console_entry_point(e8_file):
 def test_verify_oracle_graph_function():
     rep = verify_oracle_graph(remark56_graph())
     assert rep["ok"] and rep["zero_component"]["ok"]
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def _golden(name):
+    with open(os.path.join(GOLDEN, name)) as f:
+        return f.read()
+
+
+@pytest.mark.parametrize("graph, orbits", [("sigma237", 1), ("star5", 16)])
+def test_root_dot_golden(tmp_path, graph, orbits):
+    """DOT files of `root` are byte-identical to the recorded ones (all
+    orbits concatenated in orbit order); the vertex names follow the
+    (chi, vertex id) order, so this pins the vertex order of the root
+    constructions."""
+    prefix = str(tmp_path / graph)
+    code, _, _ = run_cli(["root", os.path.join(GOLDEN, f"{graph}.json"), "-o", prefix])
+    assert code == 0
+    got = "".join((tmp_path / f"{graph}_orbit{i}.dot").read_text() for i in range(orbits))
+    assert got == _golden(f"{graph}_root.dot")
+
+
+def test_oracle_dot_golden(tmp_path):
+    prefix = str(tmp_path / "e8")
+    code, _, _ = run_cli(["oracle", os.path.join(GOLDEN, "e8.json"), "--level", "2",
+                          "--dot", prefix])
+    assert code == 0
+    assert (tmp_path / "e8_orbit0.dot").read_text() == _golden("e8_oracle_level2.dot")

@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -286,3 +289,25 @@ def test_report_json_schema():
     assert set(js) == {"orbit", "l_prime", "d", "rank_red", "chi_hf",
                        "sw_osz", "tau", "certified"}
     assert isinstance(js["d"], str) and isinstance(js["certified"], bool)
+
+
+def test_rank_check_survives_optimize():
+    """Under python -O a module whose rank disagrees with the Cor-2.10 rank
+    still raises InvariantViolated."""
+    snippet = """
+from fractions import Fraction
+from gradedroots import build_graph, engine, spinc
+from gradedroots.plumbing import InvariantViolated
+from gradedroots.roots import ZUModule
+g = build_graph([(0, -2)], [])
+engine.module_of_root = lambda root: ZUModule(Fraction(0), ((Fraction(0), 1),))
+try:
+    engine.analyze_orbit(g, spinc.enumerate_spinc(g)[0])
+except InvariantViolated:
+    raise SystemExit(0)
+raise SystemExit(1)
+"""
+    src_dir = os.path.dirname(os.path.dirname(engine.__file__))
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    proc = subprocess.run([sys.executable, "-O", "-c", snippet], env=env, timeout=120)
+    assert proc.returncode == 0

@@ -14,11 +14,7 @@ def random_posdef(rng, s):
     return Q
 
 
-BACKENDS = ["numpy"] + (["numba"] if _kernels.HAVE_NUMBA else [])
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_box_scan_matches_brute_force(backend):
+def test_box_scan_matches_brute_force():
     rng = random.Random(5)
     for _ in range(25):
         s = rng.randint(1, 4)
@@ -27,7 +23,7 @@ def test_box_scan_matches_brute_force(backend):
         lo = [rng.randint(-3, 0) for _ in range(s)]
         hi = [l + rng.randint(0, 4) for l in lo]
         limit = rng.randint(-2, 30)
-        coords, h = _kernels.box_scan(Q, c, limit, lo, hi, backend=backend)
+        coords, h = _kernels.box_scan(Q, c, limit, lo, hi)
         import itertools
         expect = []
         for x in itertools.product(*[range(l, u + 1) for l, u in zip(lo, hi)]):
@@ -48,65 +44,71 @@ def test_box_scan_backends_and_object_agree():
         lo = [-2] * s
         hi = [3] * s
         results = []
-        for kw in ({"backend": "numpy"}, {"exact_object": True}):
-            coords, h = _kernels.box_scan(Q, c, 9, lo, hi, **kw)
+        for exact_object in (False, True):
+            coords, h = _kernels.box_scan(Q, c, 9, lo, hi, exact_object=exact_object)
             results.append(sorted((tuple(r), int(v))
                                   for r, v in zip(coords.tolist(), h.tolist())))
-        if _kernels.HAVE_NUMBA:
-            coords, h = _kernels.box_scan(Q, c, 9, lo, hi, backend="numba")
-            results.append(sorted((tuple(r), int(v))
-                                  for r, v in zip(coords.tolist(), h.tolist())))
-        assert all(r == results[0] for r in results)
+        assert results[0] == results[1]
 
 
 def test_lattice_edges():
     coords = np.array([[0, 0], [1, 0], [0, 1], [2, 2]], dtype=np.int64)
-    lo = coords.min(axis=0)
-    hi = coords.max(axis=0)
-    eu, ev = _kernels.lattice_edges(coords, lo, hi)
+    eu, ev = _kernels.lattice_edges(coords)
     got = sorted(zip(eu.tolist(), ev.tolist()))
     assert got == [(0, 1), (0, 2)]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_sublevel_labels(backend):
+def test_sublevel_labels():
     # path 0-1-2 at levels 0,1,0 plus an isolated point at level 2
     chi = np.array([0, 0, 1, 2], dtype=np.int64)
     # points sorted by chi: indices 0 and 1 are the two minima, 2 joins them
     eu = np.array([0, 1], dtype=np.int64)
     ev = np.array([2, 2], dtype=np.int64)
-    labels = _kernels.sublevel_labels(chi, eu, ev, 0, 2, backend=backend)
+    labels = _kernels.sublevel_labels(chi, eu, ev, 0, 2)
     assert labels[0].tolist() == [0, 1, -1, -1]
     assert labels[1].tolist() == [0, 0, 0, -1]
     assert labels[2].tolist() == [0, 0, 0, 3]
 
 
-def test_labels_backends_agree():
-    if not _kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    rng = random.Random(3)
-    for _ in range(20):
-        n = rng.randint(1, 60)
-        chi = np.array(sorted(rng.randint(-3, 4) for _ in range(n)), dtype=np.int64)
-        edges = set()
-        for _ in range(rng.randint(0, 2 * n)):
-            a, b = rng.randrange(n), rng.randrange(n)
-            if a != b:
-                edges.add((min(a, b), max(a, b)))
-        eu = np.array([e[0] for e in edges], dtype=np.int64)
-        ev = np.array([e[1] for e in edges], dtype=np.int64)
-        a = _kernels.sublevel_labels(chi, eu, ev, int(chi.min()), int(chi.max()) + 1,
-                                     backend="numba")
-        b = _kernels.sublevel_labels(chi, eu, ev, int(chi.min()), int(chi.max()) + 1,
-                                     backend="numpy")
-        assert np.array_equal(a, b)
+def brute_force_edges(coords):
+    """Every (u, v) with row v = row u + e_j, by dictionary lookup."""
+    rows = [tuple(r) for r in coords.tolist()]
+    index = {r: i for i, r in enumerate(rows)}
+    edges = []
+    for u, r in enumerate(rows):
+        for j in range(len(r)):
+            v = index.get(r[:j] + (r[j] + 1,) + r[j + 1:])
+            if v is not None:
+                edges.append((u, v))
+    return sorted(edges)
 
 
-def test_backend_env(monkeypatch):
-    monkeypatch.setenv("GRADEDROOTS_BACKEND", "numpy")
-    assert _kernels.backend_name() == "numpy"
-    monkeypatch.setenv("GRADEDROOTS_BACKEND", "bogus")
-    with pytest.raises(ValueError):
-        _kernels.backend_name()
-    monkeypatch.delenv("GRADEDROOTS_BACKEND")
-    assert _kernels.backend_name() in ("numba", "numpy")
+def test_lattice_edges_matches_brute_force():
+    rng = random.Random(17)
+    for _ in range(40):
+        s = rng.randint(1, 6)
+        n = rng.randint(0, 120)
+        pts = {tuple(rng.randint(-2, 2) for _ in range(s)) for _ in range(n)}
+        coords = np.array(sorted(pts), dtype=np.int64).reshape(len(pts), s)
+        perm = np.array(rng.sample(range(len(pts)), len(pts)), dtype=np.int64)
+        coords = coords[perm]
+        eu, ev = _kernels.lattice_edges(coords)
+        assert sorted(zip(eu.tolist(), ev.tolist())) == brute_force_edges(coords)
+
+
+def test_lattice_edges_wide_box():
+    """The A_45 level-1 set: 0 and the 2 070 roots +-(e_i + ... + e_j).  Its
+    box has 45 coordinates of width 3, so mixed-radix keys over the box
+    would need 3^45 > 2^63 values."""
+    s = 45
+    rows = [[0] * s]
+    for i in range(s):
+        for j in range(i, s):
+            for sign in (1, -1):
+                rows.append([sign if i <= d <= j else 0 for d in range(s)])
+    coords = np.array(rows, dtype=np.int64)
+    assert coords.shape == (2071, 45)
+    eu, ev = _kernels.lattice_edges(coords)
+    got = sorted(zip(eu.tolist(), ev.tolist()))
+    assert len(got) == 4050
+    assert got == brute_force_edges(coords)

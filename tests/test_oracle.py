@@ -1,3 +1,5 @@
+import re
+
 
 import pytest
 
@@ -53,6 +55,22 @@ def test_level_too_large():
     g = e8_graph()
     with pytest.raises(oracle.LevelTooLarge):
         oracle.enumerate_sublevel(g, canonical_class(g), 3, point_cap=100)
+
+
+def test_level_too_large_reports_volume_budget_and_cap():
+    g = e8_graph()
+    with pytest.raises(oracle.LevelTooLarge) as info:
+        oracle.enumerate_sublevel(g, canonical_class(g), 2, point_cap=5000)
+    m = re.fullmatch(r"a leaf box of volume (\d+) exceeds the (\d+) left of "
+                     r"the point cap 5000", str(info.value))
+    assert m is not None, str(info.value)
+    volume, left = int(m.group(1)), int(m.group(2))
+    assert left < volume and left <= 5000
+
+
+def test_component_zero_structure_level_zero_only():
+    with pytest.raises(ValueError):
+        oracle.component_zero_structure(e8_graph(), n=1)
 
 
 def test_shift_law_randomized(rng):

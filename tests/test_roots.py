@@ -207,3 +207,156 @@ def test_dot_export():
     assert "deg=15/2" in d1  # -2 * (-3) + 3/2
     y = dot_export(root_from_minima([0, 0], [[0, 1], [1, 0]]))
     assert y.count("->") == 3  # two branch edges + ray link
+
+
+# ---------------------------------------------------------------------------
+# the merge tree against its definition
+
+
+def brute_force_root(levels, edges, edge_levels, top, truncated):
+    """Raw (chi, edges, top_level, truncated) of a root, straight from the
+    definition: the components of {level <= n} by graph search for every
+    n, vertices numbered by (level, smallest element of the component),
+    and a non-truncated root cut at the last level where the number of
+    components changes."""
+    lo = min(levels)
+    comps = []
+    for n in range(lo, top + 1):
+        adj = {p: [] for p, l in enumerate(levels) if l <= n}
+        for (u, v), l in zip(edges, edge_levels):
+            if l <= n:
+                adj[u].append(v)
+                adj[v].append(u)
+        comp = {}
+        for p in sorted(adj):
+            if p in comp:
+                continue
+            comp[p] = p
+            stack = [p]
+            while stack:
+                for y in adj[stack.pop()]:
+                    if y not in comp:
+                        comp[y] = p
+                        stack.append(y)
+        comps.append(comp)
+    counts = [len(set(c.values())) for c in comps]
+    stop = len(comps) - 1
+    if not truncated and counts[-1] == 1:
+        stop = max(i for i in range(len(counts)) if i == 0 or counts[i] != counts[i - 1])
+    ids, chi, out = {}, [], []
+    for i in range(stop + 1):
+        for r in sorted(set(comps[i].values())):
+            ids[i, r] = len(chi)
+            chi.append(lo + i)
+    for i in range(stop):
+        for r in sorted(set(comps[i].values())):
+            out.append((ids[i, r], ids[i + 1, comps[i + 1][r]]))
+    return tuple(chi), tuple(out), lo + stop, truncated
+
+
+def raw(root):
+    return root.chi, root.edges, root.top_level, root.truncated
+
+
+def test_root_from_tau_matches_definition():
+    rng = random.Random(31)
+    for _ in range(300):
+        vals = [rng.randint(-4, 6) for _ in range(rng.randint(1, 12))]
+        certified = rng.random() < 0.7
+        truncate_at = rng.randint(min(vals), max(vals) + 3) if rng.random() < 0.3 else None
+        root = root_from_tau(TauFunction(tuple(vals), certified), truncate_at=truncate_at)
+        path = [(i, i + 1) for i in range(len(vals) - 1)]
+        expect = brute_force_root(vals, path, [max(vals[i], vals[i + 1]) for i, _ in path],
+                                  max(vals) if truncate_at is None else truncate_at,
+                                  truncate_at is not None or not certified)
+        assert raw(root) == expect, vals
+
+
+def random_ultrametric(rng, m):
+    """(n_i, n_ij) from random merges of clusters, each at or above the
+    levels of the two clusters it joins."""
+    n_i = [rng.randint(-3, 3) for _ in range(m)]
+    N = [[n_i[i] if i == j else None for j in range(m)] for i in range(m)]
+    clusters = [([i], n_i[i]) for i in range(m)]
+    while len(clusters) > 1:
+        a, b = rng.sample(range(len(clusters)), 2)
+        (ma, la), (mb, lb) = clusters[a], clusters[b]
+        level = max(la, lb) + rng.randint(0, 3)
+        for i in ma:
+            for j in mb:
+                N[i][j] = N[j][i] = level
+        clusters = [c for k, c in enumerate(clusters) if k not in (a, b)]
+        clusters.append((ma + mb, level))
+    return n_i, N
+
+
+def test_root_from_minima_matches_definition():
+    rng = random.Random(32)
+    for _ in range(200):
+        m = rng.randint(1, 7)
+        n_i, N = random_ultrametric(rng, m)
+        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        expect = brute_force_root(n_i, pairs, [N[i][j] for i, j in pairs],
+                                  max(max(row) for row in N), False)
+        assert raw(root_from_minima(n_i, N)) == expect, (n_i, N)
+
+
+def test_root_oracle_matches_definition(rng):
+    """Oracle roots of small AR trees, every orbit, three levels above min
+    chi: the weakly elliptic remark-5.6 graph, a homology sphere whose root
+    changes when the vertices of a level are numbered in another order, and
+    random stars and trees."""
+    from conftest import random_small_tree, random_star, remark56_graph
+    from gradedroots import _kernels, engine, oracle, spinc
+    from gradedroots.plumbing import build_graph, canonical_class
+    graphs = [remark56_graph(),
+              build_graph(list(enumerate((-1, -4, -2, -2, -5, -4))),
+                          [(0, 1), (0, 3), (0, 4), (1, 2), (4, 5)])]
+    while len(graphs) < 16:
+        if len(graphs) % 2:
+            g = random_star(rng, max_leg_len=1)
+        else:
+            g = random_small_tree(rng, s_max=5)
+        if g.form.order <= 12 and engine.classify(g).is_ar():
+            graphs.append(g)
+    branched = 0
+    for g in graphs:
+        K = canonical_class(g)
+        for orb in spinc.enumerate_spinc(g):
+            k = orb.k_r
+            n_max = oracle.min_chi(g, k) + 3
+            coords, chi = oracle._enumerate_points(g, k, n_max, oracle.DEFAULT_POINT_CAP)
+            eu, ev = _kernels.lattice_edges(coords)
+            edges = list(zip(eu.tolist(), ev.tolist()))
+            levels = chi.tolist()
+            expect = brute_force_root(
+                levels, edges, [max(levels[u], levels[v]) for u, v in edges], n_max,
+                not (tuple(k.pairings) == tuple(K.pairings) and n_max >= 1))
+            assert raw(oracle.root_oracle(g, k, n_max)) == expect
+            branched += len(set(expect[0])) < len(expect[0])
+    assert branched >= 5
+
+
+def test_library_dot_golden():
+    """DOT text of asymmetric roots from all three constructions, byte-identical
+    to the recorded file."""
+    import os
+    from conftest import remark56_graph
+    from gradedroots import oracle, spinc
+    from gradedroots.plumbing import canonical_class
+    parts = []
+    for vals in [(-3, -1, -2, 0, -2), (-3, 0, -2, -1, -2), (0, 2, -1, 3, 1, 4, -2, 2, 5),
+                 (2, 0, 1, 0, 3, -1, 4)]:
+        parts.append(dot_export(root_from_tau(TauFunction(vals)), 1))
+        parts.append(dot_export(root_from_tau(TauFunction(vals, certified=False))))
+        parts.append(dot_export(root_from_tau(TauFunction(vals), truncate_at=3), "-1/2"))
+    parts.append(dot_export(root_from_minima(
+        [2, 0, 1, 0], [[2, 3, 3, 4], [3, 0, 1, 4], [3, 1, 1, 4], [4, 4, 4, 0]])))
+    g = remark56_graph()
+    parts.append(dot_export(oracle.root_oracle(g, canonical_class(g), 2)))
+    for orb in spinc.enumerate_spinc(g)[:3]:
+        parts.append(dot_export(oracle.root_oracle(g, orb.k_r,
+                                                   oracle.min_chi(g, orb.k_r) + 3)))
+    path = os.path.join(os.path.dirname(__file__), "golden", "library_roots.dot")
+    with open(path) as f:
+        assert "".join(parts) == f.read()
