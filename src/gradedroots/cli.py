@@ -10,7 +10,8 @@ oracle   GRAPH.json [--level N]    brute-force sublevel/root data
 verify   lens PMAX | seifert ... | --oracle GRAPH.json   identity suites
 
 Exit codes: 0 success, 1 input error, 2 graph did not certify
-almost-rational (analyze/root only; rerun with `oracle`).  Rationals are
+almost-rational (analyze/root only; rerun with `oracle`), 3 internal
+invariant failed (a bug, not bad input).  Rationals are
 printed as "p/q" strings; the only floating-point outputs are the numeric
 oracle columns explicitly labelled approx.  Files are written to a
 temporary path and renamed, so failures leave no partial output.
@@ -24,10 +25,10 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import engine, lens as lens_mod, oracle, seifert as seifert_mod, spinc
-from .plumbing import canonical_class, casson_walker, graph_from_json, k_squared_plus_s
+from .plumbing import (InvariantViolated, canonical_class, casson_walker, graph_from_json,
+                       k_squared_plus_s)
 from .roots import _fmt_q, dot_export
 
 
@@ -222,15 +223,17 @@ def cmd_oracle(config, level=None, orbit_index=None, dot_path=None):
     for orb in chosen:
         min_c = oracle.min_chi(g, orb.k_r, point_cap=config.level_cap)
         n_max = level if level is not None else min_c + 6
-        root = oracle.root_oracle(g, orb.k_r, n_max, point_cap=config.level_cap)
-        lev = oracle.enumerate_sublevel(g, orb.k_r, n_max, point_cap=config.level_cap)
+        # one enumeration of the top level gives the root and the point
+        # count; the components at n_max are the root's vertices there
+        root, n_points = oracle._root_and_points(g, orb.k_r, n_max, config.level_cap)
+        components = sum(1 for c in root.truncate(n_max).chi if c == n_max)
         print(f"orbit {orb.orbit_index}: min chi = {min_c}, "
-              f"|sublevel({n_max})| = {lev.n_points}, "
-              f"components = {lev.n_components}, root = {root!r}")
+              f"|sublevel({n_max})| = {n_points}, "
+              f"components = {components}, root = {root!r}")
         if dot_path:
             path = f"{dot_path}_orbit{orb.orbit_index}.dot"
-            kr2s = g.pairing(orb.k_r.vector, orb.k_r.vector) + g.s
-            _write_atomic(path, dot_export(root, Fraction(kr2s, 4)))
+            kr2s = g.form.square(orb.k_r.pairings) + g.s
+            _write_atomic(path, dot_export(root, kr2s / 4))
             print(f"wrote {path}")
     return 0
 
@@ -242,8 +245,8 @@ def cmd_oracle(config, level=None, orbit_index=None, dot_path=None):
 def verify_oracle_graph(graph, level_offset=6, point_cap=oracle.DEFAULT_POINT_CAP):
     """Engine-vs-oracle equivalence on every orbit of an AR graph: the
     engine root truncated at min tau + ``level_offset`` must equal the
-    enumerated sublevel root.  Returns a report dict; raises AssertionError
-    with the offending orbit otherwise."""
+    enumerated sublevel root.  Returns a report dict; raises
+    :class:`InvariantViolated` with the offending orbit otherwise."""
     cls = engine.classify(graph)
     if not cls.is_ar():
         raise engine.NotAR(cls.describe())
@@ -253,11 +256,13 @@ def verify_oracle_graph(graph, level_offset=6, point_cap=oracle.DEFAULT_POINT_CA
         cut = rep.min_tau + level_offset
         eng_root = rep.root.truncate(cut)
         orc_root = oracle.root_oracle(graph, orb.k_r, cut, point_cap=point_cap)
-        assert eng_root == orc_root.truncate(cut), \
-            f"orbit {orb.orbit_index}: engine root != oracle root at level {cut}"
+        if eng_root != orc_root.truncate(cut):
+            raise InvariantViolated(f"orbit {orb.orbit_index}: engine root != oracle "
+                                    f"root at level {cut}")
         checked.append(orb.orbit_index)
     zero = oracle.component_zero_structure(graph, point_cap=point_cap)
-    assert zero["ok"], f"zero-component structure violated: {zero}"
+    if not zero["ok"]:
+        raise InvariantViolated(f"zero-component structure violated: {zero}")
     return {"classification": cls.describe(), "orbits_checked": checked,
             "zero_component": zero, "ok": True}
 
@@ -396,7 +401,10 @@ def main(argv=None):
     except engine.NotAR as exc:
         print(f"not almost-rational: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, AssertionError, json.JSONDecodeError) as exc:
+    except InvariantViolated as exc:
+        print(f"internal invariant failed: {exc}", file=sys.stderr)
+        return 3
+    except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

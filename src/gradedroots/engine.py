@@ -20,7 +20,8 @@ b_0-coefficient > i, so no descent can occur at or beyond
 
     I* = max(0, floor(max of the b_0-coordinate over the box Y)),
 
-a quantity computable exactly from B^{-1} since all its entries are <= 0.
+a quantity computable exactly from the integer adjugate, since all entries
+of B^{-1} are <= 0.
 Past I* the sequence tau is nondecreasing, so tau(0..I*) determines the
 root completely; every report is therefore certified, for star-shaped and
 general AR graphs alike.
@@ -28,12 +29,12 @@ general AR graphs alike.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .plumbing import (InvariantViolated, LatticeVector, PlumbingGraph,
-                       canonical_class, chi_k)
+from .plumbing import (InvariantViolated, LatticeVector, canonical_class,
+                       laufer_ascent)
 from .roots import TauFunction, module_of_root, root_from_tau, shift_module
 from .spinc import SpincOrbit, enumerate_spinc, _orbit_from_rep
 
@@ -76,51 +77,33 @@ class Classification:
 
 
 # ---------------------------------------------------------------------------
-# Laufer ascents
+# fundamental cycle and classification
 
 
-def _ascend(graph, x, pair, skip=None):
-    """Push x up by basis vectors while some (x + l', b_j) > 0, j != skip.
+def _fundamental_cycle(e, adjacency):
+    """Laufer's algorithm from x = b_0 on the tree with Euler numbers e:
+    the fundamental cycle x and its pairing vector B x."""
+    x = [0] * len(e)
+    x[0] = 1
+    pair = [0] * len(e)
+    pair[0] = e[0]
+    for nb in adjacency[0]:
+        pair[nb] = 1
+    laufer_ascent(e, adjacency, x, pair)
+    return x, pair
 
-    ``pair`` holds the current pairing values and is updated in place;
-    smallest violated index first (the endpoint is order-independent)."""
-    B = graph.form.B
-    adj = graph.adjacency
-    while True:
-        j = next((i for i, p in enumerate(pair) if p > 0 and i != skip), None)
-        if j is None:
-            return
-        x[j] += 1
-        pair[j] += B[j][j]
-        for nb in adj[j]:
-            pair[nb] += 1
+
+def _chi_canonical(e, x, pair):
+    """chi_K(x) = -(K(x) + (x, x)) / 2 with K(b_j) = -e_j - 2, from the
+    pairing vector B x."""
+    return -sum(xj * (pj - ej - 2) for xj, pj, ej in zip(x, pair, e)) // 2
 
 
 def fundamental_cycle(graph):
     """Artin's fundamental cycle: the least x > 0 with (x, b_j) <= 0 for
     all j, by Laufer's algorithm from x = b_0 (the endpoint is the same
     from any starting basis vector)."""
-    B = graph.form.B
-    x = [0] * graph.s
-    x[0] = 1
-    pair = list(B[0])
-    _ascend(graph, x, pair)
-    return LatticeVector(x)
-
-
-# ---------------------------------------------------------------------------
-# classification
-
-
-def _with_euler(graph, j0, e_new):
-    e = list(graph.e)
-    e[j0] = e_new
-    return PlumbingGraph(labels=graph.labels, e=tuple(e), edges=graph.edges)
-
-
-def _is_rational(graph):
-    K = canonical_class(graph)
-    return chi_k(graph, K, fundamental_cycle(graph)) == 1
+    return LatticeVector(_fundamental_cycle(graph.e, graph.adjacency)[0])
 
 
 def find_ar_vertex(graph, max_decrements=DEFAULT_AR_DECREMENT_CAP):
@@ -130,24 +113,24 @@ def find_ar_vertex(graph, max_decrements=DEFAULT_AR_DECREMENT_CAP):
     there decides (pushing lower cannot change the answer, since the
     rational class is closed under decreasing Euler numbers).  Returns a
     :class:`Classification`; 'not-ar-certified' carries the cap."""
-    K = canonical_class(graph)
-    cxm = chi_k(graph, K, fundamental_cycle(graph))
+    adj = graph.adjacency
+    e = list(graph.e)
+    cxm = _chi_canonical(e, *_fundamental_cycle(e, adj))
     if cxm == 1:
         return Classification(kind="rational", j0=0, e_prime=graph.e[0], chi_xmin=1)
     for j0 in range(graph.s):
-        e_mod = graph.e[j0]
-        for _ in range(max_decrements + 1):
-            mod = _with_euler(graph, j0, e_mod)
-            xm = fundamental_cycle(mod)
+        for e_mod in range(graph.e[j0], graph.e[j0] - max_decrements - 1, -1):
+            e[j0] = e_mod
+            xm, pair = _fundamental_cycle(e, adj)
             if xm[j0] == 1:
-                if _is_rational(mod):
+                if _chi_canonical(e, xm, pair) == 1:
                     kind = "weakly-elliptic" if cxm == 0 else "almost-rational"
                     cls = Classification(kind=kind, j0=j0, e_prime=e_mod, chi_xmin=cxm)
                     if kind == "weakly-elliptic":
                         cls = _attach_elliptic_length(graph, cls)
                     return cls
                 break
-            e_mod -= 1
+        e[j0] = graph.e[j0]
     return Classification(kind="not-ar-certified", bound=max_decrements, chi_xmin=cxm)
 
 
@@ -182,15 +165,11 @@ def certified_stop_index(graph, j0, orbit):
     """Smallest certified I such that tau is nondecreasing from I on.
 
     Maximizes the b_{j0}-coordinate over the pairing box of Y (see module
-    docstring): all rows of B^{-1} are <= 0, so the maximum sits at the
-    lower pairing corner (e_j - k_r(b_j)) / 2."""
-    Binv = graph.form.B_inv
-    c = orbit.k_r.pairings
-    val = Fraction(0)
-    for j in range(graph.s):
-        lo_j = Fraction(graph.e[j] - c[j], 2)
-        val += Binv[j0][j] * lo_j
-    return max(0, math.floor(val))
+    docstring): all rows of B^{-1} = -A / |det B| are <= 0, so the maximum
+    sits at the lower pairing corner (e_j - k_r(b_j)) / 2."""
+    row = graph.form.adjugate_neg[j0]
+    num = -sum(a * (ej - cj) for a, ej, cj in zip(row, graph.e, orbit.k_r.pairings))
+    return max(0, num // (2 * graph.form.order))
 
 
 def x_sequence(graph, j0, orbit, i_max):
@@ -199,24 +178,23 @@ def x_sequence(graph, j0, orbit, i_max):
     x(0) is the Laufer ascent from 0 over J* = J - {j0}; each successor is
     the ascent from x(i) + b_0.  Every x(i) is effective with coefficient
     exactly i at j0."""
-    return [LatticeVector(x) for x, _ in _sequence_iter(graph, j0, orbit, i_max)]
+    return [LatticeVector(x)
+            for x, _ in itertools.islice(_sequence_iter(graph, j0, orbit), i_max + 1)]
 
 
-def _sequence_iter(graph, j0, orbit, i_max):
-    B = graph.form.B
-    adj = graph.adjacency
+def _sequence_iter(graph, j0, orbit):
+    """Yield (x(i), (x(i) + l'_[k], b_j0)) for i = 0, 1, ...; x(i) is one
+    list, advanced in place after each yield."""
+    e, adj = graph.e, graph.adjacency
     x = [0] * graph.s
     pair = list(orbit.pairings)
-    _ascend(graph, x, pair, skip=j0)
-    out = [(list(x), pair[j0])]
-    for _ in range(i_max):
+    while True:
+        laufer_ascent(e, adj, x, pair, skip=j0)
+        yield x, pair[j0]
         x[j0] += 1
-        pair[j0] += B[j0][j0]
+        pair[j0] += e[j0]
         for nb in adj[j0]:
             pair[nb] += 1
-        _ascend(graph, x, pair, skip=j0)
-        out.append((list(x), pair[j0]))
-    return out
 
 
 def tau(graph, j0, orbit, i_max=None):
@@ -227,9 +205,8 @@ def tau(graph, j0, orbit, i_max=None):
     Increments follow tau(i+1) - tau(i) = 1 - (x(i) + l'_[k], b_0)."""
     stop = certified_stop_index(graph, j0, orbit)
     upto = stop if i_max is None else i_max
-    seq = _sequence_iter(graph, j0, orbit, upto)
     vals = [0]
-    for _, p0 in seq[:-1]:
+    for _, p0 in itertools.islice(_sequence_iter(graph, j0, orbit), upto):
         vals.append(vals[-1] + 1 - p0)
     return TauFunction(values=tuple(vals), certified=upto >= stop)
 
@@ -282,8 +259,7 @@ def analyze_orbit(graph, orbit, classification=None):
     root = root_from_tau(t)
     vals = t.values
     min_tau = min(vals)
-    kr = orbit.k_r
-    kr2s = graph.pairing(kr.vector, kr.vector) + graph.s
+    kr2s = graph.form.square(orbit.k_r.pairings) + graph.s
     d = Fraction(kr2s, 4) - 2 * min_tau
     drops = sum(max(0, vals[i] - vals[i + 1]) for i in range(len(vals) - 1))
     rank_red = min_tau + drops

@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .plumbing import build_graph
+from .plumbing import InvariantViolated, build_graph
 
 
 class NotCoprime(ValueError):
@@ -41,7 +41,7 @@ class RangeError(ValueError):
     """Argument outside its required range."""
 
 
-class LensIdentityError(AssertionError):
+class LensIdentityError(InvariantViolated):
     """A lens identity failed; the message carries the counterexample."""
 
 

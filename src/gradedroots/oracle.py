@@ -26,8 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .plumbing import (InvariantViolated, LatticeVector, canonical_class,
-                       invert_form, leading_principal_minors)
+from .plumbing import InvariantViolated, LatticeVector, adjugate, canonical_class
 from .roots import array_filtration, merge_tree
 
 DEFAULT_POINT_CAP = 10 ** 7
@@ -89,22 +88,6 @@ def _int64_safe(Q, c, limit, lo, hi):
     return bound < (1 << 62) and abs(limit) < (1 << 62)
 
 
-def _adjugate(Q, det_q):
-    """Integer adjugate via the exact rational inverse."""
-    inv = invert_form(Q)
-    s = len(Q)
-    adj = []
-    for i in range(s):
-        row = []
-        for j in range(s):
-            v = inv[i][j] * det_q
-            if v.denominator != 1:
-                raise InvariantViolated(f"adjugate entry ({i},{j}) = {v} is not an integer")
-            row.append(int(v))
-        adj.append(row)
-    return adj
-
-
 def _enumerate_region(Q, adj_q, det_q, c, limit, budget):
     """All integer x with x^T Q x - c.x <= limit, with exact splitting.
 
@@ -132,8 +115,7 @@ def _enumerate_region(Q, adj_q, det_q, c, limit, budget):
     d = max(range(s), key=lambda i: hi[i] - lo[i])
     rest = [i for i in range(s) if i != d]
     Q_sub = [[Q[i][j] for j in rest] for i in rest]
-    det_sub = leading_principal_minors(Q_sub)[-1]
-    adj_sub = _adjugate(Q_sub, det_sub)
+    adj_sub, det_sub = adjugate(Q_sub)
     coords_parts, h_parts = [], []
     for t in range(lo[d], hi[d] + 1):
         c_sub = [c[i] - 2 * t * Q[d][i] for i in rest]
@@ -218,6 +200,11 @@ def root_oracle(graph, k, n_max, point_cap=DEFAULT_POINT_CAP):
     (all sublevel sets at levels >= 1 are connected); otherwise it is
     marked truncated.
     """
+    return _root_and_points(graph, k, n_max, point_cap)[0]
+
+
+def _root_and_points(graph, k, n_max, point_cap):
+    """:func:`root_oracle`'s root and the number of points it was built from."""
     coords, chi = _enumerate_points(graph, k, n_max, point_cap)
     if not len(chi):
         raise ValueError("empty sublevel set; raise n_max above min chi_k")
@@ -226,8 +213,9 @@ def root_oracle(graph, k, n_max, point_cap=DEFAULT_POINT_CAP):
     eu, ev = _kernels.lattice_edges(coords)
     K = canonical_class(graph)
     is_canonical = tuple(k.pairings) == tuple(K.pairings)
-    return merge_tree(*array_filtration(chi, eu, ev), top=n_max,
+    root = merge_tree(*array_filtration(chi, eu, ev), top=n_max,
                       truncated=not (is_canonical and n_max >= 1))
+    return root, len(chi)
 
 
 def min_chi(graph, k, point_cap=DEFAULT_POINT_CAP):

@@ -3,8 +3,9 @@
 A plumbing graph here is a decorated tree: every vertex j carries an Euler
 number e_j, and the associated symmetric bilinear form B has B[j][j] = e_j
 and B[i][j] = 1 exactly when {i,j} is an edge.  All arithmetic is exact:
-integer matrices, big-integer minors, and Fraction inverses.  No floating
-point enters any computation in this module.
+integer matrices, and big-integer minors and adjugates from one
+fraction-free elimination; Fractions appear only in the dual vectors handed
+out.  No floating point enters any computation in this module.
 
 Conventions used throughout the package:
 
@@ -46,9 +47,9 @@ class ParityViolation(ValueError):
 
 
 class InvariantViolated(AssertionError):
-    """An internal invariant of a computation failed.  Raised explicitly,
-    so the check survives ``python -O``; an ``AssertionError``, so the CLI
-    still exits 1."""
+    """An internal invariant of a computation failed: a bug, not bad input.
+    Raised explicitly, so the check survives ``python -O``; the CLI exits 3
+    on it."""
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +123,7 @@ class DualVector:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
 
     def __len__(self):
         return len(self.coeffs)
@@ -183,64 +184,69 @@ class CharElement:
 # exact linear algebra
 
 
-def leading_principal_minors(B):
-    """Determinants of the leading principal submatrices, by fraction-free
-    (Bareiss) elimination.  Returns a list d[0..s-1] with d[i] = det of the
-    (i+1) x (i+1) corner; stops early (padding with zeros) if a minor
-    vanishes, which in our usage already decides indefiniteness."""
-    s = len(B)
-    m = [list(map(int, row)) for row in B]
+def _eliminate(M):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of [M | I].
+
+    Every step k divides exactly by the previous pivot, so all entries stay
+    integers: minors of [M | I].  Rows are swapped only when a pivot
+    vanishes.  Returns (adj, det, minors): the adjugate and determinant of
+    M (adj = None and det = 0 for a singular M), and its leading principal
+    minors, which are the pivots up to the first vanishing one and zeros
+    from there on."""
+    s = len(M)
+    rows = [[int(v) for v in row] + [int(i == j) for j in range(s)]
+            for i, row in enumerate(M)]
     minors = []
-    prev = 1
+    prev, sign = 1, 1
     for k in range(s):
-        piv = m[k][k]
-        minors.append(piv)
-        if piv == 0:
-            minors.extend([0] * (s - k - 1))
-            break
-        for i in range(k + 1, s):
-            for j in range(k + 1, s):
-                m[i][j] = (piv * m[i][j] - m[i][k] * m[k][j]) // prev
-        prev = piv
-    return minors
+        if rows[k][k] == 0:
+            minors.extend([0] * (s - len(minors)))
+            r = next((r for r in range(k + 1, s) if rows[r][k]), None)
+            if r is None:
+                return None, 0, minors
+            rows[k], rows[r] = rows[r], rows[k]
+            sign = -sign
+        elif len(minors) == k:
+            minors.append(rows[k][k])
+        pk = rows[k]
+        p = pk[k]
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[k]
+                # columns j < k are settled (0 off the diagonal); not read again
+                row[k + 1:] = [(p * a - f * b) // prev
+                               for a, b in zip(row[k + 1:], pk[k + 1:])]
+                row[k] = 0
+        prev = p
+    return [[sign * v for v in row[s:]] for row in rows], sign * prev, minors
 
 
-def is_negative_definite(B):
-    """Sylvester test: the k-th leading principal minor has sign (-1)^k.
-
-    Returns (ok, failing_index) where failing_index is the 1-based size of
-    the first offending minor (None when ok)."""
-    for i, d in enumerate(leading_principal_minors(B)):
-        if d == 0 or (d > 0) != (i % 2 == 1):
-            return False, i + 1
-    return True, None
+def adjugate(M):
+    """(adj, det) of a nonsingular integer matrix, so M adj = det I, by one
+    fraction-free elimination."""
+    adj, det, _ = _eliminate(M)
+    if not det:
+        raise ZeroDivisionError("singular matrix has no inverse")
+    return adj, det
 
 
 def invert_form(B):
-    """Exact inverse of an integer matrix as a tuple-of-tuples of Fractions.
-
-    Gauss-Jordan over Q; the input is nonsingular by construction here."""
-    s = len(B)
-    aug = [[Fraction(B[i][j]) for j in range(s)] + [Fraction(int(i == j)) for j in range(s)]
-           for i in range(s)]
-    for col in range(s):
-        piv = next(r for r in range(col, s) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [a / pv for a in aug[col]]
-        for r in range(s):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[s:]) for row in aug)
+    """Exact inverse of a nonsingular integer matrix as a tuple-of-tuples of
+    Fractions, read off the integer adjugate."""
+    adj, det = adjugate(B)
+    return tuple(tuple(Fraction(a, det) for a in row) for row in adj)
 
 
 @dataclass(frozen=True)
 class IntersectionForm:
-    """The bilinear form B of a plumbing graph with its exact inverse."""
+    """The bilinear form B of a plumbing graph with its integer adjugate.
+
+    Writing A = ``adjugate_neg`` = |det B| (-B)^{-1}, an integer matrix with
+    entries >= 0, the element of L (x) Q with pairing vector c is
+    B^{-1} c = -A c / |det B|; everything here is computed from A c."""
 
     B: tuple            # s x s, integers
-    B_inv: tuple        # s x s, Fractions, B * B_inv = identity exactly
+    adjugate_neg: tuple  # s x s, integers >= 0
     det: int            # det(B); |det| is the order of H_1
 
     @property
@@ -248,35 +254,33 @@ class IntersectionForm:
         return abs(self.det)
 
     @cached_property
-    def adjugate_neg(self):
-        """Integer adjugate of Q = -B, so Q^{-1} = adjugate_neg / |det B|.
+    def B_inv(self):
+        """B^{-1} as Fractions, B * B_inv = identity exactly."""
+        return tuple(tuple(Fraction(-a, self.order) for a in row)
+                     for row in self.adjugate_neg)
 
-        det(-B) = |det B| for a negative-definite B, and the entries are
-        |det B| * (-B^{-1}) >= 0 entrywise."""
-        dq = abs(self.det)
-        out = []
-        for row in self.B_inv:
-            r = []
-            for v in row:
-                a = -v * dq
-                assert a.denominator == 1
-                r.append(int(a))
-            out.append(tuple(r))
-        return tuple(out)
+    def numerators(self, c):
+        """A c: the coordinates of B^{-1} c are -(A c)_i / |det B|."""
+        return [sum(a * cj for a, cj in zip(row, c) if cj) for row in self.adjugate_neg]
+
+    def square(self, c):
+        """(y, y) = c^T B^{-1} c for the y in L (x) Q with pairings c."""
+        return Fraction(-sum(ci * v for ci, v in zip(c, self.numerators(c))), self.order)
 
 
 def _build_form(B):
-    ok, idx = is_negative_definite(B)
-    if not ok:
-        raise NotNegativeDefinite(
-            f"leading principal minor of size {idx} has the wrong sign (or vanishes)")
-    minors = leading_principal_minors(B)
-    det = minors[-1]
-    B_inv = invert_form(B)
-    for row in B_inv:
-        for v in row:
-            assert v <= 0, "entries of -B^{-1} must be >= 0"
-    return IntersectionForm(B=tuple(tuple(map(int, r)) for r in B), B_inv=B_inv, det=det)
+    adj, det, minors = _eliminate(B)
+    for i, d in enumerate(minors):
+        if d == 0 or (d > 0) != (i % 2 == 1):
+            raise NotNegativeDefinite(f"leading principal minor of size {i + 1} "
+                                      "has the wrong sign (or vanishes)")
+    # |det B| (-B)^{-1} = -(|det| / det) adj(B), and det has the sign (-1)^s
+    neg = 1 if det < 0 else -1
+    adj_neg = tuple(tuple(neg * v for v in row) for row in adj)
+    if any(v < 0 for row in adj_neg for v in row):
+        raise InvariantViolated("entries of -B^{-1} must be >= 0")
+    return IntersectionForm(B=tuple(tuple(map(int, r)) for r in B),
+                            adjugate_neg=adj_neg, det=det)
 
 
 # ---------------------------------------------------------------------------
@@ -340,17 +344,15 @@ class PlumbingGraph:
         return acc
 
     def pairings(self, y):
-        """The vector ((y, b_j))_j = B y."""
-        B = self.form.B
+        """The vector ((y, b_j))_j = B y, along the tree adjacency."""
         ys = _coeffs(y)
-        return tuple(sum(B[i][j] * yj for j, yj in enumerate(ys) if yj)
-                     for i in range(self.s))
+        return tuple(ej * yj + sum(ys[n] for n in nbrs)
+                     for ej, yj, nbrs in zip(self.e, ys, self.adjacency))
 
     def dual_from_pairings(self, c):
         """The element of L (x) Q pairing to c_j with each b_j, i.e. B^{-1} c."""
-        Binv = self.form.B_inv
-        return DualVector(sum(Binv[i][j] * Fraction(cj) for j, cj in enumerate(c))
-                          for i in range(self.s))
+        order = self.form.order
+        return DualVector(Fraction(-v, order) for v in self.form.numerators(c))
 
     def basis_vector(self, j):
         return LatticeVector(int(i == j) for i in range(self.s))
@@ -497,15 +499,11 @@ def k_squared_plus_s(graph):
 
     cross-checked against the direct evaluation (K, K) + s."""
     s = graph.s
-    Binv = graph.form.B_inv
-    deg = graph.degrees
-    val = Fraction(sum(graph.e) + 3 * s + 2)
-    for i in range(s):
-        for j in range(s):
-            val += (2 - deg[i]) * (2 - deg[j]) * Binv[i][j]
-    K = canonical_class(graph)
-    direct = graph.pairing(K.vector, K.vector) + s
-    assert val == direct, "K^2+s formula disagrees with direct pairing"
+    w = [2 - d for d in graph.degrees]
+    val = Fraction(sum(graph.e) + 3 * s + 2) + graph.form.square(w)
+    direct = graph.form.square(canonical_class(graph).pairings) + s
+    if val != direct:
+        raise InvariantViolated(f"K^2+s formula {val} disagrees with direct pairing {direct}")
     return val
 
 
@@ -513,12 +511,38 @@ def casson_walker(graph):
     """Casson-Walker invariant of the plumbed manifold, from
 
         -(24/|H|) lambda(M) = sum e_j + 3s + sum_j (2 - d_j) (B^{-1})_{jj}."""
-    s = graph.s
-    Binv = graph.form.B_inv
-    rhs = Fraction(sum(graph.e) + 3 * s)
-    for j in range(s):
-        rhs += (2 - graph.degrees[j]) * Binv[j][j]
-    return -Fraction(graph.form.order, 24) * rhs
+    A = graph.form.adjugate_neg
+    order = graph.form.order
+    diag = sum((2 - d) * A[j][j] for j, d in enumerate(graph.degrees))
+    return Fraction(diag - order * (sum(graph.e) + 3 * graph.s), 24)
+
+
+# ---------------------------------------------------------------------------
+# Laufer ascent
+
+
+def laufer_ascent(e, adjacency, x, pair, skip=None):
+    """Laufer's ascent on the tree with Euler numbers ``e``: add b_j to x
+    while some pair[j] = (x + l', b_j) is positive, j != skip.
+
+    x and ``pair`` are updated in place.  Every push is forced: the least
+    element above x of the target set {pair_j <= 0 for j != skip} lies above
+    x + b_j whenever pair[j] > 0.  So the endpoint, that least element, does
+    not depend on the order of the pushes, and b_j enters ceil(pair[j] /
+    -e_j) times at once."""
+    todo = [j for j, p in enumerate(pair) if p > 0 and j != skip]
+    while todo:
+        j = todo.pop()
+        p = pair[j]
+        if p <= 0:
+            continue
+        k = -(p // e[j])  # ceil(p / -e_j), as e_j <= -1
+        x[j] += k
+        pair[j] = p + k * e[j]
+        for nb in adjacency[j]:
+            pair[nb] += k
+            if pair[nb] > 0 and nb != skip:
+                todo.append(nb)
 
 
 # ---------------------------------------------------------------------------

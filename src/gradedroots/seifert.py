@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from . import lens as lens_mod
-from .plumbing import build_graph
+from .plumbing import InvariantViolated, build_graph
 from .roots import TauFunction
 from .series import Series, one_plus_u_pow
 from .spinc import distinguished_rep
@@ -47,11 +47,11 @@ class PositiveOrbifoldEuler(ValueError):
     """Seifert data with e >= 0 does not bound a negative-definite plumbing."""
 
 
-class CountMismatch(AssertionError):
+class CountMismatch(InvariantViolated):
     """Spin^c enumeration disagrees with |H|; enumeration window bug."""
 
 
-class IdentityViolated(AssertionError):
+class IdentityViolated(InvariantViolated):
     """An exact identity failed; the message carries the counterexample."""
 
 

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .plumbing import InvariantViolated
+
 
 @dataclass(frozen=True)
 class Series:
@@ -121,7 +123,8 @@ class Series:
 
     def power(self, m):
         """self^m for m >= 1 (relative precision is preserved)."""
-        assert m >= 1
+        if m < 1:
+            raise InvariantViolated(f"power of a series needs m >= 1, got {m}")
         out = self
         for _ in range(m - 1):
             out = out * self
@@ -130,6 +133,7 @@ class Series:
 
 def one_plus_u_pow(m, rel_prec):
     """(1 + u)^m as a series with ``rel_prec`` known coefficients; m >= 0."""
-    assert m >= 0
+    if m < 0:
+        raise InvariantViolated(f"(1 + u)^m needs m >= 0, got {m}")
     coeffs = [Fraction(math.comb(m, i)) for i in range(min(rel_prec, m + 1))]
     return Series.make(0, coeffs, rel_prec)

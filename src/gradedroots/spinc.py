@@ -8,9 +8,10 @@ and decides membership questions exactly.
 Each orbit [k] = K + 2(l' + L) carries a distinguished representative:
 the unique componentwise-minimal element l'_[k] of (l' + L) intersected
 with the cone S_Q = {x : (x, b_j) <= 0 for all j}.  It is computed by a
-generalized Laufer ascent, starting from the componentwise ceiling of -l'
-and pushing up any basis direction with positive pairing until none is
-left; the result is independent of the order of pushes.
+generalized Laufer ascent (:func:`plumbing.laufer_ascent`), starting from
+the componentwise ceiling of -l' and pushing up any basis direction with
+positive pairing until none is left; the result is independent of the
+order of pushes.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .plumbing import (CharElement, DualVector, canonical_class,
-                       characteristic_from_pairings, chi_k)
+from .plumbing import (CharElement, DualVector, InvariantViolated, adjugate,
+                       canonical_class, chi_k, laufer_ascent)
 
 
 class NotIntegral(ValueError):
@@ -110,28 +111,6 @@ def smith_normal_form(A):
     return [A[i][i] for i in range(min(n, m))], U, V
 
 
-def _int_inverse(M):
-    """Exact inverse of a unimodular integer matrix, as integer lists."""
-    n = len(M)
-    aug = [[Fraction(M[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [a / pv for a in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    out = []
-    for row in aug:
-        vals = row[n:]
-        assert all(v.denominator == 1 for v in vals)
-        out.append([int(v) for v in vals])
-    return out
-
-
 @dataclass(frozen=True)
 class HGroup:
     """H = L'/L = coker(B) in Smith coordinates.
@@ -163,10 +142,12 @@ def smith_decompose(B):
     order = 1
     for d in diag:
         order *= d
-    assert order != 0, "B must be nondegenerate"
+    if order == 0:
+        raise InvariantViolated("B must be nondegenerate")
+    adj, det = adjugate(U)  # U is unimodular: det = +-1
     return HGroup(order=abs(order), smith_diag=tuple(diag),
                   U=tuple(tuple(r) for r in U),
-                  U_inv=tuple(tuple(r) for r in _int_inverse(U)),
+                  U_inv=tuple(tuple(v // det for v in r) for r in adj),
                   V=tuple(tuple(r) for r in V))
 
 
@@ -174,34 +155,37 @@ def smith_decompose(B):
 # distinguished representatives
 
 
+def _integral_pairings(graph, y):
+    """The pairings (y, b_j) of y in L (x) Q as integers, with the integer
+    numerators n of y over one common denominator D; raises
+    :class:`NotIntegral` unless y lies in L'."""
+    ys = tuple(y)
+    D = math.lcm(*(f.denominator for f in ys))
+    n = [f.numerator * (D // f.denominator) for f in ys]
+    c = []
+    for v in graph.pairings(n):
+        if v % D:
+            raise NotIntegral("vector is not in L': pairing with some b_j is not integral")
+        c.append(v // D)
+    return c, n, D
+
+
 def distinguished_rep(graph, l_prime):
     """The minimal element l'_[k] of (l' + L) n S_Q, by Laufer ascent.
 
     Start at x0 = ceil(-l') componentwise (a lower bound for the minimum,
-    since every element of S_Q is effective) and repeatedly add b_j for the
-    smallest j with (x + l', b_j) > 0.  Termination is forced by negative
-    definiteness; the endpoint does not depend on the choice of j.
+    since every element of S_Q is effective) and add b_j while some
+    (x + l', b_j) > 0.  Termination is forced by negative definiteness;
+    the endpoint does not depend on the order of the pushes.
     """
     if isinstance(l_prime, (list, tuple)):
         l_prime = DualVector(l_prime)
-    c = graph.pairings(l_prime)
-    if any(Fraction(v).denominator != 1 for v in c):
-        raise NotIntegral("vector is not in L': pairing with some b_j is not integral")
-    c = [int(v) for v in c]
-    B = graph.form.B
+    c, n, D = _integral_pairings(graph, l_prime)
     # the minimum m satisfies m >= 0, hence m - l' >= ceil(-l') componentwise
-    x = [math.ceil(-coef) for coef in l_prime.coeffs]
-    pair = [ci + sum(B[i][j] * xj for j, xj in enumerate(x) if xj)
-            for i, ci in enumerate(c)]
-    while True:
-        j = next((i for i, p in enumerate(pair) if p > 0), None)
-        if j is None:
-            break
-        x[j] += 1
-        pair[j] += B[j][j]
-        for nb in graph.adjacency[j]:
-            pair[nb] += 1
-    return DualVector(Fraction(cf) + xv for cf, xv in zip(l_prime.coeffs, x))
+    x = [-(v // D) for v in n]
+    pair = [ci + p for ci, p in zip(c, graph.pairings(x))]
+    laufer_ascent(graph.e, graph.adjacency, x, pair)
+    return DualVector(Fraction(v + xv * D, D) for v, xv in zip(n, x))
 
 
 @dataclass(frozen=True)
@@ -221,10 +205,14 @@ class SpincOrbit:
 
 
 def _orbit_from_rep(graph, K, l_min, index):
-    pmin = tuple(int(v) for v in graph.pairings(l_min))
-    kr = characteristic_from_pairings(
-        graph, tuple(kp + 2 * lp for kp, lp in zip(K.pairings, pmin)))
-    return SpincOrbit(l_prime_min=l_min, pairings=pmin, k_r=kr, orbit_index=index)
+    pmin, n, D = _integral_pairings(graph, l_min)
+    # k_r = K + 2 l'_[k] on integer numerators over |det B|, which D divides
+    order = graph.form.order
+    vector = DualVector(Fraction(k.numerator * (order // k.denominator) + 2 * v * (order // D),
+                                 order) for k, v in zip(K.vector, n))
+    kr = CharElement(vector=vector,
+                     pairings=tuple(kp + 2 * p for kp, p in zip(K.pairings, pmin)))
+    return SpincOrbit(l_prime_min=l_min, pairings=tuple(pmin), k_r=kr, orbit_index=index)
 
 
 def enumerate_spinc(graph):
@@ -235,25 +223,26 @@ def enumerate_spinc(graph):
     :func:`distinguished_rep`."""
     H = smith_decompose(graph.form.B)
     K = canonical_class(graph)
-    s = graph.s
     orbits = []
-    ranges = [range(d) for d in H.smith_diag]
-    for index, t in enumerate(itertools.product(*ranges)):
-        c = tuple(sum(H.U_inv[i][j] * t[j] for j in range(s)) for i in range(s))
-        l0 = graph.dual_from_pairings(c)
-        l_min = distinguished_rep(graph, l0)
+    # t_j = 0 on the columns with d_j = 1, so only the others enter U^{-1} t
+    cols = [j for j, d in enumerate(H.smith_diag) if d > 1]
+    U_cols = [[row[j] for row in H.U_inv] for j in cols]
+    for index, t in enumerate(itertools.product(*(range(H.smith_diag[j]) for j in cols))):
+        c = [0] * graph.s
+        for tj, col in zip(t, U_cols):
+            if tj:
+                c = [ci + tj * u for ci, u in zip(c, col)]
+        l_min = distinguished_rep(graph, graph.dual_from_pairings(c))
         orbits.append(_orbit_from_rep(graph, K, l_min, index))
-    assert len(orbits) == H.order
+    if len(orbits) != H.order:
+        raise InvariantViolated(f"{len(orbits)} orbits enumerated for |H| = {H.order}")
     return orbits
 
 
 def orbit_of(graph, orbits, l_prime):
     """Find the enumerated orbit containing l' + L (matching by Smith coords)."""
     H = smith_decompose(graph.form.B)
-    c = graph.pairings(l_prime)
-    if any(Fraction(v).denominator != 1 for v in c):
-        raise NotIntegral("vector is not in L'")
-    key = H.coords(tuple(int(v) for v in c))
+    key = H.coords(_integral_pairings(graph, l_prime)[0])
     for orb in orbits:
         if H.coords(orb.pairings) == key:
             return orb
@@ -286,7 +275,8 @@ def m_k(graph, k, method="auto"):
     l_prime = graph.dual_from_pairings(lp)
     l_min = distinguished_rep(graph, l_prime)
     diff = l_prime - l_min
-    assert diff.is_integral()
+    if not diff.is_integral():
+        raise InvariantViolated(f"l' - l'_[k] = {diff} is not in L")
     l = diff.as_lattice()
     orb = _orbit_from_rep(graph, K, l_min, -1)
 

@@ -1,6 +1,7 @@
 """Shared graphs and random generators for the test suite."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -34,6 +35,33 @@ def non_ar_graph_b():
     verts = [(0, -4), (1, -2), (2, -2), (3, -4),
              (4, -4), (5, -4), (6, -4), (7, -4)]
     edges = [(0, 1), (1, 2), (2, 3), (1, 4), (1, 5), (2, 6), (2, 7)]
+    return build_graph(verts, edges)
+
+
+def fraction_inverse(M):
+    """Exact inverse of a nonsingular integer matrix by Gauss-Jordan over Q:
+    the definition the integer adjugate replaces."""
+    s = len(M)
+    aug = [[Fraction(M[i][j]) for j in range(s)] + [Fraction(int(i == j)) for j in range(s)]
+           for i in range(s)]
+    for col in range(s):
+        piv = next(r for r in range(col, s) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        pv = aug[col][col]
+        aug[col] = [a / pv for a in aug[col]]
+        for r in range(s):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [row[s:] for row in aug]
+
+
+def pad_chain(graph, at, n, e=-4):
+    """The graph with a chain of n vertices decorated e attached at the
+    internal vertex ``at``."""
+    s = graph.s
+    verts = list(enumerate(graph.e)) + [(s + i, e) for i in range(n)]
+    edges = list(graph.edges) + [(at if i == 0 else s + i - 1, s + i) for i in range(n)]
     return build_graph(verts, edges)
 
 

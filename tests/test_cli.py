@@ -1,12 +1,14 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from conftest import e8_graph, non_ar_graph_a, remark56_graph
+from conftest import e8_graph, non_ar_graph_a, random_star, remark56_graph
+from gradedroots import oracle, spinc
 from gradedroots.cli import main, verify_oracle_graph
 
 
@@ -181,6 +183,64 @@ def test_oracle_command(e8_file):
     code, out, _ = run_cli(["oracle", e8_file, "--level", "1"])
     assert code == 0
     assert "min chi = 0" in out
+
+
+def test_oracle_command_counts_match_sublevel(tmp_path, rng):
+    """`oracle` reads the point and component counts of the top level off
+    the one enumeration that builds the root; they equal those of
+    enumerate_sublevel at that level, for truncated roots and for
+    stabilized ones whose top sits below the level."""
+    stars = [g for g in (random_star(rng) for _ in range(40)) if 3 <= g.form.order <= 30]
+    cases = [(remark56_graph(), 1), (remark56_graph(), 3), (e8_graph(), 3),
+             (non_ar_graph_a(), 0), (stars[0], 1), (stars[1], None)]
+    seen_components = set()
+    for g, level in cases:
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(g.to_json()))
+        argv = ["oracle", str(path)] + ([] if level is None else ["--level", str(level)])
+        code, out, _ = run_cli(argv)
+        assert code == 0
+        orbits = spinc.enumerate_spinc(g)
+        lines = out.splitlines()
+        assert len(lines) == len(orbits)
+        for orb, line in zip(orbits, lines):
+            m = re.match(r"orbit (\d+): min chi = (-?\d+), \|sublevel\((-?\d+)\)\| = (\d+), "
+                         r"components = (\d+), root = ", line)
+            assert m and int(m.group(1)) == orb.orbit_index, line
+            lev = oracle.enumerate_sublevel(g, orb.k_r, int(m.group(3)))
+            assert (int(m.group(4)), int(m.group(5))) == (lev.n_points, lev.n_components)
+            seen_components.add(lev.n_components)
+    assert len(seen_components) > 1
+
+
+def test_oracle_check_survives_optimize(tmp_path):
+    """Under python -O, a wrong oracle root still makes verify_oracle_graph
+    raise InvariantViolated, and `verify --oracle` exits 3."""
+    path = tmp_path / "g56.json"
+    path.write_text(json.dumps(remark56_graph().to_json()))
+    snippet = f"""
+import sys
+from gradedroots import cli, oracle
+from gradedroots.plumbing import InvariantViolated, graph_from_json
+from gradedroots.roots import ray_root
+if not sys.flags.optimize:
+    raise SystemExit(2)
+oracle.root_oracle = lambda graph, k, n_max, point_cap=None: ray_root(n_max - 5)
+try:
+    cli.verify_oracle_graph(graph_from_json(open({str(path)!r}).read()))
+except InvariantViolated as exc:
+    print(exc)
+else:
+    raise SystemExit(1)
+raise SystemExit(10 + cli.main(["verify", "--oracle", {str(path)!r}]))
+"""
+    src_dir = os.path.dirname(os.path.dirname(oracle.__file__))
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    proc = subprocess.run([sys.executable, "-O", "-c", snippet], env=env, timeout=120,
+                          capture_output=True, text=True)
+    assert proc.returncode == 13, proc.stderr
+    assert "engine root != oracle root" in proc.stdout
+    assert "internal invariant failed" in proc.stderr
 
 
 def test_console_entry_point(e8_file):

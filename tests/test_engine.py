@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -6,13 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (e8_graph, non_ar_graph_a, non_ar_graph_b,
-                      random_rational_tree, random_small_tree, random_star,
-                      remark56_graph)
+from conftest import (e8_graph, fraction_inverse, non_ar_graph_a, non_ar_graph_b,
+                      pad_chain, random_rational_tree, random_small_tree,
+                      random_star, remark56_graph)
 from gradedroots import engine, oracle, spinc
-from gradedroots.plumbing import (LatticeVector, build_graph, canonical_class,
-                                  chi_k, k_squared_plus_s)
+from gradedroots.plumbing import (LatticeVector, PlumbingGraph, build_graph,
+                                  canonical_class, chi_k, k_squared_plus_s)
 from gradedroots.roots import module_of_root, ray_root, root_from_tau
+from gradedroots.seifert import brieskorn
 
 
 def test_fundamental_cycle_single_vertex():
@@ -60,6 +62,81 @@ def test_classify_examples():
 def test_find_ar_vertex_rational_identity():
     cls = engine.find_ar_vertex(e8_graph())
     assert cls.kind == "rational" and cls.e_prime == e8_graph().e[cls.j0]
+
+
+def _fundamental_cycle_slow(graph):
+    """Laufer's algorithm from b_0, one basis vector at a time, smallest
+    index first, on the dense form."""
+    B = graph.form.B
+    x = graph.basis_vector(0)
+    while True:
+        pair = graph.pairings(x)
+        j = next((i for i, p in enumerate(pair) if p > 0), None)
+        if j is None:
+            return x
+        x = x + graph.basis_vector(j)
+
+
+def _find_ar_vertex_by_trial_graphs(graph, max_decrements=engine.DEFAULT_AR_DECREMENT_CAP):
+    """The AR vertex search as first written: one decorated PlumbingGraph,
+    with its own form, per decrement."""
+    cxm = chi_k(graph, canonical_class(graph), _fundamental_cycle_slow(graph))
+    if cxm == 1:
+        return engine.Classification(kind="rational", j0=0, e_prime=graph.e[0], chi_xmin=1)
+    for j0 in range(graph.s):
+        e_mod = graph.e[j0]
+        for _ in range(max_decrements + 1):
+            e = list(graph.e)
+            e[j0] = e_mod
+            mod = PlumbingGraph(labels=graph.labels, e=tuple(e), edges=graph.edges)
+            xm = _fundamental_cycle_slow(mod)
+            if xm[j0] == 1:
+                if chi_k(mod, canonical_class(mod), xm) == 1:
+                    kind = "weakly-elliptic" if cxm == 0 else "almost-rational"
+                    cls = engine.Classification(kind=kind, j0=j0, e_prime=e_mod,
+                                                chi_xmin=cxm)
+                    if kind == "weakly-elliptic":
+                        cls = engine._attach_elliptic_length(graph, cls)
+                    return cls
+                break
+            e_mod -= 1
+    return engine.Classification(kind="not-ar-certified", bound=max_decrements,
+                                 chi_xmin=cxm)
+
+
+def test_find_ar_vertex_matches_trial_graph_search(rng):
+    graphs = [e8_graph(), remark56_graph(), non_ar_graph_a(), non_ar_graph_b(),
+              pad_chain(non_ar_graph_a(), 2, 8), pad_chain(non_ar_graph_b(), 0, 8),
+              brieskorn(2, 3, 7).graph, brieskorn(5, 7, 11).graph]
+    graphs += [random_small_tree(rng, s_max=7) for _ in range(40)]
+    graphs += [random_star(rng, 3) for _ in range(10)]
+    kinds = set()
+    for g in graphs:
+        for cap in (engine.DEFAULT_AR_DECREMENT_CAP, 2):
+            cls = engine.find_ar_vertex(g, max_decrements=cap)
+            assert cls == _find_ar_vertex_by_trial_graphs(g, cap)
+            kinds.add(cls.kind)
+        assert engine.fundamental_cycle(g) == _fundamental_cycle_slow(g)
+    assert kinds == {"rational", "weakly-elliptic", "almost-rational", "not-ar-certified"}
+
+
+def test_certified_stop_index_matches_fraction_formula(rng):
+    graphs = [remark56_graph(), brieskorn(5, 7, 11).graph]
+    graphs += [g for g in (random_star(rng, 2) for _ in range(30)) if g.form.order <= 400]
+    graphs += [g for g in (random_small_tree(rng, s_max=6) for _ in range(30))
+               if engine.classify(g).is_ar()]
+    orbits = positive = 0
+    for g in graphs:
+        j0 = engine.classify(g).j0
+        Binv = fraction_inverse(g.form.B)
+        for orb in spinc.enumerate_spinc(g):
+            c = orb.k_r.pairings
+            val = sum(Binv[j0][j] * Fraction(g.e[j] - c[j], 2) for j in range(g.s))
+            stop = engine.certified_stop_index(g, j0, orb)
+            assert stop == max(0, math.floor(val))
+            orbits += 1
+            positive += stop > 0
+    assert orbits > 200 and positive > 20
 
 
 def test_star_shaped_is_ar(rng):

@@ -1,15 +1,18 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from conftest import e8_graph, random_small_tree
+from conftest import (e8_graph, fraction_inverse, random_small_tree,
+                      random_star)
 from gradedroots.plumbing import (InvalidSite, LatticeVector, NotATree,
                                   NotBlowDownable, NotNegativeDefinite,
-                                  ParityViolation, blow_down, blow_up,
+                                  ParityViolation, adjugate, blow_down, blow_up,
                                   build_graph, canonical_class,
                                   casson_walker, characteristic_from_pairings,
                                   chi_k, graph_from_json, invert_form,
-                                  k_squared_plus_s)
+                                  k_squared_plus_s, laufer_ascent)
+from gradedroots.spinc import smith_normal_form
 from gradedroots.lens import dedekind_sum
 
 
@@ -66,6 +69,102 @@ def test_inverse_identity_and_sign(rng):
                 acc = sum(Fraction(B[i][t]) * Binv[t][j] for t in range(s))
                 assert acc == (1 if i == j else 0)
                 assert Binv[i][j] <= 0
+
+
+def _leibniz_det(M):
+    s = len(M)
+    total = 0
+    for perm in itertools.permutations(range(s)):
+        term = (-1) ** sum(perm[i] > perm[j] for i in range(s) for j in range(i + 1, s))
+        for i, p in enumerate(perm):
+            term *= M[i][p]
+        total += term
+    return total
+
+
+def _check_adjugate(M):
+    """adjugate(M) against M adj = det I and the Fraction inverse; the
+    determinant, with its sign, by the Leibniz formula up to size 6."""
+    s = len(M)
+    adj, det = adjugate(M)
+    if s <= 6:
+        assert det == _leibniz_det(M)
+    for i in range(s):
+        for j in range(s):
+            assert sum(M[i][t] * adj[t][j] for t in range(s)) == (det if i == j else 0)
+    inv = fraction_inverse(M)
+    assert [[Fraction(a, det) for a in row] for row in adj] == inv
+    return adj, det
+
+
+def test_adjugate_matches_fraction_inverse(rng):
+    swapped = 0
+    for _ in range(150):
+        s = rng.randint(1, 6)
+        M = [[rng.randint(-4, 4) for _ in range(s)] for _ in range(s)]
+        planted = rng.random() < 0.5
+        if planted:
+            # row k vanishes on the leading (k+1) x (k+1) block, so that
+            # leading minor is 0 and the elimination must swap rows
+            k = rng.randrange(s)
+            for j in range(k + 1):
+                M[k][j] = 0
+        try:
+            fraction_inverse(M)
+        except StopIteration:  # singular
+            with pytest.raises(ZeroDivisionError):
+                adjugate(M)
+            continue
+        swapped += planted
+        _check_adjugate(M)
+    assert swapped > 20
+
+
+def test_adjugate_unimodular_smith_factor(rng):
+    for _ in range(30):
+        s = rng.randint(2, 6)
+        A = [[rng.randint(-5, 5) for _ in range(s)] for _ in range(s)]
+        _, U, V = smith_normal_form(A)
+        for W in (U, V):
+            adj, det = _check_adjugate(W)
+            assert abs(det) == 1
+
+
+def test_adjugate_negative_definite_trees(rng):
+    for _ in range(25):
+        g = random_small_tree(rng, s_max=9) if rng.random() < 0.5 else random_star(rng, 4)
+        adj, det = _check_adjugate([list(r) for r in g.form.B])
+        assert det == g.form.det and (det > 0) == (g.s % 2 == 0)
+        assert g.form.adjugate_neg == tuple(tuple((1 if det < 0 else -1) * v for v in r)
+                                            for r in adj)
+        assert all(v >= 0 for r in g.form.adjugate_neg for v in r)
+
+
+def _ascent_by_smallest_index(B, x, pair, skip=None):
+    """Laufer's ascent as first written: one b_j at a time, smallest j first."""
+    while True:
+        j = next((i for i, p in enumerate(pair) if p > 0 and i != skip), None)
+        if j is None:
+            return
+        x[j] += 1
+        pair = [p + B[i][j] for i, p in enumerate(pair)]
+
+
+def test_laufer_ascent_matches_one_push_at_a_time(rng):
+    for _ in range(60):
+        g = random_small_tree(rng, s_max=8) if rng.random() < 0.5 else random_star(rng, 3)
+        B = g.form.B
+        skip = rng.choice([None, rng.randrange(g.s)])
+        x0 = [rng.randint(-3, 3) for _ in range(g.s)]
+        c = [rng.randint(-6, 6) for _ in range(g.s)]
+        pair0 = [ci + sum(B[i][j] * xj for j, xj in enumerate(x0)) for i, ci in enumerate(c)]
+        x_slow = list(x0)
+        _ascent_by_smallest_index(B, x_slow, list(pair0), skip)
+        x, pair = list(x0), list(pair0)
+        laufer_ascent(g.e, g.adjacency, x, pair, skip)
+        assert x == x_slow
+        assert pair == [ci + sum(B[i][j] * xj for j, xj in enumerate(x))
+                        for i, ci in enumerate(c)]
 
 
 def test_canonical_class_examples():

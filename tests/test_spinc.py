@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import e8_graph, random_small_tree
-from gradedroots.plumbing import DualVector, LatticeVector, build_graph, chi_k
+from gradedroots.plumbing import (DualVector, LatticeVector, build_graph, canonical_class,
+                                  characteristic_from_pairings, chi_k)
 from gradedroots.spinc import (NotIntegral, distinguished_rep, enumerate_spinc,
                                m_k, orbit_of, smith_decompose,
                                smith_normal_form)
@@ -148,6 +149,22 @@ def test_orbit_invariants(rng):
             assert all(p >= g.e[j] + 1 for j, p in enumerate(pmin))
             for j in range(g.s):                              # k_r characteristic
                 assert (orb.k_r.pairings[j] + g.e[j]) % 2 == 0
+
+
+def test_orbit_data_matches_dual_vectors(rng):
+    """The integer orbit data against the Fraction definitions: the
+    pairings of l'_[k], and k_r = K + 2 l'_[k] as a dual vector."""
+    for _ in range(20):
+        g = random_small_tree(rng, s_max=7)
+        K = canonical_class(g)
+        orbits = enumerate_spinc(g)
+        assert len(orbits) == g.form.order
+        for orb in orbits:
+            assert orb.pairings == tuple(int(v) for v in g.pairings(orb.l_prime_min))
+            assert orb.k_r == characteristic_from_pairings(g, orb.k_r.pairings)
+            assert orb.k_r.vector == K.vector + 2 * orb.l_prime_min
+            assert distinguished_rep(g, orb.l_prime_min) == orb.l_prime_min
+            assert distinguished_rep(g, orb.l_prime_min) == brute_min_rep(g, orb.l_prime_min)
 
 
 def test_kr_versus_square(rng):
