@@ -1,12 +1,9 @@
 """Array kernels of the sublevel-set oracle.
 
-The oracle enumerates integer points x in a box with h(x) = x^T Q x - c.x
-below a limit, joins the points that differ by one basis vector, and reads
-off the components of the sublevel sets.  All of it is exact integer
-arithmetic.
-
-int64 is used only after the caller proves |h| cannot overflow; otherwise
-the box scan runs on Python big integers (dtype=object).
+Given the integer points x of a sublevel set {h(x) <= limit}, enumerated
+by :mod:`oracle`, the kernels join the points that differ by one basis
+vector and read off the components of the sublevel sets.  All of it is
+exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -14,58 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .roots import array_filtration, level_sweep
-
-# ---------------------------------------------------------------------------
-# box scan: all integer points of [lo, hi] with x^T Q x - c.x <= limit
-
-
-_CHUNK = 1 << 17
-
-
-def _box_scan(Q, c, limit, lo, hi, dtype=np.int64):
-    s = len(lo)
-    dims = tuple(int(h - l + 1) for l, h in zip(lo, hi))
-    total = 1
-    for d in dims:
-        total *= d
-    out_coords, out_h = [], []
-    lo_arr = np.asarray(lo, dtype=dtype)
-    Qm = np.asarray(Q, dtype=dtype)
-    cv = np.asarray(c, dtype=dtype)
-    if dtype is object:
-        lo_arr = lo_arr + 0  # ensure python ints inside
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total))
-        coords = np.stack(np.unravel_index(idx, dims), axis=1).astype(dtype) + lo_arr
-        h = ((coords @ Qm) * coords).sum(axis=1) - coords @ cv
-        mask = h <= limit
-        if mask.any():
-            out_coords.append(coords[mask])
-            out_h.append(h[mask])
-    if not out_coords:
-        return (np.empty((0, s), dtype=np.int64), np.empty(0, dtype=np.int64))
-    coords = np.concatenate(out_coords).astype(np.int64)
-    hv = np.concatenate(out_h)
-    return coords, np.asarray([int(v) for v in hv], dtype=np.int64)
-
-
-def box_scan(Q, c, limit, lo, hi, exact_object=False):
-    """All x in the integer box [lo, hi] with x^T Q x - c.x <= limit.
-
-    Returns (coords [N, s] int64, h [N] int64) in odometer (row-major)
-    order.  ``exact_object`` selects the big-integer path (used when int64
-    bounds cannot be certified)."""
-    Q = np.asarray(Q, dtype=np.int64)
-    c = np.asarray(c, dtype=np.int64)
-    lo = np.asarray(lo, dtype=np.int64)
-    hi = np.asarray(hi, dtype=np.int64)
-    if np.any(hi < lo):
-        return (np.empty((0, len(lo)), dtype=np.int64), np.empty(0, dtype=np.int64))
-    if exact_object:
-        return _box_scan(Q.tolist(), [int(v) for v in c], int(limit),
-                         [int(v) for v in lo], [int(v) for v in hi], dtype=object)
-    return _box_scan(Q, c, int(limit), lo, hi)
-
 
 # ---------------------------------------------------------------------------
 # adjacency of enumerated points

@@ -297,6 +297,7 @@ def build_parser():
     ap = argparse.ArgumentParser(prog="gradedroots", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
+    cap_help = "the most nodes the oracle's enumeration may visit (default %(default)s)"
 
     def add_common(p, graph=True):
         if graph:
@@ -304,7 +305,7 @@ def build_parser():
         p.add_argument("--format", choices=["table", "json", "csv"], default="table")
         p.add_argument("--orbits", default="all",
                        help="comma-separated orbit indices, or 'all'")
-        p.add_argument("--point-cap", type=int, default=oracle.DEFAULT_POINT_CAP)
+        p.add_argument("--point-cap", type=int, default=oracle.DEFAULT_POINT_CAP, help=cap_help)
         p.add_argument("--ar-cap", type=int, default=engine.DEFAULT_AR_DECREMENT_CAP,
                        help="max decrements in the almost-rational vertex search")
 
@@ -347,7 +348,7 @@ def build_parser():
     p.add_argument("--leg", type=_leg, action="append", default=None, metavar="a/w")
     p.add_argument("--oracle", dest="oracle_graph", default=None, metavar="GRAPH",
                    help="graph JSON for the engine-vs-oracle suite")
-    p.add_argument("--point-cap", type=int, default=oracle.DEFAULT_POINT_CAP)
+    p.add_argument("--point-cap", type=int, default=oracle.DEFAULT_POINT_CAP, help=cap_help)
     return ap
 
 

@@ -35,7 +35,8 @@ from fractions import Fraction
 
 from .plumbing import (InvariantViolated, LatticeVector, canonical_class,
                        laufer_ascent)
-from .roots import TauFunction, module_of_root, root_from_tau, shift_module
+from .roots import (TauFunction, module_of_root, root_from_tau, shift_module,
+                    tau_invariants)
 from .spinc import SpincOrbit, enumerate_spinc, _orbit_from_rep
 
 DEFAULT_AR_DECREMENT_CAP = 64
@@ -257,12 +258,8 @@ def analyze_orbit(graph, orbit, classification=None):
         raise NotAR(cls.describe())
     t = tau(graph, cls.j0, orbit)
     root = root_from_tau(t)
-    vals = t.values
-    min_tau = min(vals)
     kr2s = graph.form.square(orbit.k_r.pairings) + graph.s
-    d = Fraction(kr2s, 4) - 2 * min_tau
-    drops = sum(max(0, vals[i] - vals[i + 1]) for i in range(len(vals) - 1))
-    rank_red = min_tau + drops
+    min_tau, rank_red, d = tau_invariants(t.values, kr2s)
     module = shift_module(module_of_root(root), -Fraction(kr2s, 4))
     if module.rank_reduced() != rank_red:
         raise InvariantViolated(f"Cor-2.10 rank {rank_red} != module rank "

@@ -146,19 +146,26 @@ class LensSpace:
     @cached_property
     def _e_table(self):
         """E(a) for every a, generated downward from E(p-1); at each step
-        either the last nonzero entry drops by one, or the block after it
+        the last nonzero entry drops by one and the block after it, if any,
         refills with (k_i - 1, k_{i+1} - 2, ..., k_s - 2)."""
         s, k = self.s, self.cf
-        cur = [k[0] - 1] + [kj - 2 for kj in k[1:]]
+        top = [k[0] - 1] + [kj - 2 for kj in k[1:]]
+        cur = list(top)
         out = [None] * self.p
         out[self.p - 1] = tuple(cur)
+        # after a refill the last nonzero entry is the last t with k_t > 2,
+        # or the first entry refilled if that comes later
+        big = max((t for t in range(1, s) if k[t] > 2), default=0)
+        i = big  # index of the last nonzero entry of cur
         for a in range(self.p - 1, 0, -1):
-            i = max(t for t in range(s) if cur[t] != 0)  # exists while a > 0
             cur[i] -= 1
             if i + 1 < s:
-                cur[i + 1] = k[i + 1] - 1
-                for t in range(i + 2, s):
-                    cur[t] = k[t] - 2
+                cur[i + 1:] = top[i + 1:]
+                cur[i + 1] += 1
+                i = max(i + 1, big)
+            else:
+                while i > 0 and cur[i] == 0:
+                    i -= 1
             out[a - 1] = tuple(cur)
         if any(out[0]):
             raise LensIdentityError(f"{self}: descending generation ends at {out[0]}")
@@ -488,10 +495,15 @@ def verify_lens_sweep(p_max, fourier_tol=1e-9, progress=None):
             ctx = f"L({p},{q})"
             if lens.n(1, s) != p or lens.n(2, s) != q:
                 raise LensIdentityError(f"{ctx}: n-table endpoints")
-            for i in range(1, s + 1):
-                for jj in range(i, s + 1):
-                    if lens.n(i, jj) != lens.cf[jj - 1] * lens.n(i, jj - 1) - lens.n(i, jj - 2):
-                        raise LensIdentityError(f"{ctx}: n symmetry at ({i},{jj})")
+            # n(i, j) = k_j n(i, j-1) - n(i, j-2) for 1 <= i <= j <= s; column
+            # j + 1 of N holds n(., j), with n(i, j) = 0 for j < i - 1
+            N = np.zeros((s + 1, s + 2), dtype=a.dtype)
+            N[:, 1:] = lens._ntab[:s + 1]
+            k = np.array(lens.cf, dtype=a.dtype)
+            bad = np.argwhere(np.triu(N[1:, 2:] != k * N[1:, 1:-1] - N[1:, :-2]))
+            if len(bad):
+                i, jj = bad[0] + 1
+                raise LensIdentityError(f"{ctx}: n symmetry at ({i},{jj})")
             tab = lens.table
             if casson_walker_chain_formula(lens) != Fraction(tab.s_num, 24):
                 raise LensIdentityError(f"{ctx}: Casson-Walker chain formula")

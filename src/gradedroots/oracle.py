@@ -8,20 +8,19 @@ enumeration is an independent check of everything the computation-sequence
 engine produces.
 
 Writing Q = -B (positive definite) and c_j = k(b_j), the condition
-chi_k(x) <= n reads x^T Q x - c.x <= 2n, an ellipsoid centred at
-mu = Q^{-1} c / 2 with squared radius rho = 2n + c.mu/2.  Enumeration is
-complete by classic Fincke-Pohst style bounds: every solution has
-|x_i - mu_i| <= sqrt(rho * (Q^{-1})_{ii}), evaluated here in exact rational
-arithmetic through the integer adjugate of Q.  Wide boxes are split exactly
-(fixing one coordinate gives the Schur-complement subproblem) before the
-compiled kernels scan the leaves.  No floating point anywhere.
+chi_k(x) <= n reads x^T Q x - c.x <= 2n, an ellipsoid.  Its integer points
+are enumerated by Fincke-Pohst (Math. Comp. 44, 1985): coordinates are
+fixed one at a time, last first, and each is bounded by the projection of
+the slice left by the coordinates already fixed, through the integer
+adjugate of a leading block of Q and an integer square root.  Every
+prefix of one depth is processed at once.  All arithmetic is on integers,
+int64 where a bound proves it safe and Python integers otherwise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -30,107 +29,85 @@ from .plumbing import InvariantViolated, LatticeVector, adjugate, canonical_clas
 from .roots import array_filtration, merge_tree
 
 DEFAULT_POINT_CAP = 10 ** 7
-_LEAF_VOLUME = 1 << 15
 
 
 class LevelTooLarge(ValueError):
-    """The enumeration would scan more box volume than the configured cap."""
+    """The enumeration would visit more nodes than the configured cap."""
 
 
-def _floor_plus_sqrt(mu, rad2):
-    """max integer t with t <= mu + sqrt(rad2), all exact."""
-    if rad2 < 0:
-        raise InvariantViolated(f"negative squared radius {rad2}")
-    t = math.floor(mu) + math.isqrt(rad2.numerator // rad2.denominator) + 2
-    while not (t <= mu or (t - mu) ** 2 <= rad2):
-        t -= 1
-    return t
+def _proven_dtype(Q, c, limit, blocks):
+    """int64 when a bound proves that every intermediate of
+    :func:`_fincke_pohst` has absolute value below 2^62 (so a sum of two
+    stays below 2^63), else exact object integers.
 
-
-def _ceil_minus_sqrt(mu, rad2):
-    """min integer t with t >= mu - sqrt(rad2), all exact."""
-    return -_floor_plus_sqrt(-mu, rad2)
-
-
-def _ellipsoid_box(Q_adj, det_q, c, limit):
-    """Exact coordinate bounds for {x : x^T Q x - c.x <= limit}.
-
-    Returns (lo, hi) or None when the region is empty.  Q_adj is the
-    integer adjugate of Q and det_q = det(Q) > 0."""
+    The bound starts from the box of the whole ellipsoid, by the depth-0
+    formula on every coordinate: each x_i and each interval end at every
+    depth lies within m of 0, because the projection of a slice lies inside
+    the projection of the ellipsoid.  From m follow bounds on the folded
+    pairings c', the remaining limit L', u = A_j c' and N = 4 D_j L' + c'.u."""
     s = len(c)
-    adj_c = [sum(Q_adj[i][j] * c[j] for j in range(s)) for i in range(s)]
-    c_adj_c = sum(c[i] * adj_c[i] for i in range(s))
-    rho = Fraction(limit) + Fraction(c_adj_c, 4 * det_q)
-    if rho < 0:
-        return None
-    lo, hi = [], []
-    for i in range(s):
-        mu_i = Fraction(adj_c[i], 2 * det_q)
-        rad2 = rho * Q_adj[i][i] / det_q
-        lo.append(_ceil_minus_sqrt(mu_i, rad2))
-        hi.append(_floor_plus_sqrt(mu_i, rad2))
-    return lo, hi
+    A, D = blocks[-1]
+    u = [sum(a * cj for a, cj in zip(row, c)) for row in A]
+    N = 4 * D * limit + sum(ci * ui for ci, ui in zip(c, u))
+    m = 0 if N < 0 else max((abs(u[i]) + math.isqrt(N * A[i][i])) // (2 * D)
+                            for i in range(s)) + 2
+    q_sum = sum(abs(v) for row in Q for v in row)
+    C = sum(abs(v) for v in c) + 2 * m * q_sum
+    L = abs(limit) + m * (m * q_sum + C) + 1
+    bound = max(m, C, L)
+    for j, (A, D) in enumerate(blocks):
+        a_row = max(sum(abs(v) for v in row) for row in A)
+        bound = max(bound, a_row, (4 * D * L + (j + 1) * C * a_row * C) * A[j][j])
+    return np.int64 if bound < 1 << 62 else object
 
 
-def _box_volume(lo, hi):
-    vol = 1
-    for a, b in zip(lo, hi):
-        if b < a:
-            return 0
-        vol *= b - a + 1
-    return vol
+def _fincke_pohst(Q, c, limit, point_cap):
+    """All integer x with h(x) = x^T Q x - c.x <= limit, Q positive definite.
 
+    Breadth-first over x_{s-1}, x_{s-2}, ..., x_0, all prefixes of a depth
+    at once.  With x_{j+1..s-1} fixed, the free block x_0..x_j must satisfy
+    y^T Q_j y - c'.y <= L' for the leading block Q_j, the pairings c' with
+    the fixed coordinates folded in and the remaining limit L'.  With
+    A_j = adj(Q_j), D_j = det(Q_j), u = A_j c' and N = 4 D_j L' + c'.u, the
+    slice is empty for N < 0 and otherwise projects onto
 
-def _int64_safe(Q, c, limit, lo, hi):
-    m = [max(abs(a), abs(b)) for a, b in zip(lo, hi)]
-    bound = sum(abs(Q[i][j]) * m[i] * m[j] for i in range(len(c)) for j in range(len(c)))
-    bound += sum(abs(ci) * mi for ci, mi in zip(c, m))
-    return bound < (1 << 62) and abs(limit) < (1 << 62)
+        x_j in [(u_j - sqrt(N A_j[j][j])) / 2D_j, (u_j + sqrt(N A_j[j][j])) / 2D_j],
 
-
-def _enumerate_region(Q, adj_q, det_q, c, limit, budget):
-    """All integer x with x^T Q x - c.x <= limit, with exact splitting.
-
-    ``budget`` is [remaining scan allowance, configured cap]; every kernel
-    leaf charges its box volume against the allowance, so the cap bounds
-    actual work rather than the crude top-level box.
-    Returns (coords ndarray [N, s], h ndarray [N])."""
+    whose integer ends are exact with the integer square root r: the floor
+    of (u_j + r) / 2D_j and minus the floor of (r - u_j) / 2D_j.
+    ``point_cap`` bounds the nodes visited over all depths.
+    Returns (coords [N, s], h [N]), both int64, in no particular order."""
     s = len(c)
-    box = _ellipsoid_box(adj_q, det_q, c, limit)
-    if box is None:
-        return np.empty((0, s), dtype=np.int64), np.empty(0, dtype=np.int64)
-    lo, hi = box
-    vol = _box_volume(lo, hi)
-    if vol == 0:
-        return np.empty((0, s), dtype=np.int64), np.empty(0, dtype=np.int64)
-    if s == 1 or vol <= _LEAF_VOLUME:
-        if vol > budget[0]:
-            raise LevelTooLarge(f"a leaf box of volume {vol} exceeds the {budget[0]} "
-                                f"left of the point cap {budget[1]}")
-        budget[0] -= vol
-        safe = _int64_safe(Q, c, limit, lo, hi)
-        return _kernels.box_scan(Q, c, limit, lo, hi, exact_object=not safe)
-    # split along the widest coordinate; fixing x_d = t leaves the
-    # same kind of subproblem in the remaining coordinates
-    d = max(range(s), key=lambda i: hi[i] - lo[i])
-    rest = [i for i in range(s) if i != d]
-    Q_sub = [[Q[i][j] for j in rest] for i in rest]
-    adj_sub, det_sub = adjugate(Q_sub)
-    coords_parts, h_parts = [], []
-    for t in range(lo[d], hi[d] + 1):
-        c_sub = [c[i] - 2 * t * Q[d][i] for i in rest]
-        const = Q[d][d] * t * t - c[d] * t
-        sc, sh = _enumerate_region(Q_sub, adj_sub, det_sub, c_sub,
-                                   limit - const, budget)
-        if len(sh):
-            full = np.empty((len(sh), s), dtype=np.int64)
-            full[:, d] = t
-            full[:, rest] = sc
-            coords_parts.append(full)
-            h_parts.append(sh + const)
-    if not coords_parts:
-        return np.empty((0, s), dtype=np.int64), np.empty(0, dtype=np.int64)
-    return np.concatenate(coords_parts), np.concatenate(h_parts)
+    blocks = [adjugate([row[:j + 1] for row in Q[:j + 1]]) for j in range(s)]
+    dtype = _proven_dtype(Q, c, limit, blocks)
+    Qm = np.array(Q, dtype=dtype)
+    coords = np.zeros((1, s), dtype=dtype)
+    cp = np.array([c], dtype=dtype)       # c' of every prefix
+    rest = np.array([limit], dtype=dtype)  # L' of every prefix
+    visited = 0
+    for j in range(s - 1, -1, -1):
+        A, D = blocks[j]
+        u = cp[:, :j + 1] @ np.array(A, dtype=dtype)
+        N = 4 * D * rest + (cp[:, :j + 1] * u).sum(axis=1)
+        live = np.flatnonzero(N >= 0)
+        r = np.frompyfunc(math.isqrt, 1, 1)(N[live] * A[j][j]).astype(dtype)
+        uj = u[live, j]
+        lo = -((r - uj) // (2 * D))
+        count = ((uj + r) // (2 * D) - lo + 1).astype(np.int64)
+        total = int(count.sum())
+        visited += total
+        if visited > point_cap:
+            raise LevelTooLarge(f"the enumeration visits {visited} nodes by depth "
+                                f"{s - j} of {s}, over the point cap {point_cap}")
+        parent = live.repeat(count)
+        x = lo.repeat(count) + (np.arange(total) - (np.cumsum(count) - count).repeat(count))
+        coords = coords[parent]
+        coords[:, j] = x
+        rest = rest[parent] - (Q[j][j] * x - cp[parent, j]) * x
+        cp = cp[parent, :j] - 2 * x[:, None] * Qm[j, :j]
+    if np.any(rest < 0):
+        raise InvariantViolated("an enumerated point lies above the limit")
+    return coords.astype(np.int64), (limit - rest).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -165,10 +142,8 @@ def _enumerate_points(graph, k, n, point_cap):
     s = graph.s
     B = graph.form.B
     Q = [[-B[i][j] for j in range(s)] for i in range(s)]
-    adj_q = graph.form.adjugate_neg
-    det_q = graph.form.order
     c = [int(v) for v in k.pairings]
-    coords, h = _enumerate_region(Q, adj_q, det_q, c, 2 * n, [point_cap, point_cap])
+    coords, h = _fincke_pohst(Q, c, 2 * n, point_cap)
     if np.any(h % 2):
         raise InvariantViolated("chi_k takes a non-integral value")
     chi = h // 2
@@ -182,8 +157,8 @@ def _enumerate_points(graph, k, n, point_cap):
 def enumerate_sublevel(graph, k, n, point_cap=DEFAULT_POINT_CAP):
     """Complete enumeration of {x in L : chi_k(x) <= n} with components.
 
-    Raises :class:`LevelTooLarge` when the scanned box volume would exceed
-    ``point_cap``."""
+    Raises :class:`LevelTooLarge` when the enumeration would visit more than
+    ``point_cap`` nodes."""
     coords, chi = _enumerate_points(graph, k, n, point_cap)
     eu, ev = _kernels.lattice_edges(coords)
     labels = _kernels.sublevel_labels(chi, eu, ev, n, n)[0]

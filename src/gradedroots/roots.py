@@ -432,21 +432,30 @@ def module_of_root(root):
     return ZUModule(Fraction(2 * root.chi[v1]), tuple(finite))
 
 
+def tau_invariants(values, kr2s):
+    """(min tau, rank_red, d) of the tau function ``values`` (Cor. 2.10):
+
+        rank_red = -tau(0) + min tau + sum_i max(tau(i) - tau(i+1), 0),
+        d = (k_r^2 + s)/4 - 2 min tau,  with ``kr2s`` = k_r^2 + s.
+
+    rank_red is an int and d a Fraction."""
+    m = min(values)
+    drops = sum(max(a - b, 0) for a, b in zip(values, values[1:]))
+    return m, -values[0] + m + drops, Fraction(kr2s) / 4 - 2 * m
+
+
 def rank_red_from_tau(tau, return_module=False):
     """Finite rank of H_red(R_tau) together with min tau.
 
-    Under the hypothesis tau(1) > tau(0) this is the closed form
-    -tau(0) + min tau + sum_i max(tau(i) - tau(i+1), 0); otherwise the rank
-    is read from the module of the constructed root.
+    Under the hypothesis tau(1) > tau(0) this is the closed form of
+    :func:`tau_invariants`; otherwise the rank is read from the module of
+    the constructed root.
     """
     if not isinstance(tau, TauFunction):
         tau = TauFunction(tuple(tau), certified=True)
     vals = tau.values
-    m = min(vals)
-    if len(vals) >= 2 and vals[1] > vals[0]:
-        drops = sum(max(vals[i] - vals[i + 1], 0) for i in range(len(vals) - 1))
-        rank = -vals[0] + m + drops
-    else:
+    m, rank, _ = tau_invariants(vals, 0)
+    if len(vals) < 2 or vals[1] <= vals[0]:
         rank = module_of_root(root_from_tau(tau)).rank_reduced()
     return (rank, m)
 

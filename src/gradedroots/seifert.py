@@ -38,7 +38,7 @@ import numpy as np
 
 from . import lens as lens_mod
 from .plumbing import InvariantViolated, build_graph
-from .roots import TauFunction
+from .roots import TauFunction, tau_invariants
 from .series import Series, one_plus_u_pow
 from .spinc import distinguished_rep
 
@@ -480,12 +480,10 @@ def seifert_orbit(data, sp, k2s):
     chi_l = seifert_chi_lprime(data, sp)
     kr2s = k2s - 8 * chi_l
     tau_f = seifert_tau(data, sp)
-    vals = tau_f.values
-    min_tau = min(vals)
-    rank_red = min_tau + sum(max(0, vals[i] - vals[i + 1]) for i in range(len(vals) - 1))
+    min_tau, rank_red, d = tau_invariants(tau_f.values, kr2s)
     limit = seifert_torsion_limit(data, sp)
     return SeifertOrbit(chi_lprime=chi_l, kr2s=kr2s, tau=tau_f, min_tau=min_tau,
-                        rank_red=rank_red, d=kr2s / 4 - 2 * min_tau, limit=limit,
+                        rank_red=rank_red, d=d, limit=limit,
                         torsion=limit + rank_red - min_tau)
 
 

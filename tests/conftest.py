@@ -38,6 +38,22 @@ def non_ar_graph_b():
     return build_graph(verts, edges)
 
 
+def chain_graph(s):
+    """The all -2 chain A_s."""
+    return build_graph([(i, -2) for i in range(s)], [(i, i + 1) for i in range(s - 1)])
+
+
+def chain_level_one_rows(s):
+    """The level-1 set of A_s for the canonical class, by hand: 0 and the
+    s(s+1) roots +-(e_i + ... + e_j)."""
+    rows = [[0] * s]
+    for i in range(s):
+        for j in range(i, s):
+            for sign in (1, -1):
+                rows.append([sign if i <= d <= j else 0 for d in range(s)])
+    return rows
+
+
 def fraction_inverse(M):
     """Exact inverse of a nonsingular integer matrix by Gauss-Jordan over Q:
     the definition the integer adjugate replaces."""

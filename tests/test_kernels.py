@@ -1,54 +1,9 @@
 import random
 
 import numpy as np
-import pytest
 
+from conftest import chain_level_one_rows
 from gradedroots import _kernels
-
-
-def random_posdef(rng, s):
-    """Random positive-definite integer matrix (A^T A + identity)."""
-    A = [[rng.randint(-2, 2) for _ in range(s)] for _ in range(s)]
-    Q = [[sum(A[k][i] * A[k][j] for k in range(s)) + (i == j)
-          for j in range(s)] for i in range(s)]
-    return Q
-
-
-def test_box_scan_matches_brute_force():
-    rng = random.Random(5)
-    for _ in range(25):
-        s = rng.randint(1, 4)
-        Q = random_posdef(rng, s)
-        c = [rng.randint(-4, 4) for _ in range(s)]
-        lo = [rng.randint(-3, 0) for _ in range(s)]
-        hi = [l + rng.randint(0, 4) for l in lo]
-        limit = rng.randint(-2, 30)
-        coords, h = _kernels.box_scan(Q, c, limit, lo, hi)
-        import itertools
-        expect = []
-        for x in itertools.product(*[range(l, u + 1) for l, u in zip(lo, hi)]):
-            val = (sum(Q[i][j] * x[i] * x[j] for i in range(s) for j in range(s))
-                   - sum(ci * xi for ci, xi in zip(c, x)))
-            if val <= limit:
-                expect.append((x, val))
-        got = sorted((tuple(row), int(v)) for row, v in zip(coords.tolist(), h.tolist()))
-        assert got == sorted(expect)
-
-
-def test_box_scan_backends_and_object_agree():
-    rng = random.Random(11)
-    for _ in range(10):
-        s = rng.randint(1, 3)
-        Q = random_posdef(rng, s)
-        c = [rng.randint(-3, 3) for _ in range(s)]
-        lo = [-2] * s
-        hi = [3] * s
-        results = []
-        for exact_object in (False, True):
-            coords, h = _kernels.box_scan(Q, c, 9, lo, hi, exact_object=exact_object)
-            results.append(sorted((tuple(r), int(v))
-                                  for r, v in zip(coords.tolist(), h.tolist())))
-        assert results[0] == results[1]
 
 
 def test_lattice_edges():
@@ -100,13 +55,7 @@ def test_lattice_edges_wide_box():
     """The A_45 level-1 set: 0 and the 2 070 roots +-(e_i + ... + e_j).  Its
     box has 45 coordinates of width 3, so mixed-radix keys over the box
     would need 3^45 > 2^63 values."""
-    s = 45
-    rows = [[0] * s]
-    for i in range(s):
-        for j in range(i, s):
-            for sign in (1, -1):
-                rows.append([sign if i <= d <= j else 0 for d in range(s)])
-    coords = np.array(rows, dtype=np.int64)
+    coords = np.array(chain_level_one_rows(45), dtype=np.int64)
     assert coords.shape == (2071, 45)
     eu, ev = _kernels.lattice_edges(coords)
     got = sorted(zip(eu.tolist(), ev.tolist()))

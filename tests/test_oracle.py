@@ -1,9 +1,11 @@
+import math
 import re
 
-
+import numpy as np
 import pytest
 
-from conftest import e8_graph, random_rational_tree, random_small_tree, remark56_graph
+from conftest import (chain_graph, chain_level_one_rows, e8_graph, random_rational_tree,
+                      random_small_tree, remark56_graph)
 from gradedroots import oracle, spinc
 from gradedroots.plumbing import (LatticeVector, build_graph, canonical_class,
                                   characteristic_from_pairings, chi_k)
@@ -57,15 +59,75 @@ def test_level_too_large():
         oracle.enumerate_sublevel(g, canonical_class(g), 3, point_cap=100)
 
 
-def test_level_too_large_reports_volume_budget_and_cap():
+def test_level_too_large_reports_visited_depth_and_cap():
     g = e8_graph()
     with pytest.raises(oracle.LevelTooLarge) as info:
         oracle.enumerate_sublevel(g, canonical_class(g), 2, point_cap=5000)
-    m = re.fullmatch(r"a leaf box of volume (\d+) exceeds the (\d+) left of "
-                     r"the point cap 5000", str(info.value))
+    m = re.fullmatch(r"the enumeration visits (\d+) nodes by depth (\d+) of 8, "
+                     r"over the point cap 5000", str(info.value))
     assert m is not None, str(info.value)
-    volume, left = int(m.group(1)), int(m.group(2))
-    assert left < volume and left <= 5000
+    assert int(m.group(1)) > 5000 and 1 <= int(m.group(2)) <= 8
+
+
+def random_posdef(rng, s):
+    """Random positive-definite integer matrix (A^T A + identity)."""
+    A = [[rng.randint(-2, 2) for _ in range(s)] for _ in range(s)]
+    Q = [[sum(A[k][i] * A[k][j] for k in range(s)) + (i == j)
+          for j in range(s)] for i in range(s)]
+    return Q
+
+
+def brute_force_region(Q, c, limit):
+    """Every (x, h(x)) with h(x) = x^T Q x - c.x <= limit, by scanning a
+    cube.  Q = A^T A + I has least eigenvalue >= 1, so h(x) >= |x|^2 - |c||x|
+    and every solution has |x| <= (|c| + sqrt(|c|^2 + 4 limit)) / 2."""
+    s = len(c)
+    c2 = sum(v * v for v in c)
+    if c2 + 4 * limit < 0:
+        return []
+    R = (math.isqrt(c2) + math.isqrt(c2 + 4 * limit) + 2) // 2
+    axis = np.arange(-R, R + 1, dtype=np.int64)
+    x = np.stack(np.meshgrid(*[axis] * s, indexing="ij"), axis=-1).reshape(-1, s)
+    h = ((x @ np.array(Q, dtype=np.int64)) * x).sum(axis=1) - x @ np.array(c, dtype=np.int64)
+    keep = h <= limit
+    return sorted(zip(map(tuple, x[keep].tolist()), h[keep].tolist()))
+
+
+def test_fincke_pohst_matches_brute_force(rng, monkeypatch):
+    """The enumeration against a cube scan on random forms, s = 1..5; each
+    case again with Q, c and the limit scaled by 10^7, which drives the
+    enumeration onto object integers: the same points, h scaled by 10^7."""
+    dtypes = []
+    proven = oracle._proven_dtype
+
+    def recording(*args):
+        dtypes.append(proven(*args))
+        return dtypes[-1]
+
+    monkeypatch.setattr(oracle, "_proven_dtype", recording)
+    for _ in range(40):
+        s = rng.randint(1, 5)
+        Q = random_posdef(rng, s)
+        c = [rng.randint(-3, 3) for _ in range(s)]
+        limit = rng.randint(-4, 16 if s < 5 else 8)
+        expect = brute_force_region(Q, c, limit)
+        for scale in (1, 10 ** 7):
+            coords, h = oracle._fincke_pohst([[v * scale for v in row] for row in Q],
+                                             [v * scale for v in c], limit * scale, 10 ** 7)
+            got = sorted(zip(map(tuple, coords.tolist()), h.tolist()))
+            assert got == [(x, v * scale) for x, v in expect]
+    assert np.int64 in dtypes and object in dtypes
+
+
+def test_chain_level_one_is_output_sensitive():
+    """A_35 at level 1 has 1 261 points, well within the default cap, and
+    the A_45 level-1 set is 0 and the 2 070 roots."""
+    g = chain_graph(35)
+    lev = oracle.enumerate_sublevel(g, canonical_class(g), 1)
+    assert (lev.n_points, lev.n_components) == (1261, 1)
+    g = chain_graph(45)
+    lev = oracle.enumerate_sublevel(g, canonical_class(g), 1)
+    assert sorted(lev.coords.tolist()) == sorted(chain_level_one_rows(45))
 
 
 def test_component_zero_structure_level_zero_only():
