@@ -378,39 +378,17 @@ def build_graph(vertices, edges):
         raise NotATree("empty vertex set")
     index = {v: i for i, v in enumerate(ids)}
     s = len(ids)
-    norm_edges = []
-    parent = list(range(s))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    edges = list(edges)
+    pairs = [(index.get(a), index.get(b)) for a, b in edges]
+    norm_edges = {(min(ia, ib), max(ia, ib)) for ia, ib in pairs
+                  if ia is not None and ib is not None and ia != ib}
+    # a tree: s - 1 distinct proper edges, and every vertex reached from 0
     adj = [[] for _ in range(s)]
-    for a, b in edges:
-        if a not in index or b not in index:
-            raise NotATree(f"edge ({a}, {b}) references unknown vertex id")
-        ia, ib = index[a], index[b]
-        if ia == ib:
-            raise NotATree(f"self-loop at vertex {a}")
-        pair = (min(ia, ib), max(ia, ib))
-        if pair in norm_edges:
-            raise NotATree(f"duplicate edge ({a}, {b})")
-        ra, rb = find(ia), find(ib)
-        if ra == rb:
-            cycle = _find_cycle(adj, ia, ib, ids)
-            raise NotATree(f"cycle through edges {cycle}")
-        parent[ra] = rb
+    for ia, ib in norm_edges:
         adj[ia].append(ib)
         adj[ib].append(ia)
-        norm_edges.append(pair)
-    roots = {find(i) for i in range(s)}
-    if len(roots) > 1:
-        comps = {}
-        for i in range(s):
-            comps.setdefault(find(i), []).append(ids[i])
-        raise NotATree(f"graph is disconnected; components {sorted(comps.values())}")
+    if len(norm_edges) != len(edges) or len(edges) != s - 1 or len(_search(adj, 0)) != s:
+        raise NotATree(_tree_failure(edges, index, ids))
     g = PlumbingGraph(labels=tuple(ids),
                       e=tuple(int(v[1]) for v in vertices),
                       edges=tuple(sorted(norm_edges)))
@@ -418,24 +396,55 @@ def build_graph(vertices, edges):
     return g
 
 
-def _find_cycle(adj, a, b, ids):
-    """Path from a to b in the partial tree, reported as labelled edges."""
+def _tree_failure(edges, index, ids):
+    """The certificate of the first failure of the tree check: the edges are
+    replayed in input order up to the first unknown id, self-loop, duplicate
+    or edge closing a cycle; if there is none the graph is a forest with
+    fewer than s - 1 edges, and its components are reported."""
+    adj = [[] for _ in ids]
+    seen = set()
+    for a, b in edges:
+        if a not in index or b not in index:
+            return f"edge ({a}, {b}) references unknown vertex id"
+        ia, ib = index[a], index[b]
+        if ia == ib:
+            return f"self-loop at vertex {a}"
+        pair = (min(ia, ib), max(ia, ib))
+        if pair in seen:
+            return f"duplicate edge ({a}, {b})"
+        prev = _search(adj, ia, ib)
+        if ib in prev:
+            path = [ib]
+            while prev[path[-1]] is not None:
+                path.append(prev[path[-1]])
+            cycle = [(ids[u], ids[v]) for u, v in zip(path, path[1:])] + [(ids[ia], ids[ib])]
+            return f"cycle through edges {cycle}"
+        seen.add(pair)
+        adj[ia].append(ib)
+        adj[ib].append(ia)
+    comps, done = [], set()
+    for i in range(len(ids)):
+        if i not in done:
+            comp = sorted(_search(adj, i))
+            done.update(comp)
+            comps.append([ids[j] for j in comp])
+    return f"graph is disconnected; components {sorted(comps)}"
+
+
+def _search(adj, a, target=None):
+    """Depth-first search from a: the predecessor of every vertex reached,
+    stopping once ``target`` is reached."""
     prev = {a: None}
     stack = [a]
     while stack:
         u = stack.pop()
-        if u == b:
+        if u == target:
             break
         for w in adj[u]:
             if w not in prev:
                 prev[w] = u
                 stack.append(w)
-    path = [b]
-    while prev[path[-1]] is not None:
-        path.append(prev[path[-1]])
-    edges = [(ids[u], ids[v]) for u, v in zip(path, path[1:])]
-    edges.append((ids[a], ids[b]))
-    return edges
+    return prev
 
 
 def graph_from_json(data):

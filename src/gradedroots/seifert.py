@@ -17,13 +17,13 @@ alpha_l, a_0 >= 0, of the reduced staircase system
 
 and everything downstream -- chi(l'), tau, the Dolgachev-Pinkham count,
 and the Reidemeister-Turaev torsion limit -- is a closed form in this
-data.  The torsion limit L is computed exactly: the tau-increment
+data.  The torsion limit L is exact: the tau-increment
 c(i) = 1 + atilde - i e - rho(i) splits into a linear part plus the
-alpha-periodic defect rho, each summable as a rational function of t, and
-the pole of order two at t = 1 cancels against the equivariant part
-P1(t)/|H|; expanding at t = 1 + u in exact series arithmetic leaves the
-constant term.  A float partial-sum evaluation with Richardson
-extrapolation serves as an independent numeric check.
+alpha-periodic defect rho, and the pole of order two at t = 1 cancels
+against the equivariant part P1(t)/|H|; in x = log t the constant term is
+a closed form in atilde, two integer moments of rho and three per-datum
+constants.  A float partial-sum evaluation with Richardson extrapolation
+serves as an independent numeric check.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import numpy as np
 from . import lens as lens_mod
 from .plumbing import InvariantViolated, build_graph
 from .roots import TauFunction, tau_invariants
-from .series import Series, one_plus_u_pow
 from .spinc import distinguished_rep
 
 
@@ -110,6 +109,18 @@ class SeifertData:
         return int(v)
 
     @cached_property
+    def limit_constants(self):
+        """(beta_l = alpha/alpha_l, D, f1, e/12 - D (f2 + f1^2/2)) for
+        seifert_torsion_limit: P1(e^x)/|H| = D x^-2 exp(f1 x + f2 x^2 + O(x^3))
+        by log((e^{mx} - 1)/(mx)) = mx/2 + m^2 x^2/24 + O(x^4)."""
+        alpha = self.alpha_lcm
+        betas = tuple(alpha // a for a, _ in self.legs)
+        f1 = Fraction((self.nu - 2) * alpha - sum(betas), 2)
+        f2 = Fraction((self.nu - 2) * alpha * alpha - sum(b * b for b in betas), 24)
+        D = Fraction(1, self.o * alpha)
+        return betas, D, f1, self.e / 12 - D * (f2 + f1 * f1 / 2)
+
+    @cached_property
     def leg_lens(self):
         """Per-leg continued-fraction machinery, reusing the lens tables."""
         return tuple(lens_mod.LensSpace(a, w) for a, w in self.legs)
@@ -147,8 +158,8 @@ class SeifertData:
 
 def brieskorn(*alphas):
     """The Brieskorn sphere Sigma(a_1, ..., a_nu) as normalized Seifert
-    data: the unique solution with e = -1/lcm... more precisely with
-    |H| = 1 (integral homology sphere); requires pairwise coprime alphas."""
+    data: the unique solution with e = -1/(a_1 ... a_nu), i.e. |H| = 1
+    (an integral homology sphere); requires pairwise coprime alphas."""
     alphas = sorted(int(a) for a in alphas)
     if any(math.gcd(a, b) != 1 for a, b in itertools.combinations(alphas, 2)):
         raise ValueError(f"Sigma{tuple(alphas)} needs pairwise coprime alphas")
@@ -157,11 +168,7 @@ def brieskorn(*alphas):
     # sum over l of w_l * (A/alpha_l) = -1 - e0*A  for some integer e0 < 0
     for e0 in range(-1, -len(alphas) - 2, -1):
         target = -1 - e0 * A
-        ws = []
-        for a in alphas:
-            m = A // a
-            w = (target * pow(m, -1, a)) % a
-            ws.append(w)
+        ws = [(target * pow(A // a, -1, a)) % a for a in alphas]
         if sum(w * (A // a) for w, a in zip(ws, alphas)) == target:
             if all(1 <= w < a for w, a in zip(ws, alphas)):
                 return SeifertData(e0=e0, legs=tuple(zip(alphas, ws)))
@@ -342,46 +349,38 @@ def seifert_torsion_limit(data, sp):
         t^{alpha atilde} [ (1+atilde) S0 - e z S0^2 - Q(z) / (1 - z^alpha) ],
 
     z = t^o, S0 = 1/(1-z), Q(z) = sum_{r<alpha} rho(r) z^r, while
-    P1(t) = (t^alpha - 1)^{nu-2} / prod_l (t^{alpha/alpha_l} - 1).
-    Both sides have a pole of order two at t = 1 which cancels in the
-    difference; expanding at t = 1 + u returns the constant coefficient.
+    P1(t) = (t^alpha - 1)^{nu-2} / prod_l (t^{alpha/alpha_l} - 1).  The
+    poles cancel, so L is the constant term in x = log t.  Up to O(x),
+    1/(1-z) = -1/(o x) + 1/2, z/(1-z)^2 = 1/(o x)^2 - 1/12 and
+    Q(z)/(1-z^alpha) = -M0/(alpha o x) + M0/2 - M1/alpha, with the moments
+    M0 = sum rho(r) and M1 = sum r rho(r); hence
+
+        L = (1+atilde)/2 + e/12 - M0/2 + M1/alpha + (alpha atilde)^2 D/2
+            + alpha atilde (M0/alpha - 1 - atilde)/o - D (f2 + f1^2/2),
+
+    D, f1, f2 as in SeifertData.limit_constants.  The poles of P,
+    -e/o^2 x^-2 + (M0/alpha - 1)/o x^-1, must be D x^-2 + f1 D x^-1.
     """
-    alpha = data.alpha_lcm
-    o = data.o
-    at = sp.atilde
-    alpha_at = alpha * at
-    if alpha_at.denominator != 1:
-        raise IdentityViolated(f"{data.describe()}: alpha * atilde = {alpha_at} is not integral")
-    alpha_at = int(alpha_at)
-
-    R = 8  # guard digits of relative series precision
-    z = one_plus_u_pow(o, R + 1)
-    one_minus_z = Series.const(1, R + 1) - z          # valuation 1
-    s0 = one_minus_z.inverse()                        # valuation -1
-    qpoly = Series.zero(R + 1)
-    for r in range(alpha):
-        rho = Fraction(0)
-        for (al, om), a in zip(data.legs, sp.a):
-            rho += Fraction((-r * om + a) % al, al)
-        if rho:
-            qpoly = qpoly + one_plus_u_pow(o * r, R + 1).scaled(rho)
-    one_minus_zalpha = Series.const(1, R + 1) - one_plus_u_pow(o * alpha, R + 1)
-    p_bracket = (s0.scaled(1 + at)
-                 - (z * (s0 * s0)).scaled(data.e)
-                 - qpoly * one_minus_zalpha.inverse())
-    p_series = one_plus_u_pow(alpha_at, R + 1) * p_bracket
-
-    num = one_plus_u_pow(alpha, R + 1) - Series.const(1, R + 1)
-    p1 = num.power(data.nu - 2)
-    for al, _ in data.legs:
-        den = one_plus_u_pow(alpha // al, R + 1) - Series.const(1, R + 1)
-        p1 = p1 * den.inverse()
-
-    diff = p_series - p1.scaled(Fraction(1, data.h_order))
-    if diff.coeff(-2) != 0 or diff.coeff(-1) != 0:
+    alpha, o = data.alpha_lcm, data.o
+    betas, D, f1, const = data.limit_constants
+    A = alpha * sp.atilde
+    if A.denominator != 1:
+        raise IdentityViolated(f"{data.describe()}: alpha * atilde = {A} is not integral")
+    A = int(A)
+    # alpha M0 and alpha M1 from S0 = sum g(j), S1 = sum j g(j) over one
+    # period of g(j) = (a_l - j omega_l) mod alpha_l on each leg
+    m0 = m1 = 0
+    for (al, om), a, b in zip(data.legs, sp.a, betas):
+        g = [(a - j * om) % al for j in range(al)]
+        s0, s1 = sum(g), sum(j * v for j, v in enumerate(g))
+        m0 += b * b * s0
+        m1 += b * (b * s1 + al * b * (b - 1) // 2 * s0)
+    if -data.e / (o * o) != D or Fraction(m0 - alpha * alpha, alpha * alpha * o) != f1 * D:
         raise IdentityViolated(f"{data.describe()} orbit {sp.a0};{sp.a}: "
                                "pole of P - P1/|H| failed to cancel")
-    return diff.coeff(0)
+    num = ((alpha + A - m0) * alpha * o + 2 * m1 * o
+           + 2 * A * (m0 - alpha * alpha) - A * A * alpha)
+    return const + Fraction(num, 2 * alpha * alpha * o)
 
 
 def _float_dtype():
@@ -398,7 +397,7 @@ NUMERIC_BLOCK = 1 << 16
 def torsion_limit_numeric(data, sp, hs=(1e-3, 1e-4, 1e-5)):
     """Partial-sum evaluation of P_[k](t) - P1(t)/|H| at t = 1 - h for the
     given h values, extrapolated to h = 0 (Neville through the actual
-    sample nodes).  Independent of the exact series route.
+    sample nodes).
 
     Both P (float partial sums) and P1 (mpmath) are evaluated at the
     identical binary value of t; near t = 1 they are each of size 1/h^2,

@@ -1,11 +1,13 @@
 """Shared graphs and random generators for the test suite."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from gradedroots.plumbing import NotNegativeDefinite, build_graph
+from gradedroots.seifert import SeifertData
 
 
 def e8_graph():
@@ -142,6 +144,22 @@ def random_small_tree(rng, s_max=6, allow_minus_one=True):
             return build_graph(list(enumerate(e)), edges)
         except NotNegativeDefinite:
             continue
+
+
+def random_seifert(rng, nu_min, nu_max, alpha_max, h_max):
+    """Random normalized Seifert data with nu_min <= nu <= nu_max legs,
+    alpha_l <= alpha_max and |H| <= h_max; e0 is the largest value with
+    e < 0, or one less."""
+    while True:
+        legs = []
+        for _ in range(rng.randint(nu_min, nu_max)):
+            alpha = rng.randint(2, alpha_max)
+            omega = rng.choice([w for w in range(1, alpha) if math.gcd(w, alpha) == 1])
+            legs.append((alpha, omega))
+        top = -math.floor(sum(Fraction(w, a) for a, w in legs)) - 1
+        data = SeifertData(e0=top - rng.choice((0, 0, 1)), legs=tuple(legs))
+        if data.h_order <= h_max:
+            return data
 
 
 @pytest.fixture

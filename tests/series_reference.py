@@ -1,10 +1,14 @@
-"""Exact truncated Laurent series over the rationals.
+"""Slow reference for the exact Seifert torsion limit.
 
-Supports the pole analysis at t = 1 used for torsion limits: substituting
-t = 1 + u turns the generating functions involved into Laurent series in u
-with poles of order two, and the sought limit is the coefficient of u^0.
-Every series tracks its own precision (the first unknown exponent), so a
-read past the known window fails loudly instead of silently truncating.
+Exact truncated Laurent series over the rationals, and the torsion limit
+computed with them: substituting t = 1 + u turns the generating functions
+of P_[k](t) and P1(t)/|H| into Laurent series in u with poles of order
+two, and the sought limit is the coefficient of u^0.  Every series tracks
+its own precision (the first unknown exponent), so a read past the known
+window fails loudly instead of silently truncating.
+
+`seifert.seifert_torsion_limit` replaces this with a closed form; the
+agreement test in `test_seifert.py` compares the two orbit by orbit.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .plumbing import InvariantViolated
+from gradedroots.plumbing import InvariantViolated
+from gradedroots.seifert import IdentityViolated
 
 
 @dataclass(frozen=True)
@@ -137,3 +142,55 @@ def one_plus_u_pow(m, rel_prec):
         raise InvariantViolated(f"(1 + u)^m needs m >= 0, got {m}")
     coeffs = [Fraction(math.comb(m, i)) for i in range(min(rel_prec, m + 1))]
     return Series.make(0, coeffs, rel_prec)
+
+
+def seifert_torsion_limit_series(data, sp):
+    """L = lim_{t->1} (P_[k](t) - P1(t)/|H|), exactly.
+
+    P_[k](t) = sum_i c(i) t^{o i + alpha atilde} with c(i) the tau
+    increment; with rho(i) = sum_l {(-i omega_l + a_l)/alpha_l} (period
+    alpha) this telescopes to
+
+        t^{alpha atilde} [ (1+atilde) S0 - e z S0^2 - Q(z) / (1 - z^alpha) ],
+
+    z = t^o, S0 = 1/(1-z), Q(z) = sum_{r<alpha} rho(r) z^r, while
+    P1(t) = (t^alpha - 1)^{nu-2} / prod_l (t^{alpha/alpha_l} - 1).
+    Both sides have a pole of order two at t = 1 which cancels in the
+    difference; expanding at t = 1 + u returns the constant coefficient.
+    """
+    alpha = data.alpha_lcm
+    o = data.o
+    at = sp.atilde
+    alpha_at = alpha * at
+    if alpha_at.denominator != 1:
+        raise IdentityViolated(f"{data.describe()}: alpha * atilde = {alpha_at} is not integral")
+    alpha_at = int(alpha_at)
+
+    R = 8  # guard digits of relative series precision
+    z = one_plus_u_pow(o, R + 1)
+    one_minus_z = Series.const(1, R + 1) - z          # valuation 1
+    s0 = one_minus_z.inverse()                        # valuation -1
+    qpoly = Series.zero(R + 1)
+    for r in range(alpha):
+        rho = Fraction(0)
+        for (al, om), a in zip(data.legs, sp.a):
+            rho += Fraction((-r * om + a) % al, al)
+        if rho:
+            qpoly = qpoly + one_plus_u_pow(o * r, R + 1).scaled(rho)
+    one_minus_zalpha = Series.const(1, R + 1) - one_plus_u_pow(o * alpha, R + 1)
+    p_bracket = (s0.scaled(1 + at)
+                 - (z * (s0 * s0)).scaled(data.e)
+                 - qpoly * one_minus_zalpha.inverse())
+    p_series = one_plus_u_pow(alpha_at, R + 1) * p_bracket
+
+    num = one_plus_u_pow(alpha, R + 1) - Series.const(1, R + 1)
+    p1 = num.power(data.nu - 2)
+    for al, _ in data.legs:
+        den = one_plus_u_pow(alpha // al, R + 1) - Series.const(1, R + 1)
+        p1 = p1 * den.inverse()
+
+    diff = p_series - p1.scaled(Fraction(1, data.h_order))
+    if diff.coeff(-2) != 0 or diff.coeff(-1) != 0:
+        raise IdentityViolated(f"{data.describe()} orbit {sp.a0};{sp.a}: "
+                               "pole of P - P1/|H| failed to cancel")
+    return diff.coeff(0)

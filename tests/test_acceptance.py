@@ -11,8 +11,8 @@ import time
 from fractions import Fraction
 
 
-from conftest import (e8_graph, random_rational_tree, random_small_tree,
-                      random_star, remark56_graph)
+from conftest import (e8_graph, random_rational_tree, random_seifert,
+                      random_small_tree, random_star, remark56_graph)
 from gradedroots import engine, lens, oracle, seifert, spinc
 from gradedroots.plumbing import (blow_up, canonical_class,
                                   chi_k, k_squared_plus_s)
@@ -247,3 +247,36 @@ def test_criterion_10_suite_is_headless():
             "test_lens.py", "test_seifert.py", "test_cli.py",
             "test_acceptance.py"} <= set(modules)
     report(10, f"property suites present and headless: {', '.join(modules)}")
+
+
+def test_criterion_12_engine_vs_seifert_closed_forms():
+    """60 seeded random Seifert data (nu = 3-4, alpha_l <= 7, |H| <= 60):
+    every engine orbit matches one Seifert solution by the pairings of
+    l'_[k], with equal min tau, rank_red, d and graded root; < 30 s
+    (about 1 s on a 2-core host)."""
+    t0 = time.perf_counter()
+    rng = random.Random(1212)
+    n_data = scaled(60)
+    n_orbits = 0
+    for _ in range(n_data):
+        data = random_seifert(rng, 3, 4, 7, 60)
+        k2s = seifert.seifert_k2s(data)
+        closed = {sp.pairings: seifert.seifert_orbit(data, sp, k2s)
+                  for sp in seifert.enumerate_seifert_spinc(data)}
+        _, reports = engine.analyze_all(data.graph)
+        matched = set()
+        for rep in reports:
+            where = f"{data.describe()}, engine orbit {rep.orbit.orbit_index}"
+            orb = closed.get(rep.orbit.pairings)
+            assert orb is not None, f"{where}: no Seifert solution with its l'"
+            assert (rep.min_tau, rep.rank_red, rep.d) == (orb.min_tau, orb.rank_red, orb.d), \
+                f"{where}: engine {(rep.min_tau, rep.rank_red, rep.d)} != closed form " \
+                f"{(orb.min_tau, orb.rank_red, orb.d)}"
+            assert rep.root == root_from_tau(orb.tau), f"{where}: roots differ"
+            matched.add(rep.orbit.pairings)
+            n_orbits += 1
+        assert matched == set(closed) and len(reports) == data.h_order, data.describe()
+    took = time.perf_counter() - t0
+    assert took < 30, f"took {took:.1f}s"
+    report(12, f"{n_data} Seifert data / {n_orbits} orbits, engine == closed "
+               f"forms on min tau, rank_red, d and root ({took:.1f}s)")

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -47,6 +48,100 @@ def test_tree_validation():
         build_graph([(0, -2), (1, -2)], [])
     with pytest.raises(NotATree, match="duplicate edge"):
         build_graph([(0, -2), (1, -2)], [(0, 1), (1, 0)])
+
+
+def _union_find_tree_message(ids, edges):
+    """The tree check of build_graph as a union-find over the edges in input
+    order, kept as the reference for its messages (None for a tree)."""
+    index = {v: i for i, v in enumerate(ids)}
+    parent = list(range(len(ids)))
+    adj = [[] for _ in ids]
+    norm_edges = []
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def path(a, b):
+        prev = {a: None}
+        stack = [a]
+        while stack:
+            u = stack.pop()
+            if u == b:
+                break
+            for w in adj[u]:
+                if w not in prev:
+                    prev[w] = u
+                    stack.append(w)
+        walk = [b]
+        while prev[walk[-1]] is not None:
+            walk.append(prev[walk[-1]])
+        return [(ids[u], ids[v]) for u, v in zip(walk, walk[1:])] + [(ids[a], ids[b])]
+
+    for a, b in edges:
+        if a not in index or b not in index:
+            return f"edge ({a}, {b}) references unknown vertex id"
+        ia, ib = index[a], index[b]
+        if ia == ib:
+            return f"self-loop at vertex {a}"
+        pair = (min(ia, ib), max(ia, ib))
+        if pair in norm_edges:
+            return f"duplicate edge ({a}, {b})"
+        ra, rb = find(ia), find(ib)
+        if ra == rb:
+            return f"cycle through edges {path(ia, ib)}"
+        parent[ra] = rb
+        adj[ia].append(ib)
+        adj[ib].append(ia)
+        norm_edges.append(pair)
+    comps = {}
+    for i in range(len(ids)):
+        comps.setdefault(find(i), []).append(ids[i])
+    if len(comps) > 1:
+        return f"graph is disconnected; components {sorted(comps.values())}"
+    return None
+
+
+def test_tree_messages_match_union_find_reference():
+    """Seeded random edge lists (trees, trees plus one edge, forests and
+    mixed lists with unknown ids, self-loops and duplicates): build_graph
+    accepts exactly the trees and names the same certificate as the
+    union-find reference."""
+    rng = random.Random(6006)
+    kinds = {"tree": 0, "tree+1": 0, "forest": 0, "mixed": 0}
+    outcomes = set()
+    for trial in range(800):
+        s = rng.randint(1, 12)
+        ids = rng.sample(range(100), s)
+        tree = [(ids[i], ids[rng.randrange(i)]) for i in range(1, s)]
+        kind = list(kinds)[trial % 4]
+        edges = list(tree)
+        if kind == "tree+1":
+            edges.append((rng.choice(ids), rng.choice(ids)))
+        elif kind == "forest":
+            edges = rng.sample(tree, rng.randint(0, len(tree)))
+        elif kind == "mixed":
+            for _ in range(rng.randint(1, 4)):
+                edges.append(rng.choice([(rng.choice(ids), rng.choice(ids)),
+                                         (rng.choice(ids), 100 + rng.randrange(5)),
+                                         rng.choice(tree) if tree else (ids[0], ids[0])]))
+            edges = rng.sample(edges, rng.randint(0, len(edges)))
+        edges = [e[::-1] if rng.random() < 0.5 else e for e in rng.sample(edges, len(edges))]
+        kinds[kind] += 1
+        expect = _union_find_tree_message(ids, edges)
+        verts = [(v, -(s + 1)) for v in ids]
+        if expect is None:
+            g = build_graph(verts, edges)
+            assert len(g.edges) == s - 1
+            outcomes.add("tree")
+        else:
+            with pytest.raises(NotATree) as ex:
+                build_graph(verts, edges)
+            assert str(ex.value) == expect, (ids, edges)
+            outcomes.add(expect.split(" ")[0])
+    assert outcomes == {"tree", "edge", "self-loop", "duplicate", "cycle", "graph"}
 
 
 def test_invert_form_examples():

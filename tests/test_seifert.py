@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import random_seifert
 from gradedroots import engine, oracle, spinc
 from gradedroots.plumbing import casson_walker, chi_rational, k_squared_plus_s
 from gradedroots.seifert import (PositiveOrbifoldEuler, SeifertData, brieskorn,
@@ -11,6 +13,7 @@ from gradedroots.seifert import (PositiveOrbifoldEuler, SeifertData, brieskorn,
                                  seifert_tau, seifert_torsion_limit,
                                  tau_stop_index, torsion_limit_numeric,
                                  verify_sw_identity, x_closed_form)
+from series_reference import seifert_torsion_limit_series
 
 S235 = brieskorn(2, 3, 5)
 S237 = brieskorn(2, 3, 7)
@@ -236,6 +239,24 @@ def test_torsion_limit_a0_orbit():
             assert seifert_torsion_limit(data, sp) - L_can == expect
             found += 1
     assert found >= 1
+
+
+def test_torsion_limit_closed_form_matches_series_reference():
+    """The closed-form limit equals the Laurent-series expansion it
+    replaced, as exact Fractions, on every orbit of the criterion-7 data
+    and of seeded random data (nu = 3-5, alpha_l <= 9)."""
+    rng = random.Random(606)
+    suite = [S235, S237, S2311, NU3_H29]
+    datas = suite + [random_seifert(rng, 3, 5, 9, 16) for _ in range(30)]
+    checked = 0
+    for data in datas:
+        for sp in enumerate_seifert_spinc(data, verify_reps=False):
+            fast = seifert_torsion_limit(data, sp)
+            slow = seifert_torsion_limit_series(data, sp)
+            assert type(fast) is Fraction and fast == slow, \
+                f"{data.describe()} orbit {sp.a0};{sp.a}: {fast} != {slow}"
+            checked += 1
+    assert checked >= 250
 
 
 def test_numeric_limit_agrees():

@@ -48,3 +48,42 @@ def test_oracle_is_integer_only():
                 if "sqrt" in ident:
                     found.append(f"{name}:{node.lineno} uses {ident}")
     assert not found, f"non-integer arithmetic in the oracle: {found}"
+
+
+def _parse(name):
+    with open(os.path.join(SRC, name)) as f:
+        return ast.parse(f.read(), filename=name)
+
+
+def test_no_module_imports_series():
+    """The Laurent-series arithmetic is a test reference only; the package
+    computes the torsion limit in closed form."""
+    found = []
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py"):
+            continue
+        for node in ast.walk(_parse(name)):
+            if isinstance(node, ast.Import):
+                mods = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""] + [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{name}:{node.lineno} imports {m}" for m in mods
+                      if "series" in m.split(".")]
+    assert not found, f"series imported by the package: {found}"
+
+
+def test_torsion_limit_loops_are_integer():
+    """seifert_torsion_limit sums over the legs and their residues on
+    integers: no Fraction(...) call inside a loop or a comprehension."""
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
+             ast.DictComp, ast.GeneratorExp)
+    (fn,) = [node for node in ast.walk(_parse("seifert.py"))
+             if isinstance(node, ast.FunctionDef) and node.name == "seifert_torsion_limit"]
+    found = {f"seifert.py:{node.lineno}"
+             for loop in ast.walk(fn) if isinstance(loop, loops)
+             for node in ast.walk(loop)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "Fraction"}
+    assert not found, f"Fraction calls inside the loops of seifert_torsion_limit: {sorted(found)}"
