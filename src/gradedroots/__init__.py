@@ -8,8 +8,8 @@ sublevel-set oracle that re-derives every graded root from its definition.
 """
 
 from .plumbing import (PlumbingGraph, IntersectionForm, LatticeVector, DualVector,
-                       CharElement, build_graph, graph_from_json, invert_form,
-                       canonical_class, chi_k, chi_rational, k_squared_plus_s,
+                       CharElement, build_graph, graph_from_json,
+                       canonical_class, chi_k, k_squared_plus_s,
                        casson_walker, blow_up, blow_down,
                        NotATree, NotNegativeDefinite, InvalidSite,
                        NotBlowDownable, ParityViolation, InvariantViolated)
@@ -24,11 +24,10 @@ from .engine import (Classification, ARReport, classify, find_ar_vertex,
                      analyze_all, NotAR)
 from .oracle import (SublevelComplex, enumerate_sublevel, root_oracle,
                      component_zero_structure, min_chi, LevelTooLarge)
-from .lens import (LensSpace, SpincCoeffs, neg_cf, cf_value, spinc_coeffs,
-                   chi_lprime, dedekind_sum, dedekind_sum_direct,
-                   lens_invariants, torsion_fourier, verify_lens_sweep,
+from .lens import (LensSpace, SpincCoeffs, neg_cf, spinc_coeffs, dedekind_sum,
+                   lens_invariants, verify_lens_sweep,
                    LensTable, NotCoprime, RangeError, LensIdentityError)
-from .seifert import (SeifertData, SeifertSpinc, brieskorn, seifert_graph,
+from .seifert import (SeifertData, SeifertSpinc, brieskorn,
                       enumerate_seifert_spinc, seifert_chi_lprime, seifert_k2s,
                       seifert_tau, dp_invariant, seifert_torsion_limit,
                       SeifertOrbit, seifert_orbit, verify_sw_identity, PositiveOrbifoldEuler, CountMismatch,

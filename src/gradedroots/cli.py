@@ -34,11 +34,9 @@ from .roots import _fmt_q, dot_export
 
 @dataclass
 class RunConfig:
-    """Resolved invocation: exactly one input source, plus output options."""
+    """Resolved invocation of a graph command: the graph plus output options."""
 
     graph: object = None
-    lens: object = None
-    seifert: object = None
     orbits: object = None          # None = all, else list of indices
     out_format: str = "table"
     dot_prefix: str = None
@@ -65,7 +63,7 @@ def _load_graph(path):
 
 
 def _parse_orbits(text):
-    if text in (None, "all"):
+    if text == "all":
         return None
     return [int(v) for v in text.split(",") if v != ""]
 
@@ -242,9 +240,13 @@ def cmd_oracle(config, level=None, orbit_index=None, dot_path=None):
 # verify suites
 
 
-def verify_oracle_graph(graph, level_offset=6, point_cap=oracle.DEFAULT_POINT_CAP):
+# verify --oracle compares the roots up to this many levels above min tau.
+ORACLE_LEVEL_OFFSET = 6
+
+
+def verify_oracle_graph(graph, point_cap=oracle.DEFAULT_POINT_CAP):
     """Engine-vs-oracle equivalence on every orbit of an AR graph: the
-    engine root truncated at min tau + ``level_offset`` must equal the
+    engine root truncated at min tau + ORACLE_LEVEL_OFFSET must equal the
     enumerated sublevel root.  Returns a report dict; raises
     :class:`InvariantViolated` with the offending orbit otherwise."""
     cls = engine.classify(graph)
@@ -253,7 +255,7 @@ def verify_oracle_graph(graph, level_offset=6, point_cap=oracle.DEFAULT_POINT_CA
     checked = []
     for orb in spinc.enumerate_spinc(graph):
         rep = engine.analyze_orbit(graph, orb, cls)
-        cut = rep.min_tau + level_offset
+        cut = rep.min_tau + ORACLE_LEVEL_OFFSET
         eng_root = rep.root.truncate(cut)
         orc_root = oracle.root_oracle(graph, orb.k_r, cut, point_cap=point_cap)
         if eng_root != orc_root.truncate(cut):
@@ -297,23 +299,28 @@ def build_parser():
     ap = argparse.ArgumentParser(prog="gradedroots", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
-    cap_help = "the most nodes the oracle's enumeration may visit (default %(default)s)"
 
-    def add_common(p, graph=True):
-        if graph:
-            p.add_argument("graph", help="path to a graph JSON file")
-        p.add_argument("--format", choices=["table", "json", "csv"], default="table")
-        p.add_argument("--orbits", default="all",
-                       help="comma-separated orbit indices, or 'all'")
-        p.add_argument("--point-cap", type=int, default=oracle.DEFAULT_POINT_CAP, help=cap_help)
-        p.add_argument("--ar-cap", type=int, default=engine.DEFAULT_AR_DECREMENT_CAP,
-                       help="max decrements in the almost-rational vertex search")
+    # options shared by several subcommands; each names the ones it takes
+    shared = {
+        "--format": dict(choices=["table", "json", "csv"], default="table"),
+        "--orbits": dict(default="all", help="comma-separated orbit indices, or 'all'"),
+        "--point-cap": dict(type=int, default=oracle.DEFAULT_POINT_CAP,
+                            help="the most nodes the oracle's enumeration may visit "
+                                 "(default %(default)s)"),
+        "--ar-cap": dict(type=int, default=engine.DEFAULT_AR_DECREMENT_CAP,
+                         help="max decrements in the almost-rational vertex search"),
+    }
+
+    def add_graph(p, *options):
+        p.add_argument("graph", help="path to a graph JSON file")
+        for name in options:
+            p.add_argument(name, **shared[name])
 
     p = sub.add_parser("analyze", help="classification and per-orbit invariants")
-    add_common(p)
+    add_graph(p, "--format", "--orbits", "--ar-cap")
 
     p = sub.add_parser("root", help="export graded roots as DOT")
-    add_common(p)
+    add_graph(p, "--orbits", "--point-cap", "--ar-cap")
     p.add_argument("-o", "--out", required=True, help="output path prefix")
     p.add_argument("--oracle", action="store_true",
                    help="fall back to brute-force roots when not AR")
@@ -323,7 +330,7 @@ def build_parser():
     p.add_argument("q", type=int)
     p.add_argument("--spinc", type=int, default=None, help="single orbit a")
     p.add_argument("--table", action="store_true", help="all orbits")
-    p.add_argument("--format", choices=["table", "json", "csv"], default="table")
+    p.add_argument("--format", **shared["--format"])
     p.add_argument("--no-numeric", action="store_true",
                    help="skip the approx Fourier torsion column")
 
@@ -331,10 +338,10 @@ def build_parser():
     p.add_argument("--e0", type=int, required=True)
     p.add_argument("--leg", type=_leg, action="append", required=True,
                    metavar="a/w", help="one leg as alpha/omega (repeat >= 3 times)")
-    p.add_argument("--format", choices=["table", "json", "csv"], default="table")
+    p.add_argument("--format", **shared["--format"])
 
     p = sub.add_parser("oracle", help="brute-force sublevel enumeration")
-    add_common(p)
+    add_graph(p, "--point-cap")
     p.add_argument("--level", type=int, default=None,
                    help="sublevel cutoff (default: min chi + 6)")
     p.add_argument("--orbit", type=int, default=None, help="single orbit index")
@@ -348,7 +355,7 @@ def build_parser():
     p.add_argument("--leg", type=_leg, action="append", default=None, metavar="a/w")
     p.add_argument("--oracle", dest="oracle_graph", default=None, metavar="GRAPH",
                    help="graph JSON for the engine-vs-oracle suite")
-    p.add_argument("--point-cap", type=int, default=oracle.DEFAULT_POINT_CAP, help=cap_help)
+    p.add_argument("--point-cap", **shared["--point-cap"])
     return ap
 
 
@@ -360,7 +367,6 @@ def main(argv=None):
             config = RunConfig(graph=_load_graph(args.graph),
                                orbits=_parse_orbits(args.orbits),
                                out_format=args.format,
-                               level_cap=args.point_cap,
                                ar_decrement_cap=args.ar_cap)
             return cmd_analyze(config)
         if args.command == "root":
@@ -378,9 +384,7 @@ def main(argv=None):
             data = seifert_mod.SeifertData(e0=args.e0, legs=tuple(args.leg))
             return cmd_seifert(data, out_format=args.format)
         if args.command == "oracle":
-            config = RunConfig(graph=_load_graph(args.graph),
-                               orbits=_parse_orbits(args.orbits),
-                               level_cap=args.point_cap)
+            config = RunConfig(graph=_load_graph(args.graph), level_cap=args.point_cap)
             return cmd_oracle(config, level=args.level, orbit_index=args.orbit,
                               dot_path=args.dot)
         if args.command == "verify":

@@ -198,18 +198,16 @@ def _sequence_iter(graph, j0, orbit):
             pair[nb] += 1
 
 
-def tau(graph, j0, orbit, i_max=None):
+def tau(graph, j0, orbit):
     """tau(i) = chi_{k_r}(x(i)), computed up to the certified
-    stabilization index (or i_max if given, in which case certification
-    holds only when i_max reaches that index).
+    stabilization index.
 
     Increments follow tau(i+1) - tau(i) = 1 - (x(i) + l'_[k], b_0)."""
     stop = certified_stop_index(graph, j0, orbit)
-    upto = stop if i_max is None else i_max
     vals = [0]
-    for _, p0 in itertools.islice(_sequence_iter(graph, j0, orbit), upto):
+    for _, p0 in itertools.islice(_sequence_iter(graph, j0, orbit), stop):
         vals.append(vals[-1] + 1 - p0)
-    return TauFunction(values=tuple(vals), certified=upto >= stop)
+    return TauFunction(values=tuple(vals), certified=True)
 
 
 # ---------------------------------------------------------------------------

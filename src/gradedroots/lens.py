@@ -15,10 +15,11 @@ nonnegative coefficient vector E(a) solves the staircase inequalities (SI).
 Closed forms: chi(l'), d, the Casson-Walker invariant p s(q,p)/2, and the
 Reidemeister-Turaev torsion (p-1)/(4p) - s(q,p) - chi(l'), where s(q,p) is
 the Dedekind sum.  These are evaluated for every a at once, as integer
-numerators over the common denominator 12p (LensTable); chi_lprime,
-torsion, k2s_quarter and casson_walker keep the per-a definitions they are
-tested against.  A Fourier sum over p-th roots of unity provides an
-independent numeric check of the torsion.
+numerators over the common denominator 12p (LensTable), and E(a) is
+generated for every a at once and checked as one table (LensSpace.e_table).
+The per-a definitions they are tested against live in
+tests/slow_reference.py.  An FFT of the Fourier sum over p-th roots of
+unity provides an independent numeric check of the torsion.
 """
 
 from __future__ import annotations
@@ -68,14 +69,6 @@ def neg_cf(p, q):
     return ks
 
 
-def cf_value(ks):
-    """Evaluate [k_1, ..., k_s] as an exact fraction."""
-    v = None
-    for k in reversed(list(ks)):
-        v = Fraction(k) if v is None else k - 1 / v
-    return v
-
-
 # ---------------------------------------------------------------------------
 # the lens space and its tables
 
@@ -101,23 +94,15 @@ class LensSpace:
 
     @cached_property
     def _ntab(self):
-        """n[i][j] for 1 <= i <= s+2, i-2 <= j <= s, flattened as a dict-free
-        list of rows indexed from i-2."""
+        """n[i][j] for 1 <= i <= s+2 and 0 <= j <= s as a list of rows:
+        1 for j = i-1, 0 for j < i-1, else k_i n[i+1][j] - n[i+2][j]."""
         s = self.s
         k = (0,) + self.cf  # 1-based
         n = [[0] * (s + 1) for _ in range(s + 3)]  # n[i][j], 0-padded
-
-        def setn(i, j, v):
-            n[i][j] = v
-
-        for i in range(s + 2, 0, -1):
-            for j in range(max(i - 1, 0), s + 1):
-                if j == i - 1:
-                    setn(i, j, 1)
-                elif j < i - 1:
-                    setn(i, j, 0)
-                else:
-                    setn(i, j, k[i] * n[i + 1][j] - n[i + 2][j])
+        for i in range(s + 1, 0, -1):
+            n[i][i - 1] = 1
+            for j in range(i, s + 1):
+                n[i][j] = k[i] * n[i + 1][j] - n[i + 2][j]
         return n
 
     def n(self, i, j):
@@ -172,6 +157,12 @@ class LensSpace:
         return tuple(out)
 
     @cached_property
+    def e_table(self):
+        """E(a) for every a, once _check_e_table has checked the whole table."""
+        _check_e_table(self)
+        return self._e_table
+
+    @cached_property
     def table(self):
         """Every closed form of the space, once (see LensTable)."""
         return lens_table(self)
@@ -185,75 +176,15 @@ class SpincCoeffs:
     E: tuple
 
 
-def generalized_cf_string(lens, a):
-    """Display-only rendering of a/p as the staircase fraction
-
-        a/p = (a_1 + (a_2 + ... (a_s / r_s) ...) / r_2) / r_1,
-
-    with r_i = n_{is} / n_{i+1,s}; every partial fraction is < 1, which is
-    what makes the digits E(a) unique.  Not used for computation."""
-    E = spinc_coeffs(lens, a).E
-    s = lens.s
-    expr = None
-    for i in range(s, 0, -1):
-        r = f"{lens.n(i, s)}/{lens.n(i + 1, s)}"
-        inner = str(E[i - 1]) if expr is None else f"({E[i - 1]} + {expr})"
-        expr = f"{inner}/({r})"
-    return f"{a}/{lens.p} = {expr}"
-
-
 def spinc_coeffs(lens, a):
-    """E(a) by the floor recursion, cross-checked against the descending
-    generation, with the staircase inequalities (SI) verified:
-
-        a_i = floor((a - sum_{t<i} n_{t+1,s} a_t) / n_{i+1,s});
-        sum_{t>=i} n_{t+1,s} a_t < n_{is} for every i;
-        a = sum_t n_{t+1,s} a_t.
-    """
+    """E(a), a row of the checked table LensSpace.e_table."""
     if not 0 <= a < lens.p:
         raise RangeError(f"need 0 <= a < p, got a={a}")
-    s = lens.s
-    rem = a
-    E = []
-    for i in range(1, s + 1):
-        ai = rem // lens.n(i + 1, s)
-        E.append(ai)
-        rem -= ai * lens.n(i + 1, s)
-    E = tuple(E)
-    if E != lens._e_table[a]:
-        raise LensIdentityError(f"{lens}: floor and descending generations of E({a}) disagree")
-    tail = 0  # sum_{t>=i} n_{t+1,s} a_t, one suffix pass for i = s..1
-    for i in range(s, 0, -1):
-        tail += lens.n(i + 1, s) * E[i - 1]
-        if tail >= lens.n(i, s):
-            raise LensIdentityError(f"{lens}: (SI) fails at i={i} for a={a}")
-    if tail != a:
-        raise LensIdentityError(f"{lens}: sum_t n_(t+1,s) a_t = {tail} != a = {a}")
-    return SpincCoeffs(a=a, E=E)
-
-
-def lprime_of(lens, a):
-    """The distinguished representative l'_[-a g_s] = -sum a_j g_j as a
-    DualVector in b-coordinates."""
-    E = spinc_coeffs(lens, a).E
-    return lens.graph.dual_from_pairings([-aj for aj in E])
+    return SpincCoeffs(a=a, E=lens.e_table[a])
 
 
 # ---------------------------------------------------------------------------
 # Dedekind sums
-
-
-def dedekind_sum_direct(q, p):
-    """s(q, p) = sum_l ((l/p))((ql/p)) by direct summation (integer core)."""
-    p, q = int(p), int(q)
-    if p < 1 or math.gcd(p, q) != 1:
-        raise NotCoprime(f"need p >= 1 and gcd(q,p) = 1, got q={q}, p={p}")
-    total = 0  # accumulates 4 p^2 * s(q, p)
-    for l in range(1, p):
-        r = (q * l) % p
-        if r:
-            total += (2 * l - p) * (2 * r - p)
-    return Fraction(total, 4 * p * p)
 
 
 def dedekind_sum(q, p):
@@ -285,31 +216,6 @@ def dedekind_sum(q, p):
 # closed-form invariants
 
 
-def k2s_quarter(lens):
-    """(K^2 + s)/4 = (p-1)/(2p) - 3 s(q,p)."""
-    return Fraction(lens.p - 1, 2 * lens.p) - 3 * dedekind_sum(lens.q, lens.p)
-
-
-def chi_lprime(lens, a):
-    """chi(l'_[-a g_s]) = a(1-p)/(2p) + sum_{j=1}^a {j q'/p}."""
-    if not 0 <= a < lens.p:
-        raise RangeError(f"need 0 <= a < p, got a={a}")
-    p, qp = lens.p, lens.q_prime
-    frac_sum = sum((j * qp) % p for j in range(1, a + 1))
-    return Fraction(a * (1 - p), 2 * p) + Fraction(frac_sum, p)
-
-
-def chi_lprime_table(lens):
-    """chi(l') for every a at once, read off the lens table."""
-    tab = lens.table
-    return [Fraction(c, tab.den) for c in tab.chi.tolist()]
-
-
-def casson_walker(lens):
-    """lambda(L(p,q)) = p s(q,p) / 2."""
-    return Fraction(lens.p) * dedekind_sum(lens.q, lens.p) / 2
-
-
 def casson_walker_chain_formula(lens):
     """The plumbing formula -(24/|H|) lambda = sum e_j + 3s + sum (2-d_j) B^{-1}_{jj}
     evaluated through the chain closed form B^{-1}_{ij} = -n_{1,i-1} n_{j+1,s} / p."""
@@ -324,30 +230,10 @@ def casson_walker_chain_formula(lens):
     return -Fraction(p, 24) * rhs
 
 
-def torsion(lens, a):
-    """T_{M,[-a g_s]}(1) = (p-1)/(4p) - s(q,p) - chi(l')."""
-    return (Fraction(lens.p - 1, 4 * lens.p) - dedekind_sum(lens.q, lens.p)
-            - chi_lprime(lens, a))
-
-
-def torsion_fourier(lens, a, dps=50):
-    """Numeric oracle: (1/p) sum over p-th roots of unity xi != 1 of
-    xi^{-a} / ((xi - 1)(xi^q - 1)), at ``dps`` decimal digits."""
-    import mpmath as mp
-    p, q = lens.p, lens.q
-    with mp.workdps(dps):
-        total = mp.mpc(0)
-        for j in range(1, p):
-            xi = mp.e ** (2j * mp.pi * j / p)
-            total += xi ** (-a) / ((xi - 1) * (xi ** q - 1))
-        val = total / p
-        if abs(mp.im(val)) >= mp.mpf(10) ** (-dps + 10):
-            raise LensIdentityError(f"{lens}: Fourier torsion at a={a} is not real: {val}")
-        return float(mp.re(val))
-
-
 def torsion_fourier_all(lens):
-    """The same Fourier sums for every a at once (double precision FFT)."""
+    """The torsion as a Fourier sum, (1/p) sum over p-th roots of unity
+    xi != 1 of xi^{-a} / ((xi - 1)(xi^q - 1)), for every a at once (double
+    precision FFT)."""
     p, q = lens.p, lens.q
     j = np.arange(1, p)
     xi = np.exp(2j * np.pi * j / p)
@@ -355,6 +241,10 @@ def torsion_fourier_all(lens):
     f[1:] = 1.0 / ((xi - 1.0) * (xi ** q - 1.0))
     vals = np.fft.fft(f) / p
     return vals.real
+
+
+# Tolerance of the FFT torsion against the exact closed form.
+FOURIER_TOL = 1e-9
 
 
 def _int_dtype(p):
@@ -420,11 +310,10 @@ class LensInvariants:
     sw_tcw: Fraction       # -torsion + lambda / |H|
 
 
-def lens_invariants(lens, a, check_numeric=True, numeric_tol=1e-9):
+def lens_invariants(lens, a, check_numeric=True):
     """All closed-form invariants of (L(p,q), [-a g_s]), read off the lens
     table, which checks the sw identity T - lambda/|H| = d/2 exactly; with
-    ``check_numeric`` the Fourier-sum torsion must agree within
-    ``numeric_tol``."""
+    ``check_numeric`` the FFT torsion must agree within FOURIER_TOL."""
     if not 0 <= a < lens.p:
         raise RangeError(f"need 0 <= a < p, got a={a}")
     tab = lens.table
@@ -432,8 +321,8 @@ def lens_invariants(lens, a, check_numeric=True, numeric_tol=1e-9):
     d_num, t_num = int(tab.d[a]), int(tab.torsion[a])
     T = Fraction(t_num, den)
     if check_numeric:
-        approx = torsion_fourier(lens, a)
-        if not abs(approx - float(T)) < numeric_tol:
+        approx = torsion_fourier_all(lens)[a]
+        if not abs(approx - float(T)) < FOURIER_TOL:
             raise LensIdentityError(f"{lens}: Fourier torsion {approx} vs exact {float(T)}")
     # lambda = p s(q,p)/2 = s_num/24 and lambda/p = s_num/(2 den)
     return LensInvariants(a=a, chi=Fraction(int(tab.chi[a]), den), d=Fraction(d_num, den),
@@ -446,14 +335,18 @@ def lens_invariants(lens, a, check_numeric=True, numeric_tol=1e-9):
 # exhaustive verification (used by tests and the CLI `verify` command)
 
 
-def _check_e_table(lens, a):
-    """The checks of spinc_coeffs for every a at once, plus the floor and
-    fractional identities
+def _check_e_table(lens):
+    """Check the descending generation of E(a) = (a_1..a_s) for every a at
+    once: the floor recursion, the staircase inequalities (SI), and the
+    identities that tie E(a) to a and to a q'/p,
 
+        a_i = floor((a - sum_{t<i} n_{t+1,s} a_t) / n_{i+1,s}),
+        sum_{t>=i} n_{t+1,s} a_t < n_{is} for every i,
+        a = sum_t n_{t+1,s} a_t,
         [a q'/p] = sum_t a_t n_{t+1,s-1},   (a q') mod p = sum_t a_t n_{1,t-1}.
-
-    ``a`` is arange(p) in the dtype of ``_int_dtype(p)``."""
+    """
     p, s = lens.p, lens.s
+    a = np.arange(p, dtype=_int_dtype(p))
     E = np.array(lens._e_table, dtype=a.dtype)
 
     def col(f):
@@ -473,7 +366,7 @@ def _check_e_table(lens, a):
     _require(E @ col(lambda t: lens.n(1, t - 1)) == aq % p, lens, "fractional identity")
 
 
-def verify_lens_sweep(p_max, fourier_tol=1e-9, progress=None):
+def verify_lens_sweep(p_max, fourier_tol=FOURIER_TOL):
     """Exact identity sweep over all 2 <= p <= p_max, all q, all a.
 
     Checks, per (p, q): the n-table symmetry, q q' = 1 mod p, both E(a)
@@ -486,7 +379,7 @@ def verify_lens_sweep(p_max, fourier_tol=1e-9, progress=None):
     pairs = 0
     orbits = 0
     for p in range(2, p_max + 1):
-        a = np.arange(p, dtype=_int_dtype(p))
+        dtype = _int_dtype(p)
         for q in range(1, p):
             if math.gcd(p, q) != 1:
                 continue
@@ -497,9 +390,9 @@ def verify_lens_sweep(p_max, fourier_tol=1e-9, progress=None):
                 raise LensIdentityError(f"{ctx}: n-table endpoints")
             # n(i, j) = k_j n(i, j-1) - n(i, j-2) for 1 <= i <= j <= s; column
             # j + 1 of N holds n(., j), with n(i, j) = 0 for j < i - 1
-            N = np.zeros((s + 1, s + 2), dtype=a.dtype)
+            N = np.zeros((s + 1, s + 2), dtype=dtype)
             N[:, 1:] = lens._ntab[:s + 1]
-            k = np.array(lens.cf, dtype=a.dtype)
+            k = np.array(lens.cf, dtype=dtype)
             bad = np.argwhere(np.triu(N[1:, 2:] != k * N[1:, 1:-1] - N[1:, :-2]))
             if len(bad):
                 i, jj = bad[0] + 1
@@ -507,7 +400,7 @@ def verify_lens_sweep(p_max, fourier_tol=1e-9, progress=None):
             tab = lens.table
             if casson_walker_chain_formula(lens) != Fraction(tab.s_num, 24):
                 raise LensIdentityError(f"{ctx}: Casson-Walker chain formula")
-            _check_e_table(lens, a)
+            lens.e_table  # checks E(a) for every a
             if tab.torsion.sum() != 0:
                 raise LensIdentityError(f"{ctx}: sum of torsions != 0")
             # 12p ((p-1)/4 - p s(q,p))
@@ -518,6 +411,4 @@ def verify_lens_sweep(p_max, fourier_tol=1e-9, progress=None):
                 raise LensIdentityError(f"{ctx}: Fourier torsion off by {err}")
             orbits += p
             pairs += 1
-        if progress is not None:
-            progress(p)
     return {"pairs": pairs, "orbits": orbits}

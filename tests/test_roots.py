@@ -162,6 +162,26 @@ def test_equality_is_structural():
     assert module_of_root(relabeled) == module_of_root(r)
 
 
+def test_canonical_key_reads_parents_once(monkeypatch):
+    """Each read of ``parents`` rebuilds the whole list, so canonical_key
+    reads it a bounded number of times (once itself, once through
+    ``children``), not once per vertex."""
+    root = root_from_tau(TauFunction((0, -3, 1, -4, 2, -5, 0, -2, 3, -6, 1, -1, 4, -7,
+                                      2, 0, 5, -2, 6)))
+    assert len(root.chi) >= 50
+    key = root.canonical_key()
+    reads = []
+    parents = GradedRoot.parents
+
+    def counted(self):
+        reads.append(1)
+        return parents.fget(self)
+
+    monkeypatch.setattr(GradedRoot, "parents", property(counted))
+    assert root.canonical_key() == key
+    assert len(reads) <= 2
+
+
 def test_truncate_and_pad():
     r = root_from_tau(TauFunction(R1_TAU))
     cut = r.truncate(-1)

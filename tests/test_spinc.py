@@ -7,8 +7,9 @@ from conftest import e8_graph, random_small_tree
 from gradedroots.plumbing import (DualVector, LatticeVector, build_graph, canonical_class,
                                   characteristic_from_pairings, chi_k)
 from gradedroots.spinc import (NotIntegral, distinguished_rep, enumerate_spinc,
-                               m_k, orbit_of, smith_decompose,
+                               m_k, smith_decompose,
                                smith_normal_form)
+from slow_reference import orbit_of
 
 
 def brute_min_rep(graph, l_prime):

@@ -2,6 +2,7 @@
 
 import ast
 import os
+from collections import Counter
 
 import gradedroots
 
@@ -87,3 +88,41 @@ def test_torsion_limit_loops_are_integer():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id == "Fraction"}
     assert not found, f"Fraction calls inside the loops of seifert_torsion_limit: {sorted(found)}"
+
+
+# Module-level names that nothing in the package calls: the library entry
+# points offered to callers outside it.
+LIBRARY_API = ("blow_up", "blow_down", "brieskorn", "fundamental_cycle", "x_sequence",
+               "ray_root", "root_from_minima", "rank_red_from_tau", "shift_root", "m_k")
+
+
+def _names(node):
+    """Every identifier that ``node`` reads as a name or an attribute."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_every_definition_has_a_caller():
+    """Every module-level function and class of the package is referenced in
+    the package's code, outside its own definition and __init__.py, unless
+    it is listed in LIBRARY_API.  Code that only tests call belongs in
+    tests/ (slow_reference.py, series_reference.py)."""
+    defined = []            # (name, "module:line")
+    refs, own = Counter(), Counter()
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py") or name == "__init__.py":
+            continue
+        tree = _parse(name)
+        refs.update(_names(tree))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((node.name, f"{name}:{node.lineno}"))
+                own[node.name] += sum(1 for n in _names(node) if n == node.name)
+    unused = [f"{where} {ident}" for ident, where in defined
+              if refs[ident] == own[ident] and ident not in LIBRARY_API]
+    assert not unused, f"definitions that nothing in the package references: {unused}"
+    stale = [ident for ident in LIBRARY_API if refs[ident] > own[ident]]
+    assert not stale, f"LIBRARY_API names the package itself references: {stale}"
