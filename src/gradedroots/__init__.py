@@ -15,13 +15,12 @@ from .plumbing import (PlumbingGraph, IntersectionForm, LatticeVector, DualVecto
                        NotBlowDownable, ParityViolation, InvariantViolated)
 from .roots import (GradedRoot, TauFunction, ZUModule, root_from_tau,
                     root_from_minima, module_of_root, rank_red_from_tau,
-                    shift_root, shift_module, dot_export, ray_root,
+                    shift_root, dot_export, ray_root,
                     EmptyTau, ConditionViolated)
 from .spinc import (HGroup, SpincOrbit, smith_normal_form, smith_decompose,
                     enumerate_spinc, distinguished_rep, m_k, NotIntegral)
-from .engine import (Classification, ARReport, classify, find_ar_vertex,
-                     fundamental_cycle, x_sequence, tau, analyze_orbit,
-                     analyze_all, NotAR)
+from .engine import (Classification, ARReport, classify, fundamental_cycle,
+                     x_sequence, tau, analyze_orbit, analyze_all, NotAR)
 from .oracle import (SublevelComplex, enumerate_sublevel, root_oracle,
                      component_zero_structure, min_chi, LevelTooLarge)
 from .lens import (LensSpace, SpincCoeffs, neg_cf, spinc_coeffs, dedekind_sum,

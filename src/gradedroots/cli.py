@@ -24,25 +24,11 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 from . import engine, lens as lens_mod, oracle, seifert as seifert_mod, spinc
 from .plumbing import (InvariantViolated, canonical_class, casson_walker, graph_from_json,
                        k_squared_plus_s)
 from .roots import _fmt_q, dot_export
-
-
-@dataclass
-class RunConfig:
-    """Resolved invocation of a graph command: the graph plus output options."""
-
-    graph: object = None
-    orbits: object = None          # None = all, else list of indices
-    out_format: str = "table"
-    dot_prefix: str = None
-    oracle_enabled: bool = False
-    level_cap: int = oracle.DEFAULT_POINT_CAP
-    ar_decrement_cap: int = engine.DEFAULT_AR_DECREMENT_CAP
 
 
 def _write_atomic(path, text):
@@ -62,84 +48,78 @@ def _load_graph(path):
         return graph_from_json(json.load(f))
 
 
-def _parse_orbits(text):
+def _orbit_filter(text):
+    """The --orbits selection: a function that keeps the reports of the
+    comma-separated orbit indices, or all of them for 'all'."""
     if text == "all":
-        return None
-    return [int(v) for v in text.split(",") if v != ""]
+        return list
+    wanted = [int(v) for v in text.split(",") if v != ""]
+    return lambda reports: [r for r in reports if r.orbit.orbit_index in wanted]
 
 
-def _select(reports, wanted):
-    if wanted is None:
-        return reports
-    return [r for r in reports if r.orbit.orbit_index in wanted]
-
-
-def _table(rows, header):
-    widths = [max(len(str(r[i])) for r in [header] + rows) for i in range(len(header))]
-    lines = ["  ".join(str(v).ljust(w) for v, w in zip(r, widths))
-             for r in [header] + rows]
-    return "\n".join(lines) + "\n"
+def _emit(fmt, header, rows, payload, preamble):
+    """Print ``payload`` as json, or the ``header`` columns of the dict
+    ``rows`` as csv, or as a table under the ``preamble`` lines."""
+    if fmt == "json":
+        print(json.dumps(payload, indent=2))
+        return
+    cells = [header] + [[str(row[h]) for h in header] for row in rows]
+    if fmt == "csv":
+        print("\n".join(",".join(r) for r in cells))
+        return
+    widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
+    print("\n".join(preamble + ["  ".join(v.ljust(w) for v, w in zip(r, widths))
+                                for r in cells]))
 
 
 # ---------------------------------------------------------------------------
 # analyze / root
 
 
-def cmd_analyze(config):
-    cls = engine.classify(config.graph, max_decrements=config.ar_decrement_cap)
+def cmd_analyze(args):
+    graph = _load_graph(args.graph)
+    select = _orbit_filter(args.orbits)
+    cls = engine.classify(graph, max_decrements=args.ar_cap)
     if not cls.is_ar():
         print(f"classification: {cls.describe()}")
         print("graph did not certify almost-rational; "
               "the `oracle` subcommand still enumerates sublevel roots")
         return 2
-    cls, reports = engine.analyze_all(config.graph, cls)
-    reports = _select(reports, config.orbits)
-    if config.out_format == "json":
-        orbits = []
-        for r in reports:
-            entry = r.to_json()
-            # orbits are rendered both as b-coordinates and pairing vectors
-            entry["l_prime_pairings"] = list(r.orbit.pairings)
-            entry["module"] = r.module.to_json()
-            orbits.append(entry)
-        payload = {"classification": cls.describe(),
-                   "k2_plus_s": _fmt_q(k_squared_plus_s(config.graph)),
-                   "casson_walker": _fmt_q(casson_walker(config.graph)),
-                   "orbits": orbits}
-        print(json.dumps(payload, indent=2))
-        return 0
-    rows = [[r.orbit.orbit_index, _fmt_q(r.d), r.rank_red, r.chi_hf,
-             _fmt_q(r.sw_osz), r.certified] for r in reports]
-    header = ["orbit", "d", "rank_red", "chi_hf", "sw_osz", "certified"]
-    if config.out_format == "csv":
-        out = [",".join(str(v) for v in header)]
-        out += [",".join(str(v) for v in row) for row in rows]
-        print("\n".join(out))
-        return 0
-    print(f"classification: {cls.describe()}")
-    print(f"K^2+s = {_fmt_q(k_squared_plus_s(config.graph))}, "
-          f"lambda = {_fmt_q(casson_walker(config.graph))}, "
-          f"|H| = {config.graph.form.order}")
-    print(_table(rows, header), end="")
+    cls, reports = engine.analyze_all(graph, cls)
+    orbits = []
+    for r in select(reports):
+        entry = r.to_json()
+        # orbits are rendered both as b-coordinates and pairing vectors
+        entry["l_prime_pairings"] = list(r.orbit.pairings)
+        entry["module"] = r.module.to_json()
+        orbits.append(entry)
+    k2s, lam = _fmt_q(k_squared_plus_s(graph)), _fmt_q(casson_walker(graph))
+    payload = {"classification": cls.describe(), "k2_plus_s": k2s,
+               "casson_walker": lam, "orbits": orbits}
+    _emit(args.format, ["orbit", "d", "rank_red", "chi_hf", "sw_osz", "certified"],
+          orbits, payload, [f"classification: {cls.describe()}",
+                            f"K^2+s = {k2s}, lambda = {lam}, |H| = {graph.form.order}"])
     return 0
 
 
-def cmd_root(config):
-    cls = engine.classify(config.graph, max_decrements=config.ar_decrement_cap)
+def cmd_root(args):
+    graph = _load_graph(args.graph)
+    select = _orbit_filter(args.orbits)
+    cls = engine.classify(graph, max_decrements=args.ar_cap)
     if not cls.is_ar():
-        if not config.oracle_enabled:
+        if not args.oracle:
             print(f"classification: {cls.describe()}; rerun with --oracle "
                   "to export brute-force truncated roots")
             return 2
-        K = canonical_class(config.graph)
-        root = oracle.root_oracle(config.graph, K, 1, point_cap=config.level_cap)
-        path = f"{config.dot_prefix}_canonical.dot"
-        _write_atomic(path, dot_export(root, k_squared_plus_s(config.graph) / 4))
+        K = canonical_class(graph)
+        root = oracle.root_oracle(graph, K, 1, point_cap=args.point_cap)
+        path = f"{args.out}_canonical.dot"
+        _write_atomic(path, dot_export(root, k_squared_plus_s(graph) / 4))
         print(f"wrote {path}")
         return 0
-    cls, reports = engine.analyze_all(config.graph, cls)
-    for r in _select(reports, config.orbits):
-        path = f"{config.dot_prefix}_orbit{r.orbit.orbit_index}.dot"
+    cls, reports = engine.analyze_all(graph, cls)
+    for r in select(reports):
+        path = f"{args.out}_orbit{r.orbit.orbit_index}.dot"
         _write_atomic(path, dot_export(r.root, r.kr2s / 4))
         print(f"wrote {path}")
     return 0
@@ -149,31 +129,23 @@ def cmd_root(config):
 # lens / seifert reports
 
 
-def cmd_lens(p, q, a=None, table=False, out_format="table", numeric=True):
+def cmd_lens(args):
+    p, q = args.p, args.q
     L = lens_mod.LensSpace(p, q)
-    which = range(p) if (table or a is None) else [a]
-    approx = lens_mod.torsion_fourier_all(L) if numeric else None
     rows = []
-    for ai in which:
-        inv = lens_mod.lens_invariants(L, ai, check_numeric=False)
-        row = {"p": p, "q": q, "a": ai, "d": _fmt_q(inv.d), "rank_red": 0,
+    for a in range(p) if (args.table or args.spinc is None) else [args.spinc]:
+        inv = lens_mod.lens_invariants(L, a, check_numeric=False)
+        row = {"p": p, "q": q, "a": a, "d": _fmt_q(inv.d), "rank_red": 0,
                "torsion": _fmt_q(inv.torsion), "lambda": _fmt_q(inv.lam)}
-        if numeric:
-            row["torsion_approx"] = repr(float(approx[ai]))
+        if not args.no_numeric:
+            row["torsion_approx"] = repr(float(L.fourier_torsion[a]))
         rows.append(row)
-    header = list(rows[0].keys())
-    if out_format == "json":
-        print(json.dumps(rows, indent=2))
-    elif out_format == "csv":
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(row[h]) for h in header))
-    else:
-        print(_table([[row[h] for h in header] for row in rows], header), end="")
+    _emit(args.format, list(rows[0]), rows, rows, [])
     return 0
 
 
-def _seifert_reports(data):
+def cmd_seifert(args):
+    data = seifert_mod.SeifertData(e0=args.e0, legs=tuple(args.leg))
     k2s = seifert_mod.seifert_k2s(data)
     rows = []
     for idx, sp in enumerate(seifert_mod.enumerate_seifert_spinc(data)):
@@ -185,28 +157,12 @@ def _seifert_reports(data):
                      "sw_osz": _fmt_q(rank - orb.d / 2),
                      "torsion": _fmt_q(orb.torsion), "torsion_limit": _fmt_q(orb.limit),
                      "certified": orb.tau.certified})
-    return rows
-
-
-def cmd_seifert(data, out_format="table"):
-    rows = _seifert_reports(data)
-    header = list(rows[0].keys())
-    if out_format == "json":
-        payload = {"data": data.describe(),
-                   "k2_plus_s": _fmt_q(seifert_mod.seifert_k2s(data)),
-                   "casson_walker": _fmt_q(casson_walker(data.graph)),
-                   "h_order": data.h_order,
-                   "dp_invariant": seifert_mod.dp_invariant(data),
-                   "orbits": rows}
-        print(json.dumps(payload, indent=2))
-    elif out_format == "csv":
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(row[h]) for h in header))
-    else:
-        print(f"{data.describe()}  e = {_fmt_q(data.e)}  |H| = {data.h_order}  "
-              f"DP = {seifert_mod.dp_invariant(data)}")
-        print(_table([[row[h] for h in header] for row in rows], header), end="")
+    dp = seifert_mod.dp_invariant(data)
+    payload = {"data": data.describe(), "k2_plus_s": _fmt_q(k2s),
+               "casson_walker": _fmt_q(casson_walker(data.graph)),
+               "h_order": data.h_order, "dp_invariant": dp, "orbits": rows}
+    _emit(args.format, list(rows[0]), rows, payload,
+          [f"{data.describe()}  e = {_fmt_q(data.e)}  |H| = {data.h_order}  DP = {dp}"])
     return 0
 
 
@@ -214,22 +170,24 @@ def cmd_seifert(data, out_format="table"):
 # oracle command
 
 
-def cmd_oracle(config, level=None, orbit_index=None, dot_path=None):
-    g = config.graph
+def cmd_oracle(args):
+    g = _load_graph(args.graph)
     orbits = spinc.enumerate_spinc(g)
-    chosen = orbits if orbit_index is None else [orbits[orbit_index]]
+    if args.orbit is not None and not 0 <= args.orbit < len(orbits):
+        raise ValueError(f"no orbit {args.orbit}; the graph has {len(orbits)} orbits")
+    chosen = orbits if args.orbit is None else [orbits[args.orbit]]
     for orb in chosen:
-        min_c = oracle.min_chi(g, orb.k_r, point_cap=config.level_cap)
-        n_max = level if level is not None else min_c + 6
+        min_c = oracle.min_chi(g, orb.k_r, point_cap=args.point_cap)
+        n_max = args.level if args.level is not None else min_c + 6
         # one enumeration of the top level gives the root and the point
         # count; the components at n_max are the root's vertices there
-        root, n_points = oracle._root_and_points(g, orb.k_r, n_max, config.level_cap)
+        root, n_points = oracle._root_and_points(g, orb.k_r, n_max, args.point_cap)
         components = sum(1 for c in root.truncate(n_max).chi if c == n_max)
         print(f"orbit {orb.orbit_index}: min chi = {min_c}, "
               f"|sublevel({n_max})| = {n_points}, "
               f"components = {components}, root = {root!r}")
-        if dot_path:
-            path = f"{dot_path}_orbit{orb.orbit_index}.dot"
+        if args.dot:
+            path = f"{args.dot}_orbit{orb.orbit_index}.dot"
             kr2s = g.form.square(orb.k_r.pairings) + g.s
             _write_atomic(path, dot_export(root, kr2s / 4))
             print(f"wrote {path}")
@@ -269,20 +227,26 @@ def verify_oracle_graph(graph, point_cap=oracle.DEFAULT_POINT_CAP):
             "zero_component": zero, "ok": True}
 
 
-def cmd_verify(args, config):
-    if args.lens_pmax is not None:
-        stats = lens_mod.verify_lens_sweep(args.lens_pmax)
+def cmd_verify(args):
+    if args.what == "lens":
+        if args.pmax is None:
+            raise ValueError("verify lens needs PMAX")
+        stats = lens_mod.verify_lens_sweep(args.pmax)
         print(f"lens sweep ok: {stats['pairs']} spaces, {stats['orbits']} orbits, "
               "all identities exact, Fourier torsion within 1e-9")
-        return 0
-    if args.seifert_data is not None:
-        rep = seifert_mod.verify_sw_identity(args.seifert_data)
+    elif args.what == "seifert":
+        if not args.leg or args.e0 is None:
+            raise ValueError("verify seifert needs --e0 and >= 3 --leg")
+        rep = seifert_mod.verify_sw_identity(
+            seifert_mod.SeifertData(e0=args.e0, legs=tuple(args.leg)))
         print(f"{rep['data']}: sw identity exact on {len(rep['orbits'])} orbits; "
               f"lambda = {_fmt_q(rep['lambda'])}, K^2+s = {_fmt_q(rep['k2s'])}")
-        return 0
-    rep = verify_oracle_graph(config.graph, point_cap=config.level_cap)
-    print(f"oracle equivalence ok: {rep['classification']}, "
-          f"orbits {rep['orbits_checked']}")
+    elif args.oracle_graph is not None:
+        rep = verify_oracle_graph(_load_graph(args.oracle_graph), point_cap=args.point_cap)
+        print(f"oracle equivalence ok: {rep['classification']}, "
+              f"orbits {rep['orbits_checked']}")
+    else:
+        raise ValueError("verify needs 'lens PMAX', 'seifert ...' or '--oracle GRAPH'")
     return 0
 
 
@@ -317,15 +281,18 @@ def build_parser():
             p.add_argument(name, **shared[name])
 
     p = sub.add_parser("analyze", help="classification and per-orbit invariants")
+    p.set_defaults(run=cmd_analyze)
     add_graph(p, "--format", "--orbits", "--ar-cap")
 
     p = sub.add_parser("root", help="export graded roots as DOT")
+    p.set_defaults(run=cmd_root)
     add_graph(p, "--orbits", "--point-cap", "--ar-cap")
     p.add_argument("-o", "--out", required=True, help="output path prefix")
     p.add_argument("--oracle", action="store_true",
                    help="fall back to brute-force roots when not AR")
 
     p = sub.add_parser("lens", help="closed-form lens space invariants")
+    p.set_defaults(run=cmd_lens)
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
     p.add_argument("--spinc", type=int, default=None, help="single orbit a")
@@ -335,12 +302,14 @@ def build_parser():
                    help="skip the approx Fourier torsion column")
 
     p = sub.add_parser("seifert", help="closed-form Seifert reports")
+    p.set_defaults(run=cmd_seifert)
     p.add_argument("--e0", type=int, required=True)
     p.add_argument("--leg", type=_leg, action="append", required=True,
                    metavar="a/w", help="one leg as alpha/omega (repeat >= 3 times)")
     p.add_argument("--format", **shared["--format"])
 
     p = sub.add_parser("oracle", help="brute-force sublevel enumeration")
+    p.set_defaults(run=cmd_oracle)
     add_graph(p, "--point-cap")
     p.add_argument("--level", type=int, default=None,
                    help="sublevel cutoff (default: min chi + 6)")
@@ -348,6 +317,7 @@ def build_parser():
     p.add_argument("--dot", default=None, help="write DOT files with this prefix")
 
     p = sub.add_parser("verify", help="identity and oracle-equivalence suites")
+    p.set_defaults(run=cmd_verify)
     p.add_argument("what", nargs="?", choices=["lens", "seifert"], default=None)
     p.add_argument("pmax", nargs="?", type=int, default=None,
                    help="lens sweep bound (with 'verify lens')")
@@ -360,49 +330,9 @@ def build_parser():
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "analyze":
-            config = RunConfig(graph=_load_graph(args.graph),
-                               orbits=_parse_orbits(args.orbits),
-                               out_format=args.format,
-                               ar_decrement_cap=args.ar_cap)
-            return cmd_analyze(config)
-        if args.command == "root":
-            config = RunConfig(graph=_load_graph(args.graph),
-                               orbits=_parse_orbits(args.orbits),
-                               dot_prefix=args.out,
-                               oracle_enabled=args.oracle,
-                               level_cap=args.point_cap,
-                               ar_decrement_cap=args.ar_cap)
-            return cmd_root(config)
-        if args.command == "lens":
-            return cmd_lens(args.p, args.q, a=args.spinc, table=args.table,
-                            out_format=args.format, numeric=not args.no_numeric)
-        if args.command == "seifert":
-            data = seifert_mod.SeifertData(e0=args.e0, legs=tuple(args.leg))
-            return cmd_seifert(data, out_format=args.format)
-        if args.command == "oracle":
-            config = RunConfig(graph=_load_graph(args.graph), level_cap=args.point_cap)
-            return cmd_oracle(config, level=args.level, orbit_index=args.orbit,
-                              dot_path=args.dot)
-        if args.command == "verify":
-            args.lens_pmax = args.pmax if args.what == "lens" else None
-            args.seifert_data = None
-            if args.what == "seifert":
-                if not args.leg or args.e0 is None:
-                    raise ValueError("verify seifert needs --e0 and >= 3 --leg")
-                args.seifert_data = seifert_mod.SeifertData(e0=args.e0,
-                                                            legs=tuple(args.leg))
-            config = RunConfig(level_cap=args.point_cap)
-            if args.what is None:
-                if args.oracle_graph is None:
-                    raise ValueError("verify needs 'lens PMAX', 'seifert ...' "
-                                     "or '--oracle GRAPH'")
-                config.graph = _load_graph(args.oracle_graph)
-            return cmd_verify(args, config)
-        raise ValueError(f"unknown command {args.command}")
+        return args.run(args)
     except engine.NotAR as exc:
         print(f"not almost-rational: {exc}", file=sys.stderr)
         return 2

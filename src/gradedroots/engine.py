@@ -35,8 +35,7 @@ from fractions import Fraction
 
 from .plumbing import (InvariantViolated, LatticeVector, canonical_class,
                        laufer_ascent)
-from .roots import (TauFunction, module_of_root, root_from_tau, shift_module,
-                    tau_invariants)
+from .roots import TauFunction, module_of_root, root_from_tau, tau_invariants
 from .spinc import SpincOrbit, enumerate_spinc, _orbit_from_rep
 
 DEFAULT_AR_DECREMENT_CAP = 64
@@ -107,13 +106,15 @@ def fundamental_cycle(graph):
     return LatticeVector(_fundamental_cycle(graph.e, graph.adjacency)[0])
 
 
-def find_ar_vertex(graph, max_decrements=DEFAULT_AR_DECREMENT_CAP):
-    """Search for a vertex whose decoration can be decreased to a rational
-    graph.  For each candidate j0 the decoration drops until the
-    fundamental cycle has coefficient 1 at j0; a single rationality test
-    there decides (pushing lower cannot change the answer, since the
-    rational class is closed under decreasing Euler numbers).  Returns a
-    :class:`Classification`; 'not-ar-certified' carries the cap."""
+def classify(graph, max_decrements=DEFAULT_AR_DECREMENT_CAP):
+    """Rational / weakly elliptic / AR / not certified, tested in that
+    order: rational iff chi(x_min) = 1, weakly elliptic iff chi(x_min) = 0
+    (with the elliptic length read off the canonical root), else AR when
+    some vertex's decoration can be decreased to a rational graph.  For
+    each candidate j0 the decoration drops until the fundamental cycle has
+    coefficient 1 at j0; a single rationality test there decides (pushing
+    lower cannot change the answer, since the rational class is closed
+    under decreasing Euler numbers).  'not-ar-certified' carries the cap."""
     adj = graph.adjacency
     e = list(graph.e)
     cxm = _chi_canonical(e, *_fundamental_cycle(e, adj))
@@ -141,14 +142,6 @@ def _attach_elliptic_length(graph, cls):
     mod = module_of_root(root_from_tau(t))
     return Classification(kind=cls.kind, j0=cls.j0, e_prime=cls.e_prime,
                           l=mod.rank_reduced(), chi_xmin=cls.chi_xmin)
-
-
-def classify(graph, max_decrements=DEFAULT_AR_DECREMENT_CAP):
-    """Rational / weakly elliptic / AR / not certified, tested in that
-    order: rational iff chi(x_min) = 1, weakly elliptic iff chi(x_min) = 0
-    (with the elliptic length read off the canonical root), else the AR
-    vertex search decides."""
-    return find_ar_vertex(graph, max_decrements=max_decrements)
 
 
 def canonical_orbit_data(graph):
@@ -258,7 +251,7 @@ def analyze_orbit(graph, orbit, classification=None):
     root = root_from_tau(t)
     kr2s = graph.form.square(orbit.k_r.pairings) + graph.s
     min_tau, rank_red, d = tau_invariants(t.values, kr2s)
-    module = shift_module(module_of_root(root), -Fraction(kr2s, 4))
+    module = module_of_root(root).shifted(-Fraction(kr2s, 4))
     if module.rank_reduced() != rank_red:
         raise InvariantViolated(f"Cor-2.10 rank {rank_red} != module rank "
                                 f"{module.rank_reduced()}")

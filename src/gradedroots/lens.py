@@ -167,6 +167,11 @@ class LensSpace:
         """Every closed form of the space, once (see LensTable)."""
         return lens_table(self)
 
+    @cached_property
+    def fourier_torsion(self):
+        """The FFT torsion of every a, once (see torsion_fourier_all)."""
+        return torsion_fourier_all(self)
+
 
 @dataclass(frozen=True)
 class SpincCoeffs:
@@ -321,7 +326,7 @@ def lens_invariants(lens, a, check_numeric=True):
     d_num, t_num = int(tab.d[a]), int(tab.torsion[a])
     T = Fraction(t_num, den)
     if check_numeric:
-        approx = torsion_fourier_all(lens)[a]
+        approx = lens.fourier_torsion[a]
         if not abs(approx - float(T)) < FOURIER_TOL:
             raise LensIdentityError(f"{lens}: Fourier torsion {approx} vs exact {float(T)}")
     # lambda = p s(q,p)/2 = s_num/24 and lambda/p = s_num/(2 den)
@@ -406,7 +411,7 @@ def verify_lens_sweep(p_max, fourier_tol=FOURIER_TOL):
             # 12p ((p-1)/4 - p s(q,p))
             if tab.chi.sum() != 3 * p * (p - 1) - p * tab.s_num:
                 raise LensIdentityError(f"{ctx}: sum of chi")
-            err = np.abs(torsion_fourier_all(lens) - tab.torsion / tab.den).max()
+            err = np.abs(lens.fourier_torsion - tab.torsion / tab.den).max()
             if err > fourier_tol:
                 raise LensIdentityError(f"{ctx}: Fourier torsion off by {err}")
             orbits += p

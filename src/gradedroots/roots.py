@@ -467,11 +467,6 @@ def shift_root(root, r):
                       top_level=root.top_level + r, truncated=root.truncated)
 
 
-def shift_module(module, r):
-    """P[r]: all degrees shifted by the rational r."""
-    return module.shifted(r)
-
-
 # ---------------------------------------------------------------------------
 # DOT export
 

@@ -231,12 +231,12 @@ def _spinc_from_solution(data, a0, avec):
                         E=tuple(E), pairings=tuple(pair))
 
 
-def enumerate_seifert_spinc(data, verify_reps=True):
+def enumerate_seifert_spinc(data):
     """All solutions of (SI_red), in lexicographic (a0, a_1..a_nu) order.
 
-    The count must equal |H| = -e alpha_1...alpha_nu (CountMismatch
-    otherwise); with ``verify_reps`` each solution's l' is checked to be
-    the distinguished representative of its orbit on the star graph."""
+    The count must equal |H| = -e alpha_1...alpha_nu, and each solution's
+    l' must be the distinguished representative of its orbit on the star
+    graph (CountMismatch otherwise)."""
     out = []
     a0_cap = -1 - data.e0
     for a0 in range(a0_cap + 1):
@@ -246,13 +246,12 @@ def enumerate_seifert_spinc(data, verify_reps=True):
     if len(out) != data.h_order:
         raise CountMismatch(
             f"{data.describe()}: found {len(out)} solutions, |H| = {data.h_order}")
-    if verify_reps:
-        g = data.graph
-        for sp in out:
-            l0 = g.dual_from_pairings(sp.pairings)
-            if distinguished_rep(g, l0) != l0:
-                raise CountMismatch(
-                    f"{data.describe()}: {sp.a0};{sp.a} is not a minimal representative")
+    g = data.graph
+    for sp in out:
+        l0 = g.dual_from_pairings(sp.pairings)
+        if distinguished_rep(g, l0) != l0:
+            raise CountMismatch(
+                f"{data.describe()}: {sp.a0};{sp.a} is not a minimal representative")
     return out
 
 

@@ -1,9 +1,13 @@
+import contextlib
 import json
 import math
 import os
 import re
+import shlex
+import shutil
 import subprocess
 import sys
+from io import StringIO
 
 import pytest
 
@@ -13,8 +17,6 @@ from gradedroots.cli import main, verify_oracle_graph
 
 
 def run_cli(args):
-    from io import StringIO
-    import contextlib
     out, err = StringIO(), StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(args)
@@ -281,3 +283,76 @@ def test_oracle_dot_golden(tmp_path):
                           "--dot", prefix])
     assert code == 0
     assert (tmp_path / "e8_orbit0.dot").read_text() == _golden("e8_oracle_level2.dot")
+
+
+S235 = ["--e0", "-2", "--leg", "2/1", "--leg", "3/2", "--leg", "5/4"]
+S237 = ["--e0", "-1", "--leg", "2/1", "--leg", "3/1", "--leg", "7/1"]
+SEIFERT_3_7_2 = ["--e0", "-2", "--leg", "2/1", "--leg", "3/1", "--leg", "7/2"]
+
+
+def _formats(name, argv):
+    return {f"{name}_{fmt}": argv + ["--format", fmt] for fmt in ("table", "csv", "json")}
+
+
+# transcript name -> argv, run in a directory that holds the golden graphs
+CLI_CASES = {
+    **_formats("analyze_e8", ["analyze", "e8.json"]),
+    **_formats("analyze_sigma237", ["analyze", "sigma237.json"]),
+    **_formats("analyze_star5", ["analyze", "star5.json"]),
+    "analyze_star5_orbits": ["analyze", "star5.json", "--orbits", "1,3", "--format", "csv"],
+    "analyze_star5_ar_cap": ["analyze", "star5.json", "--ar-cap", "0"],
+    "root_sigma237": ["root", "sigma237.json", "-o", "s237"],
+    "root_star5_orbits": ["root", "star5.json", "--orbits", "0,2", "-o", "star5"],
+    **_formats("lens_5_3", ["lens", "5", "3"]),
+    **_formats("lens_7_4_spinc", ["lens", "7", "4", "--spinc", "2", "--no-numeric"]),
+    **_formats("seifert_sigma235", ["seifert"] + S235),
+    **_formats("seifert_3_7_2", ["seifert"] + SEIFERT_3_7_2),
+    "oracle_e8": ["oracle", "e8.json", "--level", "1"],
+    "oracle_e8_dot": ["oracle", "e8.json", "--level", "2", "--dot", "e8"],
+    "oracle_point_cap": ["oracle", "sigma237.json", "--point-cap", "10"],
+    "verify_lens": ["verify", "lens", "12"],
+    "verify_seifert": ["verify", "seifert"] + S237,
+    "verify_oracle": ["verify", "--oracle", "star5.json"],
+    "error_missing_file": ["analyze", "missing.json"],
+    "error_bad_orbits": ["analyze", "star5.json", "--orbits", "1,x"],
+    "error_gcd": ["lens", "6", "4"],
+    "error_few_legs": ["seifert", "--e0", "-1", "--leg", "2/1", "--leg", "3/1"],
+    "error_verify_no_target": ["verify"],
+    "error_verify_seifert_no_legs": ["verify", "seifert", "--e0", "-1"],
+    "error_verify_lens_no_pmax": ["verify", "lens"],
+    "error_oracle_no_orbit": ["oracle", "e8.json", "--orbit", "1"],
+    "error_oracle_negative_orbit": ["oracle", "e8.json", "--orbit", "-1"],
+    "error_usage": ["lens", "5"],
+    "help": ["--help"],
+    **{f"help_{cmd}": [cmd, "--help"]
+       for cmd in ("analyze", "root", "lens", "seifert", "oracle", "verify")},
+}
+
+
+def cli_transcript(argv):
+    """The invocation, its exit code, stdout and stderr as one text."""
+    out, err = StringIO(), StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: --help and usage errors
+            code = exc.code
+    return (f"$ gradedroots {shlex.join(argv)}\n[exit {code}]\n"
+            f"[stdout]\n{out.getvalue()}[stderr]\n{err.getvalue()}")
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_transcript_golden(name, tmp_path, monkeypatch):
+    """Every subcommand in every format, and the error paths, print exactly
+    the recorded transcript (golden/cli/NAME.txt)."""
+    for graph in ("e8", "sigma237", "star5"):
+        shutil.copy(os.path.join(GOLDEN, f"{graph}.json"), tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli_transcript(CLI_CASES[name]) == _golden(os.path.join("cli", f"{name}.txt"))
+
+
+def test_verify_lens_needs_pmax():
+    code, out, err = run_cli(["verify", "lens"])
+    assert (code, out, err) == (1, "", "error: verify lens needs PMAX\n")
+

@@ -60,7 +60,7 @@ def test_classify_examples():
 
 
 def test_find_ar_vertex_rational_identity():
-    cls = engine.find_ar_vertex(e8_graph())
+    cls = engine.classify(e8_graph())
     assert cls.kind == "rational" and cls.e_prime == e8_graph().e[cls.j0]
 
 
@@ -113,7 +113,7 @@ def test_find_ar_vertex_matches_trial_graph_search(rng):
     kinds = set()
     for g in graphs:
         for cap in (engine.DEFAULT_AR_DECREMENT_CAP, 2):
-            cls = engine.find_ar_vertex(g, max_decrements=cap)
+            cls = engine.classify(g, max_decrements=cap)
             assert cls == _find_ar_vertex_by_trial_graphs(g, cap)
             kinds.add(cls.kind)
         assert engine.fundamental_cycle(g) == _fundamental_cycle_slow(g)

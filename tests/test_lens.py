@@ -195,6 +195,19 @@ def test_torsion_fourier_all():
             assert abs(approx[a] - float(torsion(L, a))) < 1e-9
 
 
+def test_lens_invariants_runs_fft_once_per_space(monkeypatch):
+    """Reading every row of L(p, 3) with the default check_numeric runs the
+    FFT torsion once, through LensSpace.fourier_torsion, not once per row."""
+    calls = []
+    monkeypatch.setattr(lens_mod, "torsion_fourier_all",
+                        lambda L: calls.append(L) or torsion_fourier_all(L))
+    p = 101
+    L = LensSpace(p, 3)
+    rows = [lens_invariants(L, a) for a in range(p)]
+    assert len(calls) == 1
+    assert [r.torsion for r in rows] == [torsion(L, a) for a in range(p)]
+
+
 def test_small_sweep():
     stats = verify_lens_sweep(25)
     assert stats["pairs"] == sum(1 for p in range(2, 26)

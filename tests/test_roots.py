@@ -6,8 +6,7 @@ import pytest
 from gradedroots.roots import (ConditionViolated, EmptyTau, GradedRoot,
                                TauFunction, ZUModule, dot_export,
                                module_of_root, rank_red_from_tau, ray_root,
-                               root_from_minima, root_from_tau, shift_module,
-                               shift_root)
+                               root_from_minima, root_from_tau, shift_root)
 
 R1_TAU = (-3, -1, -2, 0, -2)
 R2_TAU = (-3, 0, -2, -1, -2)
@@ -139,13 +138,13 @@ def test_shift_root_and_module():
     r = root_from_tau(TauFunction(R1_TAU))
     mod = module_of_root(r)
     for shift in (0, 1, Fraction(-5, 4)):
-        shifted = shift_module(mod, 2 * shift)
+        shifted = mod.shifted(2 * shift)
         assert shifted.tower_degree == mod.tower_degree + 2 * shift
         assert all(b - a == 2 * shift
                    for (a, _), (b, _) in zip(mod.finite, shifted.finite))
     r_up = shift_root(r, 3)
     assert r_up.min_chi() == r.min_chi() + 3
-    assert module_of_root(r_up) == shift_module(mod, 6)
+    assert module_of_root(r_up) == mod.shifted(6)
 
 
 def test_equality_is_structural():

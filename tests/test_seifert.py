@@ -251,7 +251,7 @@ def test_torsion_limit_closed_form_matches_series_reference():
     datas = suite + [random_seifert(rng, 3, 5, 9, 16) for _ in range(30)]
     checked = 0
     for data in datas:
-        for sp in enumerate_seifert_spinc(data, verify_reps=False):
+        for sp in enumerate_seifert_spinc(data):
             fast = seifert_torsion_limit(data, sp)
             slow = seifert_torsion_limit_series(data, sp)
             assert type(fast) is Fraction and fast == slow, \

@@ -1,10 +1,12 @@
 """Checks on the source tree itself."""
 
 import ast
+import inspect
 import os
 from collections import Counter
 
 import gradedroots
+from gradedroots import cli
 
 SRC = os.path.dirname(gradedroots.__file__)
 
@@ -126,3 +128,42 @@ def test_every_definition_has_a_caller():
     assert not unused, f"definitions that nothing in the package references: {unused}"
     stale = [ident for ident in LIBRARY_API if refs[ident] > own[ident]]
     assert not stale, f"LIBRARY_API names the package itself references: {stale}"
+
+
+# subcommand -> its argparse arguments (option strings, or the dest of a
+# positional), in the order they are added
+CLI_ARGUMENTS = {
+    "analyze": [["graph"], ["--format"], ["--orbits"], ["--ar-cap"]],
+    "root": [["graph"], ["--orbits"], ["--point-cap"], ["--ar-cap"], ["-o", "--out"],
+             ["--oracle"]],
+    "lens": [["p"], ["q"], ["--spinc"], ["--table"], ["--format"], ["--no-numeric"]],
+    "seifert": [["--e0"], ["--leg"], ["--format"]],
+    "oracle": [["graph"], ["--point-cap"], ["--level"], ["--orbit"], ["--dot"]],
+    "verify": [["what"], ["pmax"], ["--e0"], ["--leg"], ["--oracle"], ["--point-cap"]],
+}
+
+
+def test_cli_dispatch():
+    """The CLI has one calling convention: each subparser names its handler
+    with set_defaults(run=...), a function of the parsed namespace alone,
+    and main calls it without looking at the subcommand's name.  No class
+    carries the options, and the table pins the 30 arguments."""
+    tree = _parse("cli.py")
+    classes = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    assert not classes, f"classes in cli.py: {classes}"
+    (main,) = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "main"]
+    compared = [node.value for cmp in ast.walk(main) if isinstance(cmp, ast.Compare)
+                for node in [cmp.left] + cmp.comparators
+                if isinstance(node, ast.Constant) and node.value in CLI_ARGUMENTS]
+    assert not compared, f"main compares subcommand names: {compared}"
+    (subparsers,) = [a for a in cli.build_parser()._actions
+                     if isinstance(a, cli.argparse._SubParsersAction)]
+    assert sorted(subparsers.choices) == sorted(CLI_ARGUMENTS)
+    for name, parser in subparsers.choices.items():
+        run = parser.get_default("run")
+        assert callable(run) and len(inspect.signature(run).parameters) == 1, name
+        got = [a.option_strings or [a.dest] for a in parser._actions
+               if not isinstance(a, cli.argparse._HelpAction)]
+        assert got == CLI_ARGUMENTS[name], name
+    assert sum(map(len, CLI_ARGUMENTS.values())) == 30
