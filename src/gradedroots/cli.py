@@ -48,12 +48,19 @@ def _load_graph(path):
         return graph_from_json(json.load(f))
 
 
-def _orbit_filter(text):
-    """The --orbits selection: a function that keeps the reports of the
-    comma-separated orbit indices, or all of them for 'all'."""
+def _check_orbit(index, count):
+    if not 0 <= index < count:
+        raise ValueError(f"no orbit {index}; the graph has {count} orbits")
+
+
+def _orbit_filter(text, count):
+    """The --orbits selection among ``count`` orbits: a function that keeps
+    the reports of the comma-separated indices, or all of them for 'all'."""
     if text == "all":
         return list
     wanted = [int(v) for v in text.split(",") if v != ""]
+    for index in wanted:
+        _check_orbit(index, count)
     return lambda reports: [r for r in reports if r.orbit.orbit_index in wanted]
 
 
@@ -78,7 +85,7 @@ def _emit(fmt, header, rows, payload, preamble):
 
 def cmd_analyze(args):
     graph = _load_graph(args.graph)
-    select = _orbit_filter(args.orbits)
+    select = _orbit_filter(args.orbits, graph.form.order)
     cls = engine.classify(graph, max_decrements=args.ar_cap)
     if not cls.is_ar():
         print(f"classification: {cls.describe()}")
@@ -104,7 +111,7 @@ def cmd_analyze(args):
 
 def cmd_root(args):
     graph = _load_graph(args.graph)
-    select = _orbit_filter(args.orbits)
+    select = _orbit_filter(args.orbits, graph.form.order)
     cls = engine.classify(graph, max_decrements=args.ar_cap)
     if not cls.is_ar():
         if not args.oracle:
@@ -132,6 +139,8 @@ def cmd_root(args):
 def cmd_lens(args):
     p, q = args.p, args.q
     L = lens_mod.LensSpace(p, q)
+    if args.spinc is not None and not 0 <= args.spinc < p:
+        raise lens_mod.RangeError(f"need 0 <= a < p, got a={args.spinc}")
     rows = []
     for a in range(p) if (args.table or args.spinc is None) else [args.spinc]:
         inv = lens_mod.lens_invariants(L, a, check_numeric=False)
@@ -172,9 +181,9 @@ def cmd_seifert(args):
 
 def cmd_oracle(args):
     g = _load_graph(args.graph)
+    if args.orbit is not None:
+        _check_orbit(args.orbit, g.form.order)
     orbits = spinc.enumerate_spinc(g)
-    if args.orbit is not None and not 0 <= args.orbit < len(orbits):
-        raise ValueError(f"no orbit {args.orbit}; the graph has {len(orbits)} orbits")
     chosen = orbits if args.orbit is None else [orbits[args.orbit]]
     for orb in chosen:
         min_c = oracle.min_chi(g, orb.k_r, point_cap=args.point_cap)
@@ -228,6 +237,12 @@ def verify_oracle_graph(graph, point_cap=oracle.DEFAULT_POINT_CAP):
 
 
 def cmd_verify(args):
+    legs = args.what != "seifert" and (args.e0 is not None or args.leg)
+    given = [name for name, on in (("lens", args.what == "lens"), ("--e0/--leg", legs),
+                                   ("seifert", args.what == "seifert"),
+                                   ("--oracle", args.oracle_graph is not None)) if on]
+    if len(given) > 1:
+        raise ValueError(f"verify runs one target, got {' and '.join(given)}")
     if args.what == "lens":
         if args.pmax is None:
             raise ValueError("verify lens needs PMAX")

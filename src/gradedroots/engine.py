@@ -36,7 +36,7 @@ from fractions import Fraction
 from .plumbing import (InvariantViolated, LatticeVector, canonical_class,
                        laufer_ascent)
 from .roots import TauFunction, module_of_root, root_from_tau, tau_invariants
-from .spinc import SpincOrbit, enumerate_spinc, _orbit_from_rep
+from .spinc import SpincOrbit, _orbit, enumerate_spinc
 
 DEFAULT_AR_DECREMENT_CAP = 64
 
@@ -146,9 +146,7 @@ def _attach_elliptic_length(graph, cls):
 
 def canonical_orbit_data(graph):
     """The canonical orbit [K] as a SpincOrbit (l'_[K] = 0)."""
-    K = canonical_class(graph)
-    zero = graph.dual_from_pairings([0] * graph.s)
-    return _orbit_from_rep(graph, K, zero, -1)
+    return _orbit(graph, canonical_class(graph), [0] * graph.s, -1)
 
 
 # ---------------------------------------------------------------------------

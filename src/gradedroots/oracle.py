@@ -194,9 +194,8 @@ def _root_and_points(graph, k, n_max, point_cap):
 
 
 def min_chi(graph, k, point_cap=DEFAULT_POINT_CAP):
-    """min over L of chi_k, from the (always nonempty) level-0 set."""
-    level = enumerate_sublevel(graph, k, 0, point_cap=point_cap)
-    return int(level.chi_values.min())
+    """min over L of chi_k, from the points of the (never empty) level-0 set."""
+    return int(_enumerate_points(graph, k, 0, point_cap)[1].min())
 
 
 def component_zero_structure(graph, n=0, point_cap=DEFAULT_POINT_CAP):

@@ -149,11 +149,6 @@ class DualVector:
     def is_integral(self):
         return all(a.denominator == 1 for a in self.coeffs)
 
-    def as_lattice(self):
-        if not self.is_integral():
-            raise ValueError("vector has non-integer coefficients")
-        return LatticeVector(int(a) for a in self.coeffs)
-
     def __repr__(self):
         return f"DualVector({[str(c) for c in self.coeffs]})"
 

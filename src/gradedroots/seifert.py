@@ -39,7 +39,7 @@ import numpy as np
 from . import lens as lens_mod
 from .plumbing import InvariantViolated, build_graph
 from .roots import TauFunction, tau_invariants
-from .spinc import distinguished_rep
+from .spinc import _ascend
 
 
 class PositiveOrbifoldEuler(ValueError):
@@ -246,10 +246,8 @@ def enumerate_seifert_spinc(data):
     if len(out) != data.h_order:
         raise CountMismatch(
             f"{data.describe()}: found {len(out)} solutions, |H| = {data.h_order}")
-    g = data.graph
     for sp in out:
-        l0 = g.dual_from_pairings(sp.pairings)
-        if distinguished_rep(g, l0) != l0:
+        if tuple(_ascend(data.graph, sp.pairings)[1]) != sp.pairings:
             raise CountMismatch(
                 f"{data.describe()}: {sp.a0};{sp.a} is not a minimal representative")
     return out
@@ -374,15 +372,15 @@ def torsion_limit_numeric(data, sp):
     h in NUMERIC_STEPS, extrapolated to h = 0 (Neville through the actual
     sample nodes).
 
-    Both P (float partial sums) and P1 (mpmath) are evaluated at the
-    identical binary value of t; near t = 1 they are each of size 1/h^2,
-    so even a one-ulp disagreement in t would not cancel correctly.  The
+    P (float partial sums) and P1 (exact integers) are evaluated at the
+    same binary t, whose h = 1.0 - t is exact; near t = 1 each is of size
+    1/h^2, so even a one-ulp disagreement in t would not cancel.  The
     terms c(i) t^(o i + alpha atilde) are summed in blocks of
     NUMERIC_BLOCK, with the weights of the block starting at i = start
     written as t^(o j) t^(o start + alpha atilde)."""
-    import mpmath as mp
     alpha, o = data.alpha_lcm, data.o
     alpha_at = int(alpha * sp.atilde)
+    betas = [alpha // a for a, _ in data.legs]
     omegas = np.array([w for _, w in data.legs], dtype=np.int64)
     alphas = np.array([a for a, _ in data.legs], dtype=np.int64)
     avec = np.array(sp.a, dtype=np.int64)
@@ -413,14 +411,13 @@ def torsion_limit_numeric(data, sp):
             p_val = math.fsum(int(ci) * math.exp((o * ii + alpha_at) * logt)
                               for _, i, c in blocks(n_terms)
                               for ci, ii in zip(c.tolist(), i.tolist()))
-        with mp.workdps(50):
-            tm = mp.mpf(t)  # exact binary conversion: same t as above
-            p1 = (tm ** alpha - 1) ** (data.nu - 2)
-            for al, _ in data.legs:
-                p1 /= tm ** (alpha // al) - 1
-            p1_val = float(p1 / data.h_order)
-            h_eff = float(1 - tm)
-        pts.append((h_eff, p_val - p1_val))
+        # P1(t)/|H| exactly at t = m / 2^k; int / int rounds correctly
+        m, q = t.as_integer_ratio()
+        k = q.bit_length() - 1
+        num = (m ** alpha - (1 << k * alpha)) ** (data.nu - 2) << k * sum(betas)
+        den = (data.h_order * math.prod(m ** b - (1 << k * b) for b in betas)
+               << k * alpha * (data.nu - 2))
+        pts.append((1.0 - t, p_val - num / den))
     # Neville extrapolation of the polynomial through pts to h = 0
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]

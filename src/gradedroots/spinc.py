@@ -11,18 +11,20 @@ with the cone S_Q = {x : (x, b_j) <= 0 for all j}.  It is computed by a
 generalized Laufer ascent (:func:`plumbing.laufer_ascent`), starting from
 the componentwise ceiling of -l' and pushing up any basis direction with
 positive pairing until none is left; the result is independent of the
-order of pushes.
+order of pushes.  Every element of L' is carried as its integer pairing
+vector, from the Smith tuple to the finished orbit; the Fraction
+coefficient vectors l'_[k] and k_r are built once, for the values handed
+out.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .plumbing import (CharElement, DualVector, InvariantViolated, adjugate,
-                       canonical_class, chi_k, laufer_ascent)
+                       canonical_class, characteristic_from_pairings, chi_k,
+                       laufer_ascent)
 
 
 class NotIntegral(ValueError):
@@ -151,37 +153,35 @@ def smith_decompose(B):
 # distinguished representatives
 
 
+def _ascend(graph, c):
+    """The minimal element l'_[k] of (l' + L) n S_Q for the l' in L' with
+    integer pairings c, by Laufer ascent: (x, pairings) with l'_[k] =
+    l' + x, x in L, and pairings its pairing vector c + B x.
+
+    Start at x0 = ceil(-l') = ceil(A c / |det B|) componentwise (a lower
+    bound, since every element of S_Q is effective) and add b_j while some
+    (x + l', b_j) > 0.  Termination is forced by negative definiteness;
+    the endpoint does not depend on the order of the pushes."""
+    order = graph.form.order
+    x = [-(-v // order) for v in graph.form.numerators(c)]
+    pair = [ci + p for ci, p in zip(c, graph.pairings(x))]
+    laufer_ascent(graph.e, graph.adjacency, x, pair)
+    return x, pair
+
+
 def _integral_pairings(graph, y):
-    """The pairings (y, b_j) of y in L (x) Q as integers, with the integer
-    numerators n of y over one common denominator D; raises
+    """The pairings (y, b_j) of y in L (x) Q as integers; raises
     :class:`NotIntegral` unless y lies in L'."""
-    ys = tuple(y)
-    D = math.lcm(*(f.denominator for f in ys))
-    n = [f.numerator * (D // f.denominator) for f in ys]
-    c = []
-    for v in graph.pairings(n):
-        if v % D:
-            raise NotIntegral("vector is not in L': pairing with some b_j is not integral")
-        c.append(v // D)
-    return c, n, D
+    c = graph.pairings(y)
+    if any(v.denominator != 1 for v in c):
+        raise NotIntegral("vector is not in L': pairing with some b_j is not integral")
+    return [int(v) for v in c]
 
 
 def distinguished_rep(graph, l_prime):
-    """The minimal element l'_[k] of (l' + L) n S_Q, by Laufer ascent.
-
-    Start at x0 = ceil(-l') componentwise (a lower bound for the minimum,
-    since every element of S_Q is effective) and add b_j while some
-    (x + l', b_j) > 0.  Termination is forced by negative definiteness;
-    the endpoint does not depend on the order of the pushes.
-    """
-    if isinstance(l_prime, (list, tuple)):
-        l_prime = DualVector(l_prime)
-    c, n, D = _integral_pairings(graph, l_prime)
-    # the minimum m satisfies m >= 0, hence m - l' >= ceil(-l') componentwise
-    x = [-(v // D) for v in n]
-    pair = [ci + p for ci, p in zip(c, graph.pairings(x))]
-    laufer_ascent(graph.e, graph.adjacency, x, pair)
-    return DualVector(Fraction(v + xv * D, D) for v, xv in zip(n, x))
+    """The minimal element l'_[k] of (l' + L) n S_Q, for l' in L' given by
+    its coefficients in the basis {b_j}."""
+    return graph.dual_from_pairings(_ascend(graph, _integral_pairings(graph, l_prime))[1])
 
 
 @dataclass(frozen=True)
@@ -200,23 +200,18 @@ class SpincOrbit:
     orbit_index: int
 
 
-def _orbit_from_rep(graph, K, l_min, index):
-    pmin, n, D = _integral_pairings(graph, l_min)
-    # k_r = K + 2 l'_[k] on integer numerators over |det B|, which D divides
-    order = graph.form.order
-    vector = DualVector(Fraction(k.numerator * (order // k.denominator) + 2 * v * (order // D),
-                                 order) for k, v in zip(K.vector, n))
-    kr = CharElement(vector=vector,
-                     pairings=tuple(kp + 2 * p for kp, p in zip(K.pairings, pmin)))
-    return SpincOrbit(l_prime_min=l_min, pairings=tuple(pmin), k_r=kr, orbit_index=index)
+def _orbit(graph, K, pairings, index):
+    """The orbit whose minimal representative has the given pairings."""
+    k_r = characteristic_from_pairings(graph, [k + 2 * p for k, p in zip(K.pairings, pairings)])
+    return SpincOrbit(l_prime_min=graph.dual_from_pairings(pairings), pairings=tuple(pairings),
+                      k_r=k_r, orbit_index=index)
 
 
 def enumerate_spinc(graph):
     """All |det B| spin^c orbits, in canonical Smith-coordinate order.
 
     Each Smith tuple t (0 <= t_i < d_i) is mapped back to a pairing vector
-    U^{-1} t, whose class is then normalized through
-    :func:`distinguished_rep`."""
+    U^{-1} t, whose class is then normalized by the Laufer ascent."""
     H = smith_decompose(graph.form.B)
     K = canonical_class(graph)
     orbits = []
@@ -228,8 +223,7 @@ def enumerate_spinc(graph):
         for tj, col in zip(t, U_cols):
             if tj:
                 c = [ci + tj * u for ci, u in zip(c, col)]
-        l_min = distinguished_rep(graph, graph.dual_from_pairings(c))
-        orbits.append(_orbit_from_rep(graph, K, l_min, index))
+        orbits.append(_orbit(graph, K, _ascend(graph, c)[1], index))
     if len(orbits) != H.order:
         raise InvariantViolated(f"{len(orbits)} orbits enumerated for |H| = {H.order}")
     return orbits
@@ -249,15 +243,8 @@ def m_k(graph, k, method="auto"):
     ``method`` is one of 'auto', 'engine', 'oracle'.
     """
     K = canonical_class(graph)
-    lp = tuple((a - b) // 2 for a, b in zip(k.pairings, K.pairings))
-    l_prime = graph.dual_from_pairings(lp)
-    l_min = distinguished_rep(graph, l_prime)
-    diff = l_prime - l_min
-    if not diff.is_integral():
-        raise InvariantViolated(f"l' - l'_[k] = {diff} is not in L")
-    l = diff.as_lattice()
-    orb = _orbit_from_rep(graph, K, l_min, -1)
-
+    x, pair = _ascend(graph, [(a - b) // 2 for a, b in zip(k.pairings, K.pairings)])
+    orb = _orbit(graph, K, pair, -1)
     min_kr = None
     if method in ("auto", "engine"):
         from . import engine
@@ -268,6 +255,6 @@ def m_k(graph, k, method="auto"):
             raise engine.NotAR("graph did not certify almost-rational")
     if min_kr is None:
         from . import oracle
-        lev = oracle.enumerate_sublevel(graph, orb.k_r, 0)
-        min_kr = min(lev.chi_values)
-    return min_kr - chi_k(graph, orb.k_r, l)
+        min_kr = oracle.min_chi(graph, orb.k_r)
+    # k = k_r + 2l with l = l' - l'_[k] = -x
+    return min_kr - chi_k(graph, orb.k_r, [-v for v in x])

@@ -175,7 +175,7 @@ def chi_rational(graph, y, K=None):
 def orbit_of(graph, orbits, l_prime):
     """Find the enumerated orbit containing l' + L (matching by Smith coords)."""
     H = smith_decompose(graph.form.B)
-    key = H.coords(_integral_pairings(graph, l_prime)[0])
+    key = H.coords(_integral_pairings(graph, l_prime))
     for orb in orbits:
         if H.coords(orb.pairings) == key:
             return orb

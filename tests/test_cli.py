@@ -322,6 +322,11 @@ CLI_CASES = {
     "error_verify_lens_no_pmax": ["verify", "lens"],
     "error_oracle_no_orbit": ["oracle", "e8.json", "--orbit", "1"],
     "error_oracle_negative_orbit": ["oracle", "e8.json", "--orbit", "-1"],
+    "error_analyze_no_orbit": ["analyze", "e8.json", "--orbits", "5"],
+    "error_root_no_orbit": ["root", "e8.json", "--orbits", "5", "-o", "e8"],
+    "error_lens_spinc_table": ["lens", "5", "2", "--spinc", "9", "--table"],
+    "error_verify_lens_and_oracle": ["verify", "lens", "5", "--oracle", "star5.json"],
+    "error_verify_lens_and_legs": ["verify", "lens", "5", "--e0", "-2", "--leg", "2/1"],
     "error_usage": ["lens", "5"],
     "help": ["--help"],
     **{f"help_{cmd}": [cmd, "--help"]
@@ -356,3 +361,8 @@ def test_verify_lens_needs_pmax():
     code, out, err = run_cli(["verify", "lens"])
     assert (code, out, err) == (1, "", "error: verify lens needs PMAX\n")
 
+
+def test_root_bad_orbit_writes_nothing(tmp_path, e8_file):
+    code, out, err = run_cli(["root", e8_file, "--orbits", "0,5", "-o", str(tmp_path / "e8")])
+    assert (code, out, err) == (1, "", "error: no orbit 5; the graph has 1 orbits\n")
+    assert sorted(os.listdir(tmp_path)) == ["e8.json"]

@@ -25,6 +25,49 @@ def test_sublevel_labels():
     assert labels[2].tolist() == [0, 0, 0, 3]
 
 
+def bfs_labels(chi, edges, n):
+    """Component labels of {chi <= n} by breadth-first search: each point
+    inside gets the smallest index of its component, the others -1."""
+    inside = [c <= n for c in chi]
+    adj = {p: [] for p in range(len(chi))}
+    for u, v in edges:
+        if inside[u] and inside[v]:
+            adj[u].append(v)
+            adj[v].append(u)
+    labels = [-1] * len(chi)
+    for p in range(len(chi)):
+        if inside[p] and labels[p] == -1:
+            comp, todo = {p}, [p]
+            while todo:
+                for w in adj[todo.pop()]:
+                    if w not in comp:
+                        comp.add(w)
+                        todo.append(w)
+            for q in comp:
+                labels[q] = min(comp)
+    return labels
+
+
+def test_sublevel_labels_match_bfs():
+    """Every row of the one-pass labelling equals a per-level search, on
+    random filtrations with gaps between the levels and rows below the
+    lowest and above the highest point."""
+    rng = random.Random(29)
+    for _ in range(60):
+        n = rng.randint(0, 40)
+        chi = [rng.choice([-3, -1, 0, 2, 3, 7]) for _ in range(n)]
+        edges = [tuple(rng.sample(range(n), 2))
+                 for _ in range(rng.randint(0, 2 * n) if n > 1 else 0)]
+        eu = np.array([u for u, _ in edges], dtype=np.int64)
+        ev = np.array([v for _, v in edges], dtype=np.int64)
+        n_lo = rng.randint(-5, 3)
+        n_hi = n_lo + rng.randint(0, 10)
+        labels = _kernels.sublevel_labels(np.array(chi, dtype=np.int64), eu, ev, n_lo, n_hi)
+        assert labels.shape == (n_hi - n_lo + 1, n)
+        for li, row in enumerate(labels.tolist()):
+            assert row == bfs_labels(chi, edges, n_lo + li)
+
+
 def brute_force_edges(coords):
     """Every (u, v) with row v = row u + e_j, by dictionary lookup."""
     rows = [tuple(r) for r in coords.tolist()]

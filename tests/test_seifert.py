@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -266,6 +267,15 @@ def test_numeric_limit_agrees():
         sp = sps[sp_idx]
         exact = seifert_torsion_limit(data, sp)
         assert abs(torsion_limit_numeric(data, sp) - float(exact)) < 1e-6
+
+
+def test_numeric_limit_without_mpmath(monkeypatch):
+    """The numeric oracle runs on numpy and exact integers alone."""
+    monkeypatch.setitem(sys.modules, "mpmath", None)
+    assert verify_sw_identity(S2311, check_numeric=True)["ok"]
+    sp = enumerate_seifert_spinc(NU3_H29)[3]
+    exact = seifert_torsion_limit(NU3_H29, sp)
+    assert abs(torsion_limit_numeric(NU3_H29, sp) - float(exact)) < 1e-6
 
 
 def test_verify_sw_identity_small():

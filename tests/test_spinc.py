@@ -191,6 +191,31 @@ def test_involution_permutes_orbits(rng):
         assert images == {o.orbit_index for o in orbs}
 
 
+def test_enumerate_spinc_stays_on_integer_pairings(monkeypatch):
+    """enumerate_spinc carries each orbit on its integer pairing vector: no
+    _integral_pairings round trip, and DualVectors only for the values it
+    hands out, l'_[k] and k_r of each orbit, plus K."""
+    from gradedroots import plumbing, spinc
+    g = build_graph([(0, -2), (1, -3), (2, -5), (3, -7)], [(0, 1), (0, 2), (0, 3)])
+    calls = {"dual": 0, "integral": 0}
+    init, integral = DualVector.__init__, spinc._integral_pairings
+
+    def counting_init(self, coeffs):
+        calls["dual"] += 1
+        init(self, coeffs)
+
+    def counting_integral(*args):
+        calls["integral"] += 1
+        return integral(*args)
+
+    monkeypatch.setattr(plumbing.DualVector, "__init__", counting_init)
+    monkeypatch.setattr(spinc, "_integral_pairings", counting_integral)
+    orbits = enumerate_spinc(g)
+    assert len(orbits) == g.form.order == 139
+    assert calls["integral"] == 0
+    assert calls["dual"] <= 2 * len(orbits) + 1
+
+
 def test_mk_rational_is_zero():
     g = e8_graph()
     for orb in enumerate_spinc(g):

@@ -3,6 +3,7 @@
 import ast
 import inspect
 import os
+import sys
 from collections import Counter
 
 import gradedroots
@@ -77,6 +78,25 @@ def test_no_module_imports_series():
     assert not found, f"series imported by the package: {found}"
 
 
+def test_runtime_imports_are_stdlib_or_numpy():
+    """numpy is the package's only runtime dependency: every other module it
+    imports is part of the standard library or of the package itself."""
+    found = []
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py"):
+            continue
+        for node in ast.walk(_parse(name)):
+            if isinstance(node, ast.Import):
+                mods = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                mods = [node.module]
+            else:
+                continue
+            found += [f"{name}:{node.lineno} imports {m}" for m in mods
+                      if m.split(".")[0] not in sys.stdlib_module_names | {"numpy", "gradedroots"}]
+    assert not found, f"imports outside the standard library and numpy: {found}"
+
+
 def test_torsion_limit_loops_are_integer():
     """seifert_torsion_limit sums over the legs and their residues on
     integers: no Fraction(...) call inside a loop or a comprehension."""
@@ -95,7 +115,8 @@ def test_torsion_limit_loops_are_integer():
 # Module-level names that nothing in the package calls: the library entry
 # points offered to callers outside it.
 LIBRARY_API = ("blow_up", "blow_down", "brieskorn", "fundamental_cycle", "x_sequence",
-               "ray_root", "root_from_minima", "rank_red_from_tau", "shift_root", "m_k")
+               "ray_root", "root_from_minima", "rank_red_from_tau", "shift_root", "m_k",
+               "distinguished_rep")
 
 
 def _names(node):
