@@ -69,21 +69,14 @@ def sublevel_labels(chi, eu, ev, n_lo, n_hi):
     """Component labels of the sublevel sets {chi <= n}, one row for each
     n_lo <= n <= n_hi: labels[li, p] is the smallest point index in the
     component of point p inside {chi <= n_lo + li}, or -1 while p is
-    outside it.  One pass of the union-find of :func:`roots.level_sweep`
-    fills them: it stops at each value m of chi, and from the last stop
-    at or below n_lo on, each stop fills the rows from m up."""
+    outside it.  Each row runs the union-find of :func:`roots.level_sweep`."""
     chi = np.asarray(chi, dtype=np.int64)
     labels = np.full((n_hi - n_lo + 1, len(chi)), -1, dtype=np.int64)
-    first, last = (chi.max(where=chi <= n, initial=np.iinfo(np.int64).min) for n in (n_lo, n_hi))
-
-    def fill(m, find):
-        inside = np.nonzero(chi <= m)[0]
-        labels[max(m, n_lo) - n_lo:, inside] = [find(p) for p in inside.tolist()]
-
-    find = None
-    for m, _, find in level_sweep(*array_filtration(chi, eu, ev), top=n_hi):
-        if first <= m < last:
-            fill(m, find)
-    if find is not None:  # the last stop, once the sweep has freed its arrays
-        fill(last, find)
+    for li in range(n_hi - n_lo + 1):
+        find = None
+        for _, _, find in level_sweep(*array_filtration(chi, eu, ev), top=n_lo + li):
+            pass
+        if find is not None:
+            inside = np.nonzero(chi <= n_lo + li)[0]
+            labels[li, inside] = [find(p) for p in inside.tolist()]
     return labels

@@ -139,8 +139,8 @@ def cmd_root(args):
 def cmd_lens(args):
     p, q = args.p, args.q
     L = lens_mod.LensSpace(p, q)
-    if args.spinc is not None and not 0 <= args.spinc < p:
-        raise lens_mod.RangeError(f"need 0 <= a < p, got a={args.spinc}")
+    if args.spinc is not None:  # lens_invariants checks 0 <= a < p
+        lens_mod.lens_invariants(L, args.spinc, check_numeric=False)
     rows = []
     for a in range(p) if (args.table or args.spinc is None) else [args.spinc]:
         inv = lens_mod.lens_invariants(L, a, check_numeric=False)

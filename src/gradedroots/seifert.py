@@ -109,6 +109,21 @@ class SeifertData:
         return int(v)
 
     @cached_property
+    def numeric_p1(self):
+        """P1(t)/|H| at each t = 1.0 - h, h in NUMERIC_STEPS, exact on the
+        integers of the binary t = m / q; it does not depend on the orbit."""
+        alpha, nu = self.alpha_lcm, self.nu
+        betas = [alpha // a for a, _ in self.legs]
+        out = []
+        for h in NUMERIC_STEPS:
+            m, q = float(1.0 - h).as_integer_ratio()
+            num = (m ** alpha - q ** alpha) ** (nu - 2) * q ** sum(betas)
+            den = (self.h_order * math.prod(m ** b - q ** b for b in betas)
+                   * q ** (alpha * (nu - 2)))
+            out.append(num / den)  # int / int rounds correctly
+        return tuple(out)
+
+    @cached_property
     def limit_constants(self):
         """(beta_l = alpha/alpha_l, D, f1, e/12 - D (f2 + f1^2/2), S0_l,
         alpha M0) for seifert_torsion_limit: P1(e^x)/|H| = D x^-2 exp(f1 x +
@@ -372,15 +387,14 @@ def torsion_limit_numeric(data, sp):
     h in NUMERIC_STEPS, extrapolated to h = 0 (Neville through the actual
     sample nodes).
 
-    P (float partial sums) and P1 (exact integers) are evaluated at the
-    same binary t, whose h = 1.0 - t is exact; near t = 1 each is of size
-    1/h^2, so even a one-ulp disagreement in t would not cancel.  The
-    terms c(i) t^(o i + alpha atilde) are summed in blocks of
-    NUMERIC_BLOCK, with the weights of the block starting at i = start
-    written as t^(o j) t^(o start + alpha atilde)."""
+    P (float partial sums) and P1 (exact integers, SeifertData.numeric_p1)
+    are evaluated at the same binary t, whose h = 1.0 - t is exact; near
+    t = 1 each is of size 1/h^2, so even a one-ulp disagreement in t would
+    not cancel.  The terms c(i) t^(o i + alpha atilde) are summed in
+    blocks of NUMERIC_BLOCK, with the weights of the block starting at
+    i = start written as t^(o j) t^(o start + alpha atilde)."""
     alpha, o = data.alpha_lcm, data.o
     alpha_at = int(alpha * sp.atilde)
-    betas = [alpha // a for a, _ in data.legs]
     omegas = np.array([w for _, w in data.legs], dtype=np.int64)
     alphas = np.array([a for a, _ in data.legs], dtype=np.int64)
     avec = np.array(sp.a, dtype=np.int64)
@@ -397,7 +411,7 @@ def torsion_limit_numeric(data, sp):
             yield start, i, c
 
     pts = []
-    for h in NUMERIC_STEPS:
+    for h, p1_val in zip(NUMERIC_STEPS, data.numeric_p1):
         t = float(1.0 - h)
         n_terms = int(60.0 / (o * h)) + 8
         if ld is not None:
@@ -411,13 +425,7 @@ def torsion_limit_numeric(data, sp):
             p_val = math.fsum(int(ci) * math.exp((o * ii + alpha_at) * logt)
                               for _, i, c in blocks(n_terms)
                               for ci, ii in zip(c.tolist(), i.tolist()))
-        # P1(t)/|H| exactly at t = m / 2^k; int / int rounds correctly
-        m, q = t.as_integer_ratio()
-        k = q.bit_length() - 1
-        num = (m ** alpha - (1 << k * alpha)) ** (data.nu - 2) << k * sum(betas)
-        den = (data.h_order * math.prod(m ** b - (1 << k * b) for b in betas)
-               << k * alpha * (data.nu - 2))
-        pts.append((1.0 - t, p_val - num / den))
+        pts.append((1.0 - t, p_val - p1_val))
     # Neville extrapolation of the polynomial through pts to h = 0
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]

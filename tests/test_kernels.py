@@ -49,7 +49,7 @@ def bfs_labels(chi, edges, n):
 
 
 def test_sublevel_labels_match_bfs():
-    """Every row of the one-pass labelling equals a per-level search, on
+    """Every row of the labelling equals a per-level search, on
     random filtrations with gaps between the levels and rows below the
     lowest and above the highest point."""
     rng = random.Random(29)
