@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .roots import array_filtration, level_sweep
+from .roots import label_sweep
 
 # ---------------------------------------------------------------------------
 # adjacency of enumerated points
@@ -69,14 +69,11 @@ def sublevel_labels(chi, eu, ev, n_lo, n_hi):
     """Component labels of the sublevel sets {chi <= n}, one row for each
     n_lo <= n <= n_hi: labels[li, p] is the smallest point index in the
     component of point p inside {chi <= n_lo + li}, or -1 while p is
-    outside it.  Each row runs the union-find of :func:`roots.level_sweep`."""
+    outside it.  One :func:`roots.label_sweep` fills every row: a level
+    writes its labels into its row and all later ones."""
     chi = np.asarray(chi, dtype=np.int64)
     labels = np.full((n_hi - n_lo + 1, len(chi)), -1, dtype=np.int64)
-    for li in range(n_hi - n_lo + 1):
-        find = None
-        for _, _, find in level_sweep(*array_filtration(chi, eu, ev), top=n_lo + li):
-            pass
-        if find is not None:
-            inside = np.nonzero(chi <= n_lo + li)[0]
-            labels[li, inside] = [find(p) for p in inside.tolist()]
+    for n, lab in label_sweep(chi, eu, ev, top=n_hi):
+        labels[max(n - n_lo, 0):] = lab
+    labels[chi > np.arange(n_lo, n_hi + 1)[:, None]] = -1
     return labels

@@ -12,9 +12,10 @@ chi_k(x) <= n reads x^T Q x - c.x <= 2n, an ellipsoid.  Its integer points
 are enumerated by Fincke-Pohst (Math. Comp. 44, 1985): coordinates are
 fixed one at a time, last first, and each is bounded by the projection of
 the slice left by the coordinates already fixed, through the integer
-adjugate of a leading block of Q and an integer square root.  Every
-prefix of one depth is processed at once.  All arithmetic is on integers,
-int64 where a bound proves it safe and Python integers otherwise.
+adjugate of a leading block of Q (all s of them from one O(s^3) bordering
+pass) and an integer square root.  Every prefix of one depth is processed
+at once.  All arithmetic is on integers, int64 where a bound proves it
+safe and Python integers otherwise.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .plumbing import InvariantViolated, LatticeVector, adjugate, canonical_class
-from .roots import array_filtration, merge_tree
+from .plumbing import InvariantViolated, canonical_class
+from .roots import array_sweep, merge_tree
 
 DEFAULT_POINT_CAP = 10 ** 7
 
@@ -61,6 +62,24 @@ def _proven_dtype(Q, c, limit, blocks):
     return np.int64 if bound < 1 << 62 else object
 
 
+def _leading_adjugates(Q):
+    """(adj Q_j, det Q_j) of every leading block Q_j of a symmetric positive
+    definite Q, in O(s^3) by bordering: with A = adj Q_{j-1}, D = det Q_{j-1},
+    new column b and diagonal entry q, det Q_j = qD - b.Ab, and adj Q_j has
+    upper-left block (det Q_j A + (Ab)(Ab)^T) / D, an exact division, last
+    column -Ab and corner D."""
+    A, D, blocks = [], 1, []
+    for j, row in enumerate(Q):
+        b = row[:j]
+        Ab = [sum(a * v for a, v in zip(r, b)) for r in A]
+        Dj = row[j] * D - sum(x * v for x, v in zip(Ab, b))
+        A = [[(Dj * a + x * y) // D for a, y in zip(r, Ab)] + [-x] for r, x in zip(A, Ab)]
+        A.append([-x for x in Ab] + [D])
+        D = Dj
+        blocks.append((A, D))
+    return blocks
+
+
 def _fincke_pohst(Q, c, limit, point_cap):
     """All integer x with h(x) = x^T Q x - c.x <= limit, Q positive definite.
 
@@ -78,7 +97,7 @@ def _fincke_pohst(Q, c, limit, point_cap):
     ``point_cap`` bounds the nodes visited over all depths.
     Returns (coords [N, s], h [N]), both int64, in no particular order."""
     s = len(c)
-    blocks = [adjugate([row[:j + 1] for row in Q[:j + 1]]) for j in range(s)]
+    blocks = _leading_adjugates(Q)
     dtype = _proven_dtype(Q, c, limit, blocks)
     Qm = np.array(Q, dtype=dtype)
     coords = np.zeros((1, s), dtype=dtype)
@@ -126,9 +145,6 @@ class SublevelComplex:
     @property
     def n_components(self):
         return len(set(self.labels.tolist())) if len(self.labels) else 0
-
-    def points(self):
-        return [LatticeVector(row) for row in self.coords.tolist()]
 
     def component_of(self, x):
         row = np.asarray(tuple(x), dtype=np.int64)
@@ -188,7 +204,7 @@ def _root_and_points(graph, k, n_max, point_cap):
     eu, ev = _kernels.lattice_edges(coords)
     K = canonical_class(graph)
     is_canonical = tuple(k.pairings) == tuple(K.pairings)
-    root = merge_tree(*array_filtration(chi, eu, ev), top=n_max,
+    root = merge_tree(array_sweep, chi, eu, ev, top=n_max,
                       truncated=not (is_canonical and n_max >= 1))
     return root, len(chi)
 

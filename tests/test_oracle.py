@@ -119,6 +119,29 @@ def test_fincke_pohst_matches_brute_force(rng, monkeypatch):
     assert np.int64 in dtypes and object in dtypes
 
 
+def test_leading_adjugates_by_bordering(rng, monkeypatch):
+    """Every leading (adj, det) pair that bordering gives equals
+    plumbing.adjugate of that block, on random positive-definite forms with
+    s <= 16 and on -B of A_16; and _fincke_pohst runs no elimination."""
+    from gradedroots import plumbing
+    forms = [random_posdef(rng, rng.randint(1, 16)) for _ in range(40)]
+    B = chain_graph(16).form.B
+    forms.append([[-v for v in row] for row in B])
+    for Q in forms:
+        blocks = oracle._leading_adjugates(Q)
+        assert len(blocks) == len(Q)
+        for j, block in enumerate(blocks):
+            assert block == plumbing.adjugate([row[:j + 1] for row in Q[:j + 1]])
+    calls = []
+    eliminate = plumbing._eliminate
+    monkeypatch.setattr(plumbing, "_eliminate", lambda M: calls.append(M) or eliminate(M))
+    for Q in forms[-3:]:
+        oracle._fincke_pohst(Q, [0] * len(Q), 4, 10 ** 7)
+    assert calls == []
+    plumbing.adjugate([[2]])
+    assert len(calls) == 1  # the counter sees adjugate
+
+
 def test_chain_level_one_is_output_sensitive():
     """A_35 at level 1 has 1 261 points, well within the default cap, and
     the A_45 level-1 set is 0 and the 2 070 roots."""

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gradedroots.roots import (ConditionViolated, EmptyTau, GradedRoot,
-                               TauFunction, ZUModule, dot_export,
+                               TauFunction, ZUModule, array_sweep, dot_export,
+                               label_sweep, level_sweep, merge_tree,
                                module_of_root, rank_red_from_tau, ray_root,
                                root_from_minima, root_from_tau, shift_root)
 
@@ -354,6 +356,47 @@ def test_root_oracle_matches_definition(rng):
             assert raw(oracle.root_oracle(g, k, n_max)) == expect
             branched += len(set(expect[0])) < len(expect[0])
     assert branched >= 5
+
+
+def test_array_sweep_matches_level_sweep():
+    """The array sweep against the union-find and a per-level search, on
+    seeded random filtrations with tied and negative levels, several
+    components, isolated points and edges entering at their higher end,
+    up to a random top below or above the highest level, truncated or
+    not: the roots agree field by field, and each level's labels are
+    the smallest member of each component."""
+    from test_kernels import bfs_labels
+
+    def built(sweep, *graph):
+        try:
+            return raw(merge_tree(sweep, *graph, top=top, truncated=truncated))
+        except ValueError as exc:  # no vertex, or no single ray at the top
+            return str(exc)
+
+    rng = random.Random(43)
+    seen = set()
+    for _ in range(300):
+        size = rng.randint(1, 30)
+        levels = [rng.randint(-4, 3) for _ in range(size)]
+        edges = [(rng.randrange(size), rng.randrange(size))
+                 for _ in range(rng.randint(0, 2 * size))]
+        eu = np.array([u for u, _ in edges], dtype=np.int64)
+        ev = np.array([v for _, v in edges], dtype=np.int64)
+        top = rng.choice([None, rng.randint(min(levels), max(levels) + 2)])
+        truncated = rng.random() < 0.5
+        links = sorted((max(levels[u], levels[v]), u, v) for u, v in edges)
+        expect = built(level_sweep, size, sorted(zip(levels, range(size))), links)
+        assert built(array_sweep, levels, eu, ev) == expect
+        if isinstance(expect, tuple):
+            seen.add((truncated, top is None or top >= max(levels),
+                      len(set(expect[0])) < len(expect[0])))
+        else:
+            seen.add(expect)
+        swept = [(n, [int(lab[p]) if levels[p] <= n else -1 for p in range(size)])
+                 for n, lab in label_sweep(levels, eu, ev, top)]
+        assert swept == [(n, bfs_labels(levels, edges, n))
+                         for n in sorted(set(levels)) if top is None or n <= top]
+    assert len(seen) == 9  # 8 kinds of root, and no single ray at the top
 
 
 def test_library_dot_golden():
