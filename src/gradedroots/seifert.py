@@ -109,19 +109,28 @@ class SeifertData:
         return int(v)
 
     @cached_property
-    def numeric_p1(self):
-        """P1(t)/|H| at each t = 1.0 - h, h in NUMERIC_STEPS, exact on the
-        integers of the binary t = m / q; it does not depend on the orbit."""
-        alpha, nu = self.alpha_lcm, self.nu
-        betas = [alpha // a for a, _ in self.legs]
-        out = []
+    def numeric_weights(self):
+        """The per-datum part of torsion_limit_numeric: the block length L
+        and, for each h in NUMERIC_STEPS, (1 - t, n, log t, w, S1,
+        P1(t)/|H|) at the binary t = 1.0 - h, in long double apart from the
+        exact node 1 - t.  n is the number of terms summed, w_j = t^(o j)
+        for j < min(L, n) and S1 = sum_j w_j; P1/|H|
+        is the exact integer ratio of _p1_ratio, rounded to long double.
+        None of it depends on the orbit."""
+        alpha, o, ld = self.alpha_lcm, self.o, np.longdouble
+        L = alpha * max(2, NUMERIC_BLOCK // alpha)
+        rows = []
         for h in NUMERIC_STEPS:
-            m, q = float(1.0 - h).as_integer_ratio()
-            num = (m ** alpha - q ** alpha) ** (nu - 2) * q ** sum(betas)
-            den = (self.h_order * math.prod(m ** b - q ** b for b in betas)
-                   * q ** (alpha * (nu - 2)))
-            out.append(num / den)  # int / int rounds correctly
-        return tuple(out)
+            t = 1.0 - h
+            n = int(60.0 / (o * h)) + 8
+            logt = np.log(ld(t))
+            w = np.exp((o * np.arange(min(L, n), dtype=np.int64)).astype(ld) * logt)
+            num, den = _p1_ratio(self, t)
+            hi = num / den  # int / int rounds correctly; add the rounded remainder
+            hn, hd = hi.as_integer_ratio()
+            p1 = ld(hi) + ld((num * hd - hn * den) / (den * hd))
+            rows.append((1.0 - t, n, logt, w, w.sum(), p1))
+        return L, tuple(rows)
 
     @cached_property
     def limit_constants(self):
@@ -212,9 +221,6 @@ class SeifertSpinc:
     atilde: Fraction
     E: tuple          # per leg, the coefficient tuples E(a_l)
     pairings: tuple   # pairing vector of l'_[k] on the star graph
-
-    def is_canonical(self):
-        return self.a0 == 0 and all(v == 0 for v in self.a)
 
 
 def _si_red_ok(data, a0, avec):
@@ -372,14 +378,57 @@ def _float_dtype():
     return ld if np.finfo(ld).eps < 1e-18 else None
 
 
-# Terms per block of the numeric partial sums.  A call sums about
-# 60/(o h) terms (6 * 10^6 for o = 1 at h = 1e-5); blocks keep its arrays
-# at a few MB however many terms there are.
-NUMERIC_BLOCK = 1 << 16
+def _p1_ratio(data, t):
+    """P1(t)/|H| as an exact integer ratio (num, den) at the binary t = m/q,
+    with P1(t) = (t^alpha - 1)^(nu-2) / prod_l (t^(alpha/alpha_l) - 1)."""
+    alpha, nu = data.alpha_lcm, data.nu
+    betas = [alpha // a for a, _ in data.legs]
+    m, q = t.as_integer_ratio()
+    num = (m ** alpha - q ** alpha) ** (nu - 2) * q ** sum(betas)
+    den = (data.h_order * math.prod(m ** b - q ** b for b in betas)
+           * q ** (alpha * (nu - 2)))
+    return num, den
 
 
-# The steps h at which torsion_limit_numeric samples t = 1 - h.
-NUMERIC_STEPS = (1e-3, 1e-4, 1e-5)
+def _increments(data, sp, start, stop):
+    """The tau increments c(i) = 1 + a0 - i e0 + sum_l floor((a_l - i
+    omega_l)/alpha_l) for start <= i < stop, by the floor divisions.  In
+    int64, |i omega_l| < stop alpha_l; for the block of
+    torsion_limit_numeric (start = 0, stop = L <= max(NUMERIC_BLOCK,
+    2 alpha)) that is below max(NUMERIC_BLOCK, 2 alpha) alpha, far inside
+    int64 for any datum whose spin^c structures can be enumerated."""
+    i = np.arange(start, stop, dtype=np.int64)
+    c = 1 + sp.a0 - i * data.e0
+    for (al, om), a in zip(data.legs, sp.a):
+        c += (a - i * om) // al
+    return c
+
+
+def _neville(pts):
+    """The value at h = 0 of the polynomial through the points (h, y)."""
+    xs = [p[0] for p in pts]
+    ys = [p[1] for p in pts]
+    for level in range(1, len(pts)):
+        for k in range(len(pts) - level):
+            ys[k] = (xs[k + level] * ys[k] - xs[k] * ys[k + 1]) / (xs[k + level] - xs[k])
+    return ys[0]
+
+
+# The block of the numeric partial sums.  torsion_limit_numeric computes
+# c(i) directly for i < L = alpha * floor(NUMERIC_BLOCK / alpha) (at least
+# 2 alpha) once per orbit; every later block of L terms is the first one
+# shifted by a multiple of o, and costs one exponential.  A call sums about
+# 60/(o h) terms (6 * 10^7 for o = 1 at h = 1e-6, about 15 000 blocks);
+# 2^12 balances the block against the per-block exponentials, and on the
+# benchmark's data ran ten times faster than 2^16.
+NUMERIC_BLOCK = 1 << 12
+
+
+# The steps h at which torsion_limit_numeric samples t = 1 - h.  Near t = 1
+# the poles of P at t^(o alpha_l) = 1 come within 2 pi/(o alpha_l) of it, so
+# the fourth, finest node keeps the Neville truncation error small when o
+# alpha_l is large (o = 218, alpha_l = 11 on (-1; 5/1, 7/1, 11/1)).
+NUMERIC_STEPS = (1e-3, 1e-4, 1e-5, 1e-6)
 
 
 def torsion_limit_numeric(data, sp):
@@ -387,52 +436,60 @@ def torsion_limit_numeric(data, sp):
     h in NUMERIC_STEPS, extrapolated to h = 0 (Neville through the actual
     sample nodes).
 
-    P (float partial sums) and P1 (exact integers, SeifertData.numeric_p1)
-    are evaluated at the same binary t, whose h = 1.0 - t is exact; near
-    t = 1 each is of size 1/h^2, so even a one-ulp disagreement in t would
-    not cancel.  The terms c(i) t^(o i + alpha atilde) are summed in
-    blocks of NUMERIC_BLOCK, with the weights of the block starting at
-    i = start written as t^(o j) t^(o start + alpha atilde)."""
+    P is a long-double partial sum of the terms c(i) t^(o i + alpha
+    atilde), i < n; P1/|H| is the exact integer ratio at the same binary t
+    rounded to long double (SeifertData.numeric_weights), and so is their
+    difference.  Near t = 1 each is of size 1/h^2, so even a one-ulp
+    disagreement in t would not cancel.
+
+    The increments are periodic, c(i + alpha) = c(i) + o, since o = -e
+    alpha; the block c(i), i < L, is computed once and this identity is
+    checked on it (IdentityViolated otherwise).  The block of terms that
+    starts at i = s, a multiple of L, is then
+
+        (S_c + (o s / alpha) S1) t^(o s + alpha atilde),
+
+    with S_c = sum_{j<L} c(j) t^(o j) and S1 = sum_{j<L} t^(o j); the last,
+    partial block is summed term by term.  This only regroups the float
+    partial sum; no geometric series is summed in closed form, so the
+    check stays independent of seifert_torsion_limit.  Per orbit it costs
+    one block of L terms and one exponential per further block; the
+    weights are computed once per datum and h."""
     alpha, o = data.alpha_lcm, data.o
     alpha_at = int(alpha * sp.atilde)
-    omegas = np.array([w for _, w in data.legs], dtype=np.int64)
-    alphas = np.array([a for a, _ in data.legs], dtype=np.int64)
-    avec = np.array(sp.a, dtype=np.int64)
-    j = np.arange(NUMERIC_BLOCK, dtype=np.int64)
     ld = _float_dtype()
-
-    def blocks(n_terms):
-        """(start, i, c(i)) for consecutive blocks of i in [0, n_terms)."""
-        for start in range(0, n_terms, NUMERIC_BLOCK):
-            i = start + j[:n_terms - start]
-            c = 1 + sp.a0 - i * data.e0
-            for l in range(data.nu):
-                c = c + (-i * omegas[l] + avec[l]) // alphas[l]
-            yield start, i, c
-
-    pts = []
-    for h, p1_val in zip(NUMERIC_STEPS, data.numeric_p1):
-        t = float(1.0 - h)
-        n_terms = int(60.0 / (o * h)) + 8
-        if ld is not None:
-            logt = np.log(ld(t))
-            step = np.exp(o * j[:n_terms].astype(ld) * logt)
-            p_val = float(sum((c.astype(ld) * step[:c.size]).sum()
-                              * np.exp((o * start + alpha_at) * logt)
-                              for start, _, c in blocks(n_terms)))
-        else:  # pragma: no cover - platforms without extended doubles
+    if ld is None:  # pragma: no cover - platforms without extended doubles
+        # three nodes, every term by the floor divisions, in double
+        pts = []
+        for h in NUMERIC_STEPS[:3]:
+            t = 1.0 - h
+            n = int(60.0 / (o * h)) + 8
             logt = math.log(t)
-            p_val = math.fsum(int(ci) * math.exp((o * ii + alpha_at) * logt)
-                              for _, i, c in blocks(n_terms)
-                              for ci, ii in zip(c.tolist(), i.tolist()))
-        pts.append((1.0 - t, p_val - p1_val))
-    # Neville extrapolation of the polynomial through pts to h = 0
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    for level in range(1, len(pts)):
-        for k in range(len(pts) - level):
-            ys[k] = (xs[k + level] * ys[k] - xs[k] * ys[k + 1]) / (xs[k + level] - xs[k])
-    return ys[0]
+            p_val = math.fsum(
+                ci * math.exp((o * i + alpha_at) * logt)
+                for start in range(0, n, NUMERIC_BLOCK)
+                for i, ci in enumerate(
+                    _increments(data, sp, start, min(n, start + NUMERIC_BLOCK)).tolist(), start))
+            num, den = _p1_ratio(data, t)
+            pts.append((1.0 - t, p_val - num / den))
+        return _neville(pts)
+    L, rows = data.numeric_weights
+    c = _increments(data, sp, 0, L)
+    if not np.array_equal(c[alpha:], c[:-alpha] + o):
+        raise IdentityViolated(
+            f"{data.describe()} orbit {sp.a0};{sp.a}: c(i + alpha) != c(i) + o for o = {o}")
+    shift = o * L // alpha  # c(i + L) - c(i)
+    c = c.astype(ld)
+    pts = []
+    for node, n, logt, w, s1, p1 in rows:
+        nb, r = divmod(n, L)
+        k = np.arange(nb + 1, dtype=np.int64)
+        # .sum() adds pairwise; np.dot on long doubles adds one by one
+        sums = (c[:w.size] * w).sum() + (shift * k).astype(ld) * s1
+        sums[nb] = ((c[:r] + shift * nb) * w[:r]).sum()
+        p_val = (sums * np.exp((o * L * k + alpha_at).astype(ld) * logt)).sum()
+        pts.append((node, float(p_val - p1)))
+    return _neville(pts)
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,18 @@
 The package evaluates the lens, Seifert and plumbing invariants through
 closed forms on whole tables (``lens.LensTable``, the checked E(a) table,
 ``seifert.seifert_orbit``) and through the integer adjugate of the
-intersection form.  The per-a definitions, the Fraction inverse and the
-mpmath Fourier sum below are the independent slow paths those are checked
-against; nothing in the package calls them.
+intersection form.  The per-a definitions, the per-term numeric Seifert
+torsion limit, the Fraction inverse and the mpmath Fourier sum below are
+the independent slow paths those are checked against; nothing in the
+package calls them.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from gradedroots.lens import (LensIdentityError, NotCoprime, RangeError, dedekind_sum,
                               spinc_coeffs)
@@ -143,6 +146,48 @@ def x_closed_form(data, sp, i):
             coeffs[span[0] + j - 1] = v
             prev = v
     return LatticeVector(coeffs)
+
+
+def torsion_limit_numeric_per_term(data, sp, steps, block=1 << 16):
+    """The numeric torsion limit that seifert.torsion_limit_numeric
+    regroups by periodicity: at each t = 1.0 - h, h in ``steps``, every
+    increment c(i), i < 60/(o h) + 8, comes from the floor divisions, the
+    terms c(i) t^(o i + alpha atilde) are added in long double, block by
+    block, and P1(t)/|H| is an exact Fraction rounded to long double; the
+    differences are extrapolated to h = 0 by Neville."""
+    ld = np.longdouble
+    alpha, o = data.alpha_lcm, data.o
+    alpha_at = int(alpha * sp.atilde)
+    omegas = np.array([w for _, w in data.legs], dtype=np.int64)
+    alphas = np.array([a for a, _ in data.legs], dtype=np.int64)
+    avec = np.array(sp.a, dtype=np.int64)
+    j = np.arange(block, dtype=np.int64)
+    pts = []
+    for h in steps:
+        t = float(1.0 - h)
+        n_terms = int(60.0 / (o * h)) + 8
+        logt = np.log(ld(t))
+        step = np.exp(o * j[:n_terms].astype(ld) * logt)
+        p_val = ld(0)
+        for start in range(0, n_terms, block):
+            i = start + j[:n_terms - start]
+            c = 1 + sp.a0 - i * data.e0
+            for l in range(data.nu):
+                c = c + (-i * omegas[l] + avec[l]) // alphas[l]
+            p_val += ((c.astype(ld) * step[:c.size]).sum()
+                      * np.exp((o * start + alpha_at) * logt))
+        tf = Fraction(t)
+        p1 = (tf ** alpha - 1) ** (data.nu - 2) / data.h_order
+        for a, _ in data.legs:
+            p1 /= tf ** (alpha // a) - 1
+        hi = float(p1)
+        pts.append((1.0 - t, float(p_val - (ld(hi) + ld(float(p1 - Fraction(hi)))))))
+    xs = [p[0] for p in pts]
+    ys = [p[1] for p in pts]
+    for level in range(1, len(pts)):
+        for k in range(len(pts) - level):
+            ys[k] = (xs[k + level] * ys[k] - xs[k] * ys[k + 1]) / (xs[k + level] - xs[k])
+    return ys[0]
 
 
 # ---------------------------------------------------------------------------

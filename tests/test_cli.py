@@ -288,6 +288,7 @@ def test_oracle_dot_golden(tmp_path):
 S235 = ["--e0", "-2", "--leg", "2/1", "--leg", "3/2", "--leg", "5/4"]
 S237 = ["--e0", "-1", "--leg", "2/1", "--leg", "3/1", "--leg", "7/1"]
 SEIFERT_3_7_2 = ["--e0", "-2", "--leg", "2/1", "--leg", "3/1", "--leg", "7/2"]
+S5711 = ["--e0", "-1", "--leg", "5/2", "--leg", "7/1", "--leg", "11/5"]
 
 
 def _formats(name, argv):
@@ -312,6 +313,7 @@ CLI_CASES = {
     "oracle_point_cap": ["oracle", "sigma237.json", "--point-cap", "10"],
     "verify_lens": ["verify", "lens", "12"],
     "verify_seifert": ["verify", "seifert"] + S237,
+    "verify_seifert_sigma5711": ["verify", "seifert"] + S5711,
     "verify_oracle": ["verify", "--oracle", "star5.json"],
     "error_missing_file": ["analyze", "missing.json"],
     "error_bad_orbits": ["analyze", "star5.json", "--orbits", "1,x"],

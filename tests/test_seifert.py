@@ -5,17 +5,18 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_seifert
-from gradedroots import engine, oracle, spinc
+from gradedroots import engine, oracle, seifert, spinc
 from gradedroots.plumbing import casson_walker, k_squared_plus_s
-from gradedroots.seifert import (PositiveOrbifoldEuler, SeifertData, brieskorn,
-                                 dp_invariant,
+from gradedroots.seifert import (IdentityViolated, PositiveOrbifoldEuler, SeifertData,
+                                 brieskorn, dp_invariant,
                                  enumerate_seifert_spinc,
                                  seifert_chi_lprime, seifert_k2s,
                                  seifert_tau, seifert_torsion_limit,
                                  tau_stop_index, torsion_limit_numeric,
                                  verify_sw_identity)
 from series_reference import seifert_torsion_limit_series
-from slow_reference import chi_rational, lprime_vector, orbit_of, x_closed_form
+from slow_reference import (chi_rational, lprime_vector, orbit_of,
+                            torsion_limit_numeric_per_term, x_closed_form)
 
 S235 = brieskorn(2, 3, 5)
 S237 = brieskorn(2, 3, 7)
@@ -67,7 +68,7 @@ def test_enumeration_counts():
 
 def test_canonical_is_enumerated_first():
     sps = enumerate_seifert_spinc(NU3_H29)
-    assert sps[0].is_canonical()
+    assert sps[0].a0 == 0 and not any(sps[0].a)
 
 
 def test_leg_inequalities():
@@ -219,7 +220,7 @@ def test_torsion_limit_relative_identity():
     """(r*): L_[k] - L_[K] = -chi(l'_[k]) for every orbit."""
     data = NU3_H29
     sps = enumerate_seifert_spinc(data)
-    can = next(sp for sp in sps if sp.is_canonical())
+    can = next(sp for sp in sps if sp.a0 == 0 and not any(sp.a))
     L_can = seifert_torsion_limit(data, can)
     for sp in sps:
         L = seifert_torsion_limit(data, sp)
@@ -231,7 +232,7 @@ def test_torsion_limit_a0_orbit():
     L - L_can = a0^2/(2e) + (a0/2)(1 + eps)."""
     data = SeifertData(e0=-3, legs=((2, 1), (3, 1), (5, 1)))
     sps = enumerate_seifert_spinc(data)
-    can = next(sp for sp in sps if sp.is_canonical())
+    can = next(sp for sp in sps if sp.a0 == 0 and not any(sp.a))
     found = 0
     L_can = seifert_torsion_limit(data, can)
     for sp in sps:
@@ -276,6 +277,54 @@ def test_numeric_limit_without_mpmath(monkeypatch):
     sp = enumerate_seifert_spinc(NU3_H29)[3]
     exact = seifert_torsion_limit(NU3_H29, sp)
     assert abs(torsion_limit_numeric(NU3_H29, sp) - float(exact)) < 1e-6
+
+
+@pytest.mark.parametrize("legs", [((5, 2), (7, 1), (11, 5)), ((5, 1), (7, 1), (11, 1))])
+def test_verify_sw_identity_numeric_near_poles(legs):
+    """Sigma(5,7,11) (o = 1, alpha = 385) and (-1; 5/1, 7/1, 11/1) (o =
+    |H| = 218): the double-precision P1/|H| and the three-node Neville
+    fit once put the numeric limit 5.7e-6 and 3.6e-5 off the exact one."""
+    data = SeifertData(e0=-1, legs=legs)
+    rep = verify_sw_identity(data, check_numeric=True)
+    assert rep["ok"] and len(rep["orbits"]) == data.h_order
+
+
+def test_numeric_blocks_match_per_term(monkeypatch):
+    """The periodic block sum of torsion_limit_numeric equals the per-term
+    long-double sum at the same nodes, on every orbit of seeded random
+    data with alpha <= 60.  Coarse nodes keep the per-term sums short; the
+    data are built inside the patch, so no cached weights of other nodes
+    reach them."""
+    steps = (1e-2, 1e-3, 1e-4)
+    monkeypatch.setattr(seifert, "NUMERIC_STEPS", steps)
+    rng = random.Random(1111)
+    datas = []
+    while len(datas) < 10:
+        data = random_seifert(rng, 3, 4, 12, 12)
+        if data.alpha_lcm <= 60:
+            datas.append(data)
+    full = partial_only = False
+    orbits = 0
+    for data in datas:
+        fresh = SeifertData(e0=data.e0, legs=data.legs)
+        for sp in enumerate_seifert_spinc(data):
+            fast = torsion_limit_numeric(fresh, sp)
+            slow = torsion_limit_numeric_per_term(data, sp, steps)
+            assert abs(fast - slow) < 1e-10, f"{data.describe()} orbit {sp.a0};{sp.a}"
+            orbits += 1
+        L, rows = fresh.numeric_weights
+        full |= rows[-1][1] > L          # whole blocks at the finest node
+        partial_only |= rows[0][1] < L   # one partial block at the coarsest
+    assert full and partial_only and orbits >= 40
+
+
+def test_numeric_periodicity_guard():
+    """A wrong o breaks c(i + alpha) = c(i) + o on the block."""
+    data = SeifertData(e0=-2, legs=((2, 1), (3, 1), (5, 1)))
+    sp = enumerate_seifert_spinc(data)[3]
+    data.__dict__["o"] = data.o + 1
+    with pytest.raises(IdentityViolated, match=r"c\(i \+ alpha\) != c\(i\) \+ o"):
+        torsion_limit_numeric(data, sp)
 
 
 def test_verify_sw_identity_small():
