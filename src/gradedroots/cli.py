@@ -190,7 +190,7 @@ def cmd_oracle(args):
         n_max = args.level if args.level is not None else min_c + 6
         # one enumeration of the top level gives the root and the point
         # count; the components at n_max are the root's vertices there
-        root, n_points = oracle._root_and_points(g, orb.k_r, n_max, args.point_cap)
+        root, n_points = next(oracle.graph_roots(g, [orb.k_r], [n_max], args.point_cap))
         components = sum(1 for c in root.truncate(n_max).chi if c == n_max)
         print(f"orbit {orb.orbit_index}: min chi = {min_c}, "
               f"|sublevel({n_max})| = {n_points}, "
@@ -219,13 +219,13 @@ def verify_oracle_graph(graph, point_cap=oracle.DEFAULT_POINT_CAP):
     cls = engine.classify(graph)
     if not cls.is_ar():
         raise engine.NotAR(cls.describe())
+    orbits = spinc.enumerate_spinc(graph)
+    reports = [engine.analyze_orbit(graph, orb, cls) for orb in orbits]
+    cuts = [rep.min_tau + ORACLE_LEVEL_OFFSET for rep in reports]
+    orc_roots = oracle.graph_roots(graph, [orb.k_r for orb in orbits], cuts, point_cap)
     checked = []
-    for orb in spinc.enumerate_spinc(graph):
-        rep = engine.analyze_orbit(graph, orb, cls)
-        cut = rep.min_tau + ORACLE_LEVEL_OFFSET
-        eng_root = rep.root.truncate(cut)
-        orc_root = oracle.root_oracle(graph, orb.k_r, cut, point_cap=point_cap)
-        if eng_root != orc_root.truncate(cut):
+    for orb, rep, cut, (orc_root, _) in zip(orbits, reports, cuts, orc_roots):
+        if rep.root.truncate(cut) != orc_root.truncate(cut):
             raise InvariantViolated(f"orbit {orb.orbit_index}: engine root != oracle "
                                     f"root at level {cut}")
         checked.append(orb.orbit_index)

@@ -16,6 +16,22 @@ adjugate of a leading block of Q (all s of them from one O(s^3) bordering
 pass) and an integer square root.  Every prefix of one depth is processed
 at once.  All arithmetic is on integers, int64 where a bound proves it
 safe and Python integers otherwise.
+
+One walk serves every spin^c orbit of a graph.  Q, the adjugates and the
+dtype proof depend on the graph alone, so each (k, n) enters as one start
+row with its own c and limit 2n, and every node remembers its start.
+
+The walk is kept as its tree: the children of a node are contiguous rows
+with consecutive values of the coordinate their depth fixes.  The lattice
+edges (x, x + e_j) are read off it without sorting.  The ancestors of x and
+x + e_j at the depth that fixes x_j are adjacent siblings; below it the two
+subtrees are joined depth by depth, pairing the children of two paired
+nodes over the overlap of their child intervals, with repeat/cumsum
+arithmetic.  The leaves come out x_{s-1}-major, in the walk's order, which
+also fixes every node count that the point cap reads.  One lexsort by
+(start, chi, x_0, ..., x_{s-1}) gives each orbit's vertices in the (chi,
+lexicographic) order that numbers the root's vertices, and the edges map
+through its inverse.
 """
 
 from __future__ import annotations
@@ -80,30 +96,89 @@ def _leading_adjugates(Q):
     return blocks
 
 
-def _fincke_pohst(Q, c, limit, point_cap):
-    """All integer x with h(x) = x^T Q x - c.x <= limit, Q positive definite.
+@dataclass(frozen=True)
+class _Walk:
+    """The tree of one breadth-first Fincke-Pohst walk.  Depth d fixes
+    x_{s-1-d}: node i of depth d has the value x[d][i] and the parent
+    parent[d][i] at depth d - 1, or at depth 0 its start row.  The leaves
+    are the enumerated points, in the walk's order; ``start``, ``h`` and
+    the edge ends ``eu``, ``ev`` (leaf ev = leaf eu + e_j) index them."""
+
+    parent: list
+    x: list
+    start: np.ndarray
+    h: np.ndarray
+    eu: np.ndarray
+    ev: np.ndarray
+
+    def columns(self, narrow=False):
+        """The coordinates x_0, ..., x_{s-1} of the leaves, one array each,
+        read up the tree: int64, or with ``narrow`` as :func:`_narrow` sort
+        keys of the same order."""
+        row = np.arange(len(self.h))
+        cols = []
+        for parent, x in zip(reversed(self.parent), reversed(self.x)):
+            cols.append((_narrow(x) if narrow else x.astype(np.int64))[row])
+            row = parent[row]
+        return cols
+
+
+def _join(pa, pb, lo, count, first):
+    """The pairs of children of the node pairs (pa[i], pb[i]) that fix the
+    same value: node a has the children first[a] + t with values lo[a] + t,
+    t < count[a], so the pairs come from the overlap of the two intervals.
+    Rows are int32, as a depth has fewer than 2^31 of them, and so are the
+    pair counts, below 2^31 by the check."""
+    la, lb = lo[pa], lo[pb]
+    top = np.maximum(la, lb)
+    n = (np.minimum(la + count[pa], lb + count[pb]) - top).astype(np.int64)
+    keep = np.flatnonzero(n > 0)
+    n = n[keep]
+    total = int(n.sum())
+    if total >= 1 << 31:
+        raise ValueError(f"{total} lattice edges at one depth exceed the 2^31 of int32 rows")
+    n = n.astype(np.int32)
+    ca = (first[pa[keep]] + (top - la)[keep]).astype(np.int32)
+    cb = (first[pb[keep]] + (top - lb)[keep]).astype(np.int32)
+    del la, lb, top, keep
+    step = np.arange(total, dtype=np.int32) - (np.cumsum(n, dtype=np.int32) - n).repeat(n)
+    return ca.repeat(n) + step, cb.repeat(n) + step
+
+
+def _fincke_pohst(Q, starts, point_cap):
+    """All integer x with h(x) = x^T Q x - c.x <= limit, Q positive definite,
+    for every (c, limit) in ``starts``, by one walk.
 
     Breadth-first over x_{s-1}, x_{s-2}, ..., x_0, all prefixes of a depth
-    at once.  With x_{j+1..s-1} fixed, the free block x_0..x_j must satisfy
-    y^T Q_j y - c'.y <= L' for the leading block Q_j, the pairings c' with
-    the fixed coordinates folded in and the remaining limit L'.  With
-    A_j = adj(Q_j), D_j = det(Q_j), u = A_j c' and N = 4 D_j L' + c'.u, the
-    slice is empty for N < 0 and otherwise projects onto
+    at once, from one start row per (c, limit).  With x_{j+1..s-1} fixed,
+    the free block x_0..x_j must satisfy y^T Q_j y - c'.y <= L' for the
+    leading block Q_j, the pairings c' with the fixed coordinates folded in
+    and the remaining limit L'.  With A_j = adj(Q_j), D_j = det(Q_j),
+    u = A_j c' and N = 4 D_j L' + c'.u, the slice is empty for N < 0 and
+    otherwise projects onto
 
         x_j in [(u_j - sqrt(N A_j[j][j])) / 2D_j, (u_j + sqrt(N A_j[j][j])) / 2D_j],
 
     whose integer ends are exact with the integer square root r: the floor
-    of (u_j + r) / 2D_j and minus the floor of (r - u_j) / 2D_j.
-    ``point_cap`` bounds the nodes visited over all depths.
-    Returns (coords [N, s], h [N]), both int64, in no particular order."""
-    s = len(c)
+    of (u_j + r) / 2D_j and minus the floor of (r - u_j) / 2D_j.  The dtype
+    is the widest that :func:`_proven_dtype` gives over the starts.
+    ``point_cap`` bounds the nodes visited over all depths and starts.
+
+    The pairs of rows that differ by one e_i enter as adjacent siblings at
+    the depth of x_i and are carried down by :func:`_join`.  Returns the
+    :class:`_Walk`."""
+    s = len(Q)
     blocks = _leading_adjugates(Q)
-    dtype = _proven_dtype(Q, c, limit, blocks)
+    dtype = np.int64
+    if any(_proven_dtype(Q, c, limit, blocks) is object for c, limit in starts):
+        dtype = object
     Qm = np.array(Q, dtype=dtype)
-    coords = np.zeros((1, s), dtype=dtype)
-    cp = np.array([c], dtype=dtype)       # c' of every prefix
-    rest = np.array([limit], dtype=dtype)  # L' of every prefix
-    visited = 0
+    # c' and L' of every prefix
+    cp = np.array([c for c, _ in starts], dtype=dtype).reshape(len(starts), s)
+    rest = limits = np.array([limit for _, limit in starts], dtype=dtype)
+    start = np.arange(len(starts))
+    pa = pb = np.empty(0, dtype=np.int32)
+    parents, xs, visited = [], [], 0
     for j in range(s - 1, -1, -1):
         A, D = blocks[j]
         u = cp[:, :j + 1] @ np.array(A, dtype=dtype)
@@ -111,22 +186,31 @@ def _fincke_pohst(Q, c, limit, point_cap):
         live = np.flatnonzero(N >= 0)
         r = np.frompyfunc(math.isqrt, 1, 1)(N[live] * A[j][j]).astype(dtype)
         uj = u[live, j]
-        lo = -((r - uj) // (2 * D))
-        count = ((uj + r) // (2 * D) - lo + 1).astype(np.int64)
+        lo = np.zeros(len(N), dtype=dtype)
+        lo[live] = -((r - uj) // (2 * D))
+        count = np.zeros(len(N), dtype=np.int64)
+        count[live] = ((uj + r) // (2 * D) - lo[live] + 1).astype(np.int64)
         total = int(count.sum())
         visited += total
         if visited > point_cap:
             raise LevelTooLarge(f"the enumeration visits {visited} nodes by depth "
                                 f"{s - j} of {s}, over the point cap {point_cap}")
-        parent = live.repeat(count)
-        x = lo.repeat(count) + (np.arange(total) - (np.cumsum(count) - count).repeat(count))
-        coords = coords[parent]
-        coords[:, j] = x
+        if total >= 1 << 31:
+            raise ValueError(f"{total} points exceed the 2^31 rows the lattice edges support")
+        first = np.cumsum(count) - count
+        parent = np.arange(len(N)).repeat(count)
+        x = lo[parent] + (np.arange(total) - first[parent])
+        pa, pb = _join(pa, pb, lo, count, first)
+        sib = np.flatnonzero(parent[1:] == parent[:-1]).astype(np.int32)
+        pa, pb = np.concatenate((pa, sib)), np.concatenate((pb, sib + 1))
+        parents.append(parent)
+        xs.append(x)
+        start = start[parent]
         rest = rest[parent] - (Q[j][j] * x - cp[parent, j]) * x
         cp = cp[parent, :j] - 2 * x[:, None] * Qm[j, :j]
     if np.any(rest < 0):
         raise InvariantViolated("an enumerated point lies above the limit")
-    return coords.astype(np.int64), (limit - rest).astype(np.int64)
+    return _Walk(parents, xs, start, (limits[start] - rest).astype(np.int64), pa, pb)
 
 
 @dataclass(frozen=True)
@@ -138,14 +222,6 @@ class SublevelComplex:
     chi_values: np.ndarray    # [N] int64
     labels: np.ndarray        # [N] component label (min point index)
 
-    @property
-    def n_points(self):
-        return len(self.chi_values)
-
-    @property
-    def n_components(self):
-        return len(set(self.labels.tolist())) if len(self.labels) else 0
-
     def component_of(self, x):
         row = np.asarray(tuple(x), dtype=np.int64)
         hits = np.nonzero((self.coords == row).all(axis=1))[0]
@@ -154,20 +230,71 @@ class SublevelComplex:
         return int(self.labels[hits[0]])
 
 
-def _enumerate_points(graph, k, n, point_cap):
+def _enumerate_points(graph, ks, levels, point_cap):
+    """One walk over the sublevel sets {chi_k <= n} of every (k, n) in
+    zip(ks, levels): the :class:`_Walk` and chi of each of its points."""
     s = graph.s
     B = graph.form.B
     Q = [[-B[i][j] for j in range(s)] for i in range(s)]
-    c = [int(v) for v in k.pairings]
-    coords, h = _fincke_pohst(Q, c, 2 * n, point_cap)
-    if np.any(h % 2):
+    starts = [([int(v) for v in k.pairings], 2 * n) for k, n in zip(ks, levels)]
+    walk = _fincke_pohst(Q, starts, point_cap)
+    if np.any(walk.h % 2):
         raise InvariantViolated("chi_k takes a non-integral value")
-    chi = h // 2
-    # deterministic global order: by chi, then lexicographic coordinates
-    if len(chi):
-        order = np.lexsort(tuple(coords[:, d] for d in range(s - 1, -1, -1)) + (chi,))
-        coords, chi = coords[order], chi[order]
-    return coords, chi
+    return walk, walk.h // 2
+
+
+def _narrow(a):
+    """a - min(a) in the narrowest unsigned dtype that holds it: the same
+    order, and numpy sorts keys of 16 bits or less by radix."""
+    if not len(a):
+        return a
+    low = a.min()
+    return (a - low).astype(np.min_scalar_type(a.max() - low))
+
+
+def _vertex_order(walk, chi):
+    """The leaves sorted by start, chi and then lexicographically in
+    x_0, ..., x_{s-1}, and the edges in that order's vertex ids, int32
+    since a walk has fewer than 2^31 leaves."""
+    order = np.lexsort(walk.columns(narrow=True)[::-1] + [_narrow(chi), _narrow(walk.start)])
+    ids = np.empty(len(order), dtype=np.int32)
+    ids[order] = np.arange(len(order), dtype=np.int32)
+    return order, ids[walk.eu], ids[walk.ev]
+
+
+def _orbit_sublevels(graph, ks, levels, point_cap):
+    """For each (k, n) in order, the points of {chi_k <= n} as (chi, eu, ev):
+    chi of every point in (chi, lexicographic) order and the lattice edges
+    between them.  One walk serves all of them while its nodes stay within
+    ``point_cap``; otherwise the starts are split in halves, left half
+    first, each its own walk, and a single start over the cap raises its
+    :class:`LevelTooLarge`.  So each walk stays within the cap, and the
+    first start that fails fails as it does alone."""
+    try:
+        found = _enumerate_points(graph, ks, levels, point_cap)
+    except LevelTooLarge:
+        if len(ks) == 1:
+            raise
+        found = None
+    if found is None:
+        half = len(ks) // 2
+        yield from _orbit_sublevels(graph, ks[:half], levels[:half], point_cap)
+        yield from _orbit_sublevels(graph, ks[half:], levels[half:], point_cap)
+        return
+    walk, chi = found
+    order, eu, ev = _vertex_order(walk, chi)
+    chi = chi[order]
+    ends = np.searchsorted(walk.start[order], np.arange(1, len(ks) + 1)).tolist()
+    edge_ends = [len(eu)]
+    if len(ks) > 1:
+        edge_start = walk.start[walk.eu]
+        by_start = np.argsort(edge_start, kind="stable")
+        eu, ev = eu[by_start], ev[by_start]
+        edge_ends = np.searchsorted(edge_start[by_start], np.arange(1, len(ks) + 1)).tolist()
+        del edge_start, by_start
+    del found, walk, order  # the sweeps need none of the tree
+    for lo, hi, elo, ehi in zip([0] + ends, ends, [0] + edge_ends, edge_ends):
+        yield chi[lo:hi], eu[elo:ehi] - lo, ev[elo:ehi] - lo
 
 
 def enumerate_sublevel(graph, k, n, point_cap=DEFAULT_POINT_CAP):
@@ -175,43 +302,47 @@ def enumerate_sublevel(graph, k, n, point_cap=DEFAULT_POINT_CAP):
 
     Raises :class:`LevelTooLarge` when the enumeration would visit more than
     ``point_cap`` nodes."""
-    coords, chi = _enumerate_points(graph, k, n, point_cap)
-    eu, ev = _kernels.lattice_edges(coords)
+    walk, chi = _enumerate_points(graph, [k], [n], point_cap)
+    order, eu, ev = _vertex_order(walk, chi)
+    chi = chi[order]
     labels = _kernels.sublevel_labels(chi, eu, ev, n, n)[0]
-    return SublevelComplex(level=n, coords=coords, chi_values=chi, labels=labels)
+    return SublevelComplex(level=n, coords=np.stack(walk.columns(), axis=1)[order],
+                           chi_values=chi, labels=labels)
+
+
+def graph_roots(graph, ks, n_maxes, point_cap=DEFAULT_POINT_CAP):
+    """The graded roots of (Gamma, k) up to level n_max for every (k, n_max)
+    in zip(ks, n_maxes), from one enumeration walk for all of them (see
+    :func:`_orbit_sublevels`).  Yields (root, number of points) in order.
+
+    A root is the merge tree of the enumerated points (entering at chi_k)
+    and their lattice edges: vertices at level n are components of the
+    sublevel complex, edges are containment between consecutive levels.
+    For the canonical class with n_max >= 1 the result is the exact
+    infinite root (all sublevel sets at levels >= 1 are connected);
+    otherwise it is marked truncated."""
+    ks, n_maxes = list(ks), list(n_maxes)
+    K = tuple(canonical_class(graph).pairings)
+    sublevels = _orbit_sublevels(graph, ks, n_maxes, point_cap)
+    for k, n_max, (chi, eu, ev) in zip(ks, n_maxes, sublevels):
+        if not len(chi):
+            raise ValueError("empty sublevel set; raise n_max above min chi_k")
+        if n_max < int(chi[0]) + 1:
+            raise ValueError("need n_max >= min chi_k + 1")
+        root = merge_tree(array_sweep, chi, eu, ev, top=n_max,
+                          truncated=not (tuple(k.pairings) == K and n_max >= 1))
+        yield root, len(chi)
 
 
 def root_oracle(graph, k, n_max, point_cap=DEFAULT_POINT_CAP):
-    """Graded root of (Gamma, k) up to level n_max, straight from sublevels.
-
-    The merge tree of the enumerated points (entering at chi_k) and their
-    lattice edges: vertices at level n are components of the sublevel
-    complex, edges are containment between consecutive levels.  For the
-    canonical class with n_max >= 1 the result is the exact infinite root
-    (all sublevel sets at levels >= 1 are connected); otherwise it is
-    marked truncated.
-    """
-    return _root_and_points(graph, k, n_max, point_cap)[0]
-
-
-def _root_and_points(graph, k, n_max, point_cap):
-    """:func:`root_oracle`'s root and the number of points it was built from."""
-    coords, chi = _enumerate_points(graph, k, n_max, point_cap)
-    if not len(chi):
-        raise ValueError("empty sublevel set; raise n_max above min chi_k")
-    if n_max < int(chi.min()) + 1:
-        raise ValueError("need n_max >= min chi_k + 1")
-    eu, ev = _kernels.lattice_edges(coords)
-    K = canonical_class(graph)
-    is_canonical = tuple(k.pairings) == tuple(K.pairings)
-    root = merge_tree(array_sweep, chi, eu, ev, top=n_max,
-                      truncated=not (is_canonical and n_max >= 1))
-    return root, len(chi)
+    """Graded root of (Gamma, k) up to level n_max, straight from sublevels:
+    :func:`graph_roots` of the one class k."""
+    return next(graph_roots(graph, [k], [n_max], point_cap))[0]
 
 
 def min_chi(graph, k, point_cap=DEFAULT_POINT_CAP):
     """min over L of chi_k, from the points of the (never empty) level-0 set."""
-    return int(_enumerate_points(graph, k, 0, point_cap)[1].min())
+    return int(_enumerate_points(graph, [k], [0], point_cap)[1].min())
 
 
 def component_zero_structure(graph, n=0, point_cap=DEFAULT_POINT_CAP):

@@ -46,6 +46,11 @@ class EmptyTau(ValueError):
     """A tau function needs at least one value."""
 
 
+class SweepIndexError(ValueError):
+    """An array sweep was given elements or edge ends that int32 labels
+    cannot hold: 2^31 elements or more, or an edge end outside them."""
+
+
 class ConditionViolated(ValueError):
     """The (n_i, n_ij) data violates a merge-consistency condition."""
 
@@ -258,9 +263,19 @@ def label_sweep(levels, eu, ev, top=None):
     The edges of level n hook the larger label of their ends onto the
     smaller (``np.minimum.at``) until no edge joins two labels, with pointer
     jumping to ``lab[lab] == lab`` after each round.  A label only points
-    down, so a component's fixed point is its smallest element."""
+    down, so a component's fixed point is its smallest element.  Labels and
+    edge ends are int32; :class:`SweepIndexError` rejects what they cannot
+    hold before the cast."""
     levels = np.asarray(levels, dtype=np.int64)
-    eu, ev = np.asarray(eu, dtype=np.int32), np.asarray(ev, dtype=np.int32)
+    n = len(levels)
+    if n >= 1 << 31:
+        raise SweepIndexError(f"{n} elements exceed the 2^31 that int32 labels hold")
+    eu, ev = np.asarray(eu), np.asarray(ev)
+    for ends in (eu, ev):
+        if len(ends) and not 0 <= ends.min() <= ends.max() < n:
+            raise SweepIndexError(f"an edge end in [{ends.min()}, {ends.max()}] lies "
+                                  f"outside the {n} elements")
+    eu, ev = eu.astype(np.int32, copy=False), ev.astype(np.int32, copy=False)
     edge_levels = np.maximum(levels[eu], levels[ev])
     by_level = np.argsort(edge_levels)
     eu, ev, edge_levels = eu[by_level], ev[by_level], edge_levels[by_level]

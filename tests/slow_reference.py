@@ -3,10 +3,11 @@
 The package evaluates the lens, Seifert and plumbing invariants through
 closed forms on whole tables (``lens.LensTable``, the checked E(a) table,
 ``seifert.seifert_orbit``) and through the integer adjugate of the
-intersection form.  The per-a definitions, the per-term numeric Seifert
-torsion limit, the Fraction inverse and the mpmath Fourier sum below are
-the independent slow paths those are checked against; nothing in the
-package calls them.
+intersection form, and the oracle reads its lattice edges off its
+enumeration tree.  The per-a definitions, the per-term numeric Seifert
+torsion limit, the Fraction inverse, the mpmath Fourier sum and the
+sorting lattice edges below are the independent slow paths those are
+checked against; nothing in the package calls them.
 """
 
 from __future__ import annotations
@@ -225,3 +226,53 @@ def orbit_of(graph, orbits, l_prime):
         if H.coords(orb.pairings) == key:
             return orb
     raise LookupError("orbit not found; inconsistent enumeration")
+
+
+# ---------------------------------------------------------------------------
+# the oracle's lattice edges by sorting
+
+
+def _tuple_ids(coords, order, cols):
+    """For k = 0 .. len(cols), ids of the tuples coords[p, cols[:k]]:
+    equal tuples get equal ids, each below the number of rows n < 2^31.
+    ``order`` must sort the rows by those columns, cols[0] first."""
+    n = len(coords)
+    changed = np.zeros(n - 1, dtype=bool)
+    ids = np.zeros(n, dtype=np.int32)
+    yield ids
+    for d in cols:
+        col = coords[order, d]
+        changed |= col[1:] != col[:-1]
+        ids = np.empty(n, dtype=np.int32)
+        ids[order] = np.concatenate(([0], np.cumsum(changed)))
+        yield ids
+
+
+def lattice_edges(coords):
+    """Pairs (u, v) of row indices with coords[v] = coords[u] + e_j, the
+    reference for the edges that ``oracle`` reads off its enumeration tree.
+
+    Rows must be distinct.  For each j the rows are grouped by all their
+    coordinates but the j-th, and sorted by the j-th inside a group, so
+    u + e_j, when present, follows u.  A group is named by the ids of its
+    prefix (columns before j) and suffix (columns after j), both below
+    the number of rows n, so the group key stays below n^2 < 2^62; no key
+    depends on the width of the box."""
+    n, s = coords.shape
+    if n >= 1 << 31:
+        raise ValueError(f"{n} points exceed the 2^31 rows lattice_edges supports")
+    if n < 2:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    lex = np.lexsort(coords.T[::-1])
+    suffix = list(_tuple_ids(coords, np.lexsort(coords.T), range(s - 1, 0, -1)))
+    prefix = _tuple_ids(coords, lex, range(s - 1))
+    us, vs = [], []
+    for j in range(s):
+        group = next(prefix).astype(np.int64) * n + suffix[s - 1 - j]
+        # stable sort of the lexicographic order keeps each group sorted by x_j
+        rows = lex[np.argsort(group[lex], kind="stable")]
+        g, x = group[rows], coords[rows, j]
+        hit = np.nonzero((g[1:] == g[:-1]) & (x[1:] == x[:-1] + 1))[0]
+        us.append(rows[hit])
+        vs.append(rows[hit + 1])
+    return np.concatenate(us), np.concatenate(vs)

@@ -93,7 +93,7 @@ def test_criterion_3_weakly_elliptic():
     mod = module_of_root(root_from_tau(tau))
     assert mod == ZUModule(Fraction(0), ((Fraction(0), 1),))
     lev = oracle.enumerate_sublevel(g, canonical_class(g), 0)
-    assert lev.n_components == 2
+    assert len(set(lev.labels.tolist())) == 2
     zero_comp = lev.component_of([0] * g.s)
     xmin_comp = lev.component_of(engine.fundamental_cycle(g))
     assert zero_comp != xmin_comp
@@ -117,10 +117,11 @@ def test_criterion_4_oracle_equivalence():
         if not cls.is_ar():
             continue
         n_graphs += 1
-        for orb in spinc.enumerate_spinc(g):
-            rep = engine.analyze_orbit(g, orb, cls)
-            cut = rep.min_tau + 6
-            orc = oracle.root_oracle(g, orb.k_r, cut)
+        orbits = spinc.enumerate_spinc(g)
+        reports = [engine.analyze_orbit(g, orb, cls) for orb in orbits]
+        cuts = [rep.min_tau + 6 for rep in reports]
+        roots = oracle.graph_roots(g, [orb.k_r for orb in orbits], cuts)
+        for orb, rep, cut, (orc, _) in zip(orbits, reports, cuts, roots):
             assert rep.root.truncate(cut) == orc.truncate(cut), \
                 f"mismatch: graph {g.to_json()}, orbit {orb.orbit_index}"
             n_orbits += 1
@@ -137,12 +138,10 @@ def test_criterion_5_blowup_invariance():
     rng = random.Random(55)
 
     def multiset(graph, offset=4):
-        keys = []
-        for orb in spinc.enumerate_spinc(graph):
-            base = oracle.min_chi(graph, orb.k_r)
-            root = oracle.root_oracle(graph, orb.k_r, base + offset)
-            keys.append(root.truncate(base + offset).canonical_key())
-        return sorted(keys)
+        ks = [orb.k_r for orb in spinc.enumerate_spinc(graph)]
+        tops = [oracle.min_chi(graph, k) + offset for k in ks]
+        return sorted(root.truncate(top).canonical_key()
+                      for top, (root, _) in zip(tops, oracle.graph_roots(graph, ks, tops)))
 
     done = 0
     while done < scaled(100):

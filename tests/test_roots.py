@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from gradedroots.roots import (ConditionViolated, EmptyTau, GradedRoot,
-                               TauFunction, ZUModule, array_sweep, dot_export,
-                               label_sweep, level_sweep, merge_tree,
-                               module_of_root, rank_red_from_tau, ray_root,
-                               root_from_minima, root_from_tau, shift_root)
+                               SweepIndexError, TauFunction, ZUModule,
+                               array_sweep, dot_export, label_sweep,
+                               level_sweep, merge_tree, module_of_root,
+                               rank_red_from_tau, ray_root, root_from_minima,
+                               root_from_tau, shift_root)
 
 R1_TAU = (-3, -1, -2, 0, -2)
 R2_TAU = (-3, 0, -2, -1, -2)
@@ -328,8 +329,9 @@ def test_root_oracle_matches_definition(rng):
     changes when the vertices of a level are numbered in another order, and
     random stars and trees."""
     from conftest import random_small_tree, random_star, remark56_graph
-    from gradedroots import _kernels, engine, oracle, spinc
+    from gradedroots import engine, oracle, spinc
     from gradedroots.plumbing import build_graph, canonical_class
+    from slow_reference import lattice_edges
     graphs = [remark56_graph(),
               build_graph(list(enumerate((-1, -4, -2, -2, -5, -4))),
                           [(0, 1), (0, 3), (0, 4), (1, 2), (4, 5)])]
@@ -346,16 +348,28 @@ def test_root_oracle_matches_definition(rng):
         for orb in spinc.enumerate_spinc(g):
             k = orb.k_r
             n_max = oracle.min_chi(g, k) + 3
-            coords, chi = oracle._enumerate_points(g, k, n_max, oracle.DEFAULT_POINT_CAP)
-            eu, ev = _kernels.lattice_edges(coords)
+            lev = oracle.enumerate_sublevel(g, k, n_max)
+            points = sorted(zip(lev.chi_values.tolist(), map(tuple, lev.coords.tolist())))
+            eu, ev = lattice_edges(np.array([x for _, x in points], dtype=np.int64))
             edges = list(zip(eu.tolist(), ev.tolist()))
-            levels = chi.tolist()
+            levels = [c for c, _ in points]
             expect = brute_force_root(
                 levels, edges, [max(levels[u], levels[v]) for u, v in edges], n_max,
                 not (tuple(k.pairings) == tuple(K.pairings) and n_max >= 1))
             assert raw(oracle.root_oracle(g, k, n_max)) == expect
             branched += len(set(expect[0])) < len(expect[0])
     assert branched >= 5
+
+
+def test_label_sweep_rejects_what_int32_cannot_hold():
+    """label_sweep casts labels and edge ends to int32, which wraps
+    silently: 2**40 + 5 would become 5.  An edge end outside the elements
+    is refused before the cast."""
+    levels = np.array([0, 1, 2], dtype=np.int64)
+    for eu, ev in (([0], [2 ** 40 + 5]), ([2 ** 40 + 5], [0]), ([-1], [1]), ([0, 1], [1, 3])):
+        with pytest.raises(SweepIndexError):
+            next(label_sweep(levels, np.array(eu, dtype=np.int64), np.array(ev, dtype=np.int64)))
+    assert [n for n, _ in label_sweep(levels, np.array([0, 1]), np.array([1, 2]))] == [0, 1, 2]
 
 
 def test_array_sweep_matches_level_sweep():
