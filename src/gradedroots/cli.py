@@ -20,10 +20,13 @@ temporary path and renamed, so failures leave no partial output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import tempfile
+
+import numpy as np
 
 from . import engine, lens as lens_mod, oracle, seifert as seifert_mod, spinc
 from .plumbing import (InvariantViolated, canonical_class, casson_walker, graph_from_json,
@@ -136,19 +139,30 @@ def cmd_root(args):
 # lens / seifert reports
 
 
+def _fmt_ratios(nums, den):
+    """Each nums[i] / den in lowest terms, as _fmt_q prints it, from one
+    np.gcd over the column; den > 0."""
+    g = np.gcd(nums, den)
+    return [str(n) if d == 1 else f"{n}/{d}"
+            for n, d in zip((nums // g).tolist(), (den // g).tolist())]
+
+
 def cmd_lens(args):
     p, q = args.p, args.q
     L = lens_mod.LensSpace(p, q)
-    if args.spinc is not None:  # lens_invariants checks 0 <= a < p
-        lens_mod.lens_invariants(L, args.spinc, check_numeric=False)
-    rows = []
-    for a in range(p) if (args.table or args.spinc is None) else [args.spinc]:
-        inv = lens_mod.lens_invariants(L, a, check_numeric=False)
-        row = {"p": p, "q": q, "a": a, "d": _fmt_q(inv.d), "rank_red": 0,
-               "torsion": _fmt_q(inv.torsion), "lambda": _fmt_q(inv.lam)}
-        if not args.no_numeric:
-            row["torsion_approx"] = repr(float(L.fourier_torsion[a]))
-        rows.append(row)
+    if args.spinc is not None:
+        lens_mod.check_spinc(L, args.spinc)
+    orbits = list(range(p)) if (args.table or args.spinc is None) else [args.spinc]
+    tab = L.table
+    d, torsion = _fmt_ratios(tab.d[orbits], tab.den), _fmt_ratios(tab.torsion[orbits], tab.den)
+    # lambda = p s(q,p)/2 = s_num/24
+    (lam,) = _fmt_ratios(np.array([tab.s_num]), 24)
+    rows = [{"p": p, "q": q, "a": a, "d": d[i], "rank_red": 0, "torsion": torsion[i],
+             "lambda": lam} for i, a in enumerate(orbits)]
+    if not args.no_numeric:
+        approx = L.fourier_torsion[orbits].tolist()
+        for row, value in zip(rows, approx):
+            row["torsion_approx"] = repr(value)
     _emit(args.format, list(rows[0]), rows, rows, [])
     return 0
 
@@ -274,7 +288,9 @@ def _leg(text):
     return (int(a), int(w))
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="gradedroots", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)

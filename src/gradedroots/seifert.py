@@ -295,7 +295,7 @@ def seifert_k2s(data):
     """K^2 + s = eps^2 e + e + 5 - 12 sum_l s(omega_l, alpha_l)."""
     val = data.eps ** 2 * data.e + data.e + 5
     for alpha, omega in data.legs:
-        val -= 12 * lens_mod.dedekind_sum(omega, alpha)
+        val -= Fraction(lens_mod.dedekind_numerator(omega, alpha), alpha)
     return val
 
 

@@ -3,11 +3,13 @@
 The package evaluates the lens, Seifert and plumbing invariants through
 closed forms on whole tables (``lens.LensTable``, the checked E(a) table,
 ``seifert.seifert_orbit``) and through the integer adjugate of the
-intersection form, and the oracle reads its lattice edges off its
-enumeration tree.  The per-a definitions, the per-term numeric Seifert
-torsion limit, the Fraction inverse, the mpmath Fourier sum and the
-sorting lattice edges below are the independent slow paths those are
-checked against; nothing in the package calls them.
+intersection form, checks the lens identities as integer array programs
+on every q of one p at once, and the oracle reads its lattice edges off
+its enumeration tree.  The per-a definitions, the Fraction Dedekind sum
+and Casson-Walker chain formula, the per-space lens sweep, the per-term
+numeric Seifert torsion limit, the Fraction inverse, the mpmath Fourier
+sum and the sorting lattice edges below are the independent slow paths
+those are checked against; nothing in the package calls them.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from gradedroots.lens import (LensIdentityError, NotCoprime, RangeError, dedekind_sum,
-                              spinc_coeffs)
+from gradedroots.lens import (FOURIER_TOL, LensIdentityError, LensSpace, NotCoprime,
+                              RangeError, spinc_coeffs, torsion_fourier_all)
 from gradedroots.plumbing import LatticeVector, _coeffs, adjugate, canonical_class
 from gradedroots.spinc import _integral_pairings, smith_decompose
 
@@ -72,9 +74,189 @@ def dedekind_sum_direct(q, p):
     return Fraction(total, 4 * p * p)
 
 
+def dedekind_sum_reciprocity(q, p):
+    """s(q, p) via the Fraction reciprocity
+
+        s(q,p) + s(p,q) = -1/4 + (p/q + q/p + 1/(pq)) / 12,
+
+    with s(q + p, p) = s(q, p) and s(1, 1) = 0."""
+    p = int(p)
+    q = int(q) % p if p > 1 else 0
+    if p < 1 or (p > 1 and math.gcd(p, q) != 1):
+        raise NotCoprime(f"need gcd(q,p) = 1, got q={q}, p={p}")
+    if p == 1:
+        return Fraction(0)
+    sign = Fraction(1)
+    total = Fraction(0)
+    while True:
+        if q == 1:
+            # s(1, p) = (p-1)(p-2) / (12p)
+            total += sign * Fraction((p - 1) * (p - 2), 12 * p)
+            return total
+        total += sign * (Fraction(-1, 4)
+                         + (Fraction(p, q) + Fraction(q, p) + Fraction(1, p * q)) / 12)
+        sign = -sign
+        p, q = q, p % q
+
+
+def casson_walker_chain_formula(lens):
+    """The plumbing formula -(24/|H|) lambda = sum e_j + 3s + sum (2-d_j) B^{-1}_{jj}
+    evaluated through the chain closed form B^{-1}_{ij} = -n_{1,i-1} n_{j+1,s} / p."""
+    p, s = lens.p, lens.s
+    rhs = Fraction(sum(-k for k in lens.cf) + 3 * s)
+    for j in range(1, s + 1):
+        deg = 1 if j in (1, s) else 2
+        if s == 1:
+            deg = 0
+        binv_jj = Fraction(-lens.n(1, j - 1) * lens.n(j + 1, s), p)
+        rhs += (2 - deg) * binv_jj
+    return -Fraction(p, 24) * rhs
+
+
+def n_table(lens):
+    """n[i][j] for 1 <= i <= s+2 and 0 <= j <= s as a list of rows:
+    1 for j = i-1, 0 for j < i-1, else k_i n[i+1][j] - n[i+2][j]."""
+    s = lens.s
+    k = (0,) + lens.cf  # 1-based
+    n = [[0] * (s + 1) for _ in range(s + 3)]  # n[i][j], 0-padded
+    for i in range(s + 1, 0, -1):
+        n[i][i - 1] = 1
+        for j in range(i, s + 1):
+            n[i][j] = k[i] * n[i + 1][j] - n[i + 2][j]
+    return n
+
+
+def descending_e_table(lens):
+    """E(a) for every a, generated downward from E(p-1); at each step
+    the last nonzero entry drops by one and the block after it, if any,
+    refills with (k_i - 1, k_{i+1} - 2, ..., k_s - 2)."""
+    s, k = lens.s, lens.cf
+    top = [k[0] - 1] + [kj - 2 for kj in k[1:]]
+    cur = list(top)
+    out = [None] * lens.p
+    out[lens.p - 1] = tuple(cur)
+    # after a refill the last nonzero entry is the last t with k_t > 2,
+    # or the first entry refilled if that comes later
+    big = max((t for t in range(1, s) if k[t] > 2), default=0)
+    i = big  # index of the last nonzero entry of cur
+    for a in range(lens.p - 1, 0, -1):
+        cur[i] -= 1
+        if i + 1 < s:
+            cur[i + 1:] = top[i + 1:]
+            cur[i + 1] += 1
+            i = max(i + 1, big)
+        else:
+            while i > 0 and cur[i] == 0:
+                i -= 1
+        out[a - 1] = tuple(cur)
+    if any(out[0]):
+        raise LensIdentityError(f"{lens}: descending generation ends at {out[0]}")
+    return tuple(out)
+
+
+def _require(ok, lens, what):
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise LensIdentityError(f"{lens}: {what} at a={bad[0]}")
+
+
+def check_e_table_per_space(lens, n):
+    """The E(a) identities of one space, with the n-table ``n`` of
+    n_table: the descending generation against the floor recursion, (SI),
+    the a-sum and the floor and fractional identities."""
+    p, s = lens.p, lens.s
+    a = np.arange(p, dtype=object)
+    E = np.array(descending_e_table(lens), dtype=object)
+
+    def col(f):
+        return np.array([f(t) for t in range(1, s + 1)], dtype=object)
+
+    w = col(lambda t: n[t + 1][s])
+    rem = a
+    for i in range(s):
+        digit = rem // w[i]
+        _require(digit == E[:, i], lens, "floor and descending generations of E(a) disagree")
+        rem = rem - digit * w[i]
+    tails = np.cumsum((E * w)[:, ::-1], axis=1)[:, ::-1]  # sum_{t>=i} n_{t+1,s} a_t
+    _require((tails < col(lambda i: n[i][s])).all(axis=1), lens, "(SI)")
+    _require(tails[:, 0] == a, lens, "a = sum_t n_(t+1,s) a_t")
+    aq = a * n[1][s - 1]
+    _require(E.dot(col(lambda t: n[t + 1][s - 1])) == aq // p, lens, "floor identity")
+    _require(E.dot(col(lambda t: n[1][t - 1])) == aq % p, lens, "fractional identity")
+
+
+def verify_lens_sweep_per_space(p_max, fourier_tol=FOURIER_TOL):
+    """The lens sweep one space at a time, on Python integers and Fractions:
+    the reference for lens.verify_lens_sweep, with its identities, failure
+    message stems and counters."""
+    pairs = orbits = 0
+    for p in range(2, p_max + 1):
+        for q in range(1, p):
+            if math.gcd(p, q) != 1:
+                continue
+            lens = LensSpace(p, q)
+            s, n, k = lens.s, n_table(lens), lens.cf
+            if n[1][s] != p or n[2][s] != q:
+                raise LensIdentityError(f"{lens}: n-table endpoints")
+            for i in range(1, s + 1):
+                for j in range(i, s + 1):
+                    prev2 = n[i][j - 2] if j >= 2 else 0
+                    if n[i][j] != k[j - 1] * n[i][j - 1] - prev2:
+                        raise LensIdentityError(f"{lens}: n symmetry at ({i},{j})")
+            qp = n[1][s - 1]
+            if not (0 < qp < p and (q * qp) % p == 1):
+                raise LensIdentityError(f"{lens}: q' = n(1,s-1) = {qp} is not 1/q mod p")
+            s12 = 12 * p * dedekind_sum_reciprocity(q, p)
+            if s12.denominator != 1 or s12.numerator % 2:
+                raise LensIdentityError(f"{lens}: 6p s(q,p) = {s12 / 2} is not an integer")
+            s_num = s12.numerator
+            a = np.arange(p, dtype=object)
+            chi = 6 * (1 - p) * a + 12 * np.cumsum(a * qp % p)
+            d = 6 * (p - 1) - 3 * s_num - 2 * chi
+            tors = 3 * (p - 1) - s_num - chi
+            _require(2 * tors - s_num == d, lens, "sw identity")
+            if casson_walker_chain_formula(lens) != Fraction(s_num, 24):
+                raise LensIdentityError(f"{lens}: Casson-Walker chain formula")
+            check_e_table_per_space(lens, n)
+            if tors.sum() != 0:
+                raise LensIdentityError(f"{lens}: sum of torsions != 0")
+            if chi.sum() != 3 * p * (p - 1) - p * s_num:
+                raise LensIdentityError(f"{lens}: sum of chi")
+            err = max(abs(x - t / (12 * p)) for x, t in zip(torsion_fourier_all(lens), tors))
+            if err > fourier_tol:
+                raise LensIdentityError(f"{lens}: Fourier torsion off by {err}")
+            orbits += p
+            pairs += 1
+    return {"pairs": pairs, "orbits": orbits}
+
+
+def os_d_numerators(p, q, memo):
+    """4p d(p, q, i) for i = 0..p-1 by the Ozsvath-Szabo recursion
+
+        d(p, q, i) = -1/4 + (2i + 1 - p - q)^2 / (4pq) - d(q, r, j),
+
+    r = p mod q, j = i mod q, d(1, 0, 0) = 0, on integers: with
+    D(p, q, i) = 4p d(p, q, i),
+
+        q D(p, q, i) = (2i + 1 - p - q)^2 - pq - p D(q, r, j).
+
+    ``memo`` holds the arrays of (q, r) pairs already computed."""
+    if (p, q) not in memo:
+        if q == 0:
+            memo[p, q] = np.zeros(1, dtype=np.int64)
+        else:
+            i = np.arange(p, dtype=np.int64)
+            below = os_d_numerators(q, p % q, memo)[i % q]
+            D, rem = np.divmod((2 * i + 1 - p - q) ** 2 - p * q - p * below, q)
+            if rem.any():
+                raise LensIdentityError(f"4p d({p},{q},i) is not an integer")
+            memo[p, q] = D
+    return memo[p, q]
+
+
 def k2s_quarter(lens):
     """(K^2 + s)/4 = (p-1)/(2p) - 3 s(q,p)."""
-    return Fraction(lens.p - 1, 2 * lens.p) - 3 * dedekind_sum(lens.q, lens.p)
+    return Fraction(lens.p - 1, 2 * lens.p) - 3 * dedekind_sum_reciprocity(lens.q, lens.p)
 
 
 def chi_lprime(lens, a):
@@ -94,12 +276,12 @@ def chi_lprime_table(lens):
 
 def casson_walker(lens):
     """lambda(L(p,q)) = p s(q,p) / 2."""
-    return Fraction(lens.p) * dedekind_sum(lens.q, lens.p) / 2
+    return Fraction(lens.p) * dedekind_sum_reciprocity(lens.q, lens.p) / 2
 
 
 def torsion(lens, a):
     """T_{M,[-a g_s]}(1) = (p-1)/(4p) - s(q,p) - chi(l')."""
-    return (Fraction(lens.p - 1, 4 * lens.p) - dedekind_sum(lens.q, lens.p)
+    return (Fraction(lens.p - 1, 4 * lens.p) - dedekind_sum_reciprocity(lens.q, lens.p)
             - chi_lprime(lens, a))
 
 

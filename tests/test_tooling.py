@@ -112,11 +112,53 @@ def test_torsion_limit_loops_are_integer():
     assert not found, f"Fraction calls inside the loops of seifert_torsion_limit: {sorted(found)}"
 
 
+def _reached(roots):
+    """The module-level functions and classes of lens.py and cli.py that the
+    ``roots`` (module, name) reach: by name within their module, and as
+    ``lens_mod.<name>`` from cli.py."""
+    defs = {}
+    for module in ("lens.py", "cli.py"):
+        for node in _parse(module).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[module, node.name] = node
+    seen, todo = set(), list(roots)
+    while todo:
+        key = todo.pop()
+        if key in seen or key not in defs:
+            continue
+        seen.add(key)
+        for sub in ast.walk(defs[key]):
+            if isinstance(sub, ast.Name):
+                todo.append((key[0], sub.id))
+            elif (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                  and sub.value.id == "lens_mod"):
+                todo.append(("lens.py", sub.attr))
+    return {key: defs[key] for key in seen}
+
+
+def test_lens_array_programs_are_integer():
+    """The lens sweep, the lens table and its renderer run on integers: no
+    Fraction(...) and no dedekind_sum(...) call in verify_lens_sweep,
+    lens_table, cli.cmd_lens or any function or class of lens.py they reach
+    (their helpers and LensSpace), or in the functions of cli.py that
+    cmd_lens reaches."""
+    reached = _reached([("lens.py", "verify_lens_sweep"), ("lens.py", "lens_table"),
+                        ("cli.py", "cmd_lens")])
+    assert {"_sweep_failures", "_chain_failures", "_e_failures", "_e_digits", "_n_tables",
+            "_tables", "_fourier", "dedekind_numerator", "LensSpace",
+            "_fmt_ratios"} <= {n for _, n in reached}
+    found = [f"{module}:{sub.lineno} in {name}" for (module, name), node in reached.items()
+             for sub in ast.walk(node) if isinstance(sub, ast.Call)
+             and (sub.func.id if isinstance(sub.func, ast.Name) else getattr(sub.func, "attr", None))
+             in ("Fraction", "dedekind_sum")]
+    assert not found, f"Fraction or dedekind_sum calls in the lens array programs: {found}"
+
+
 # Module-level names that nothing in the package calls: the library entry
 # points offered to callers outside it.
 LIBRARY_API = ("blow_up", "blow_down", "brieskorn", "fundamental_cycle", "x_sequence",
                "ray_root", "root_from_minima", "rank_red_from_tau", "shift_root", "m_k",
-               "distinguished_rep")
+               "distinguished_rep", "dedekind_sum", "lens_invariants")
 
 
 def _names(node):
