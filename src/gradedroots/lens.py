@@ -101,16 +101,6 @@ class LensSpace:
         return len(self.cf)
 
     @cached_property
-    def _ntab(self):
-        """The n-table as a batch of one (see _n_tables)."""
-        return _n_tables(np.array([self.cf], dtype=_int_dtype(self.p)))
-
-    def n(self, i, j):
-        """Numerator of [k_i, ..., k_j] for 1 <= i <= s + 2 and -1 <= j <= s;
-        1 for j = i-1, 0 for j < i-1."""
-        return int(self._ntab[0, i, j + 1])
-
-    @cached_property
     def q_prime(self):
         """n(1, s-1), by the row recurrence n(1,j) = k_j n(1,j-1) - n(1,j-2)
         from n(1,-1) = 0 and n(1,0) = 1."""
@@ -131,14 +121,11 @@ class LensSpace:
 
     @cached_property
     def e_table(self):
-        """E(a) for every a, as tuples: the floor digits, checked as one
-        table by _e_failures on a batch of one."""
-        p, k = self.p, np.array([self.cf], dtype=_int_dtype(self.p))
-        s = np.array([self.s])
-        ns, v, r, _ = _chain_columns(self._ntab, s)
-        E = _e_digits(ns[1:], p)
-        _raise_first(_e_failures(p, [self.q], E, k, s, ns, v, r,
-                                 np.array([self.q_prime], dtype=k.dtype)))
+        """E(a) for every a, as tuples: the floor digits, checked with every
+        identity of the chain by _chain_failures on a batch of one."""
+        s_num = np.array([dedekind_numerator(self.q, self.p)], dtype=_int_dtype(self.p))
+        _, E, found = _chain_failures(self.p, [self.q], [self.cf], s_num)
+        _raise_first(found)
         return tuple(map(tuple, E[:, 0, :].T.tolist()))
 
     @cached_property
@@ -482,7 +469,8 @@ def _chain_failures(p, qs, cfs, s_num):
 
     as the integer numerator 24 lambda = p(sum k - 3s) + sum_j (2 - deg_j)
     n_{1,j-1} n_{j+1,s} = s_num, and every E(a) identity.  Returns q' per
-    space and the failures."""
+    space, the floor digits E[t-1, b, a] (see _e_digits) and the
+    failures."""
     dtype = s_num.dtype
     s = np.array([len(cf) for cf in cfs])
     S = int(s.max())
@@ -508,10 +496,10 @@ def _chain_failures(p, qs, cfs, s_num):
         _failure("Casson-Walker", p, qs, cw != s_num, lambda b, _: "Casson-Walker chain formula"),
     ]
     E = _e_digits(ns[1:], p)
-    return qp, found + _e_failures(p, qs, E, k, s, ns, v, r, qp)
+    return qp, E, found + _e_failures(p, qs, E, k, s, ns, v, r, qp)
 
 
-def _sweep_failures(p, fourier_tol):
+def _sweep_failures(p):
     """Every identity of the sweep on every coprime q of one p; returns the
     qs and the failures.  The chains are checked in buckets of lengths with
     equal bit length, so padding at most doubles their work; the tables,
@@ -526,8 +514,8 @@ def _sweep_failures(p, fourier_tol):
     qp = np.empty(len(qs), dtype=dtype)
     found = []
     for rows in buckets.values():
-        qp[rows], more = _chain_failures(p, [qs[b] for b in rows], [cfs[b] for b in rows],
-                                         s_num[rows])
+        qp[rows], _, more = _chain_failures(p, [qs[b] for b in rows], [cfs[b] for b in rows],
+                                            s_num[rows])
         found += more
     chi, d, tors, more = _tables(p, qs, qp, s_num)
     err = np.abs(_fourier(p, qs) - tors / (12 * p)).max(axis=1)
@@ -536,13 +524,13 @@ def _sweep_failures(p, fourier_tol):
         # 12p ((p-1)/4 - p s(q,p))
         _failure("sum chi", p, qs, chi.sum(axis=1) != 3 * p * (p - 1) - p * s_num,
                  lambda b, _: "sum of chi"),
-        _failure("Fourier", p, qs, err > fourier_tol,
+        _failure("Fourier", p, qs, err > FOURIER_TOL,
                  lambda b, _: f"Fourier torsion off by {err[b]}"),
     ]
     return qs, found
 
 
-def verify_lens_sweep(p_max, fourier_tol=FOURIER_TOL):
+def verify_lens_sweep(p_max):
     """Exact identity sweep over all 2 <= p <= p_max, all q, all a.
 
     Checks, per (p, q): the n-table symmetry, q q' = 1 mod p, both E(a)
@@ -550,13 +538,13 @@ def verify_lens_sweep(p_max, fourier_tol=FOURIER_TOL):
     [a q'/p] = sum_t a_t n_{t+1,s-1}, the sw identity T - lambda/p = d/2,
     sum_a T = 0 and sum_a chi = (p-1)/4 - p s(q,p), the chain-formula
     Casson-Walker against p s(q,p)/2, and the FFT torsion against the
-    closed form within ``fourier_tol``.  Every coprime q of one p is
+    closed form within FOURIER_TOL.  Every coprime q of one p is
     checked together, on integer arrays; a failure names the first failing
     L(p, q).  Returns counters."""
     pairs = 0
     orbits = 0
     for p in range(2, p_max + 1):
-        qs, found = _sweep_failures(p, fourier_tol)
+        qs, found = _sweep_failures(p)
         _raise_first(found)
         orbits += p * len(qs)
         pairs += len(qs)

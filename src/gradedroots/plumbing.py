@@ -97,12 +97,6 @@ class LatticeVector:
     def __ge__(self, other):
         return all(a >= b for a, b in zip(self.coeffs, other.coeffs))
 
-    def is_effective(self):
-        return all(a >= 0 for a in self.coeffs)
-
-    def is_zero(self):
-        return not any(self.coeffs)
-
     def __repr__(self):
         return f"LatticeVector({list(self.coeffs)})"
 
@@ -146,9 +140,6 @@ class DualVector:
     def __rmul__(self, r):
         return DualVector(r * a for a in self.coeffs)
 
-    def is_integral(self):
-        return all(a.denominator == 1 for a in self.coeffs)
-
     def __repr__(self):
         return f"DualVector({[str(c) for c in self.coeffs]})"
 
@@ -159,13 +150,14 @@ def _coeffs(v):
 
 @dataclass(frozen=True)
 class CharElement:
-    """A characteristic element, stored as a dual vector plus its pairings.
+    """A characteristic element, held by its pairings alone.
 
     ``pairings[j] = k(b_j)`` is an integer with k(b_j) + e_j even; the parity
-    condition on the basis extends to all of L.
+    condition on the basis extends to all of L.  The pairings determine k
+    and everything computed from it; its coefficient vector B^{-1} c, if
+    wanted, is ``graph.dual_from_pairings(pairings)``.
     """
 
-    vector: DualVector
     pairings: tuple
 
 
@@ -330,9 +322,6 @@ class PlumbingGraph:
         order = self.form.order
         return DualVector(Fraction(-v, order) for v in self.form.numerators(c))
 
-    def basis_vector(self, j):
-        return LatticeVector(int(i == j) for i in range(self.s))
-
     def to_json(self):
         return {"vertices": [{"id": lab, "e": ej} for lab, ej in zip(self.labels, self.e)],
                 "edges": [[self.labels[i], self.labels[j]] for i, j in self.edges]}
@@ -444,12 +433,13 @@ def graph_from_json(data):
 
 
 def characteristic_from_pairings(graph, c):
-    """Characteristic element with prescribed integer pairings c_j = k(b_j)."""
+    """Characteristic element with prescribed integer pairings c_j = k(b_j),
+    after the parity check on the basis; no dual vector is built."""
     c = tuple(int(x) for x in c)
     for j, (cj, ej) in enumerate(zip(c, graph.e)):
         if (cj + ej) % 2:
             raise ParityViolation(f"k(b_{j}) + e_{j} = {cj + ej} is odd")
-    return CharElement(vector=graph.dual_from_pairings(c), pairings=c)
+    return CharElement(pairings=c)
 
 
 def canonical_class(graph):

@@ -299,27 +299,17 @@ def seifert_k2s(data):
     return val
 
 
-def delta_tau(data, sp, i):
-    """tau(i+1) - tau(i) = 1 + a0 - i e0 + sum_l floor((-i omega + a)/alpha)."""
-    v = 1 + sp.a0 - i * data.e0
-    for (alpha, omega), a in zip(data.legs, sp.a):
-        v += (-i * omega + a) // alpha
-    return v
-
-
 def tau_stop_index(data, sp):
     """i* = max(0, ceil((nu - 1 - a0) / (-e))): beyond it every increment
-    is positive, since delta_tau(i) > 1 + a0 - nu - i e."""
+    is positive, since the increment c(i) = tau(i+1) - tau(i) (see
+    _increments) exceeds 1 + a0 - nu - i e."""
     return max(0, math.ceil(Fraction(data.nu - 1 - sp.a0) / (-data.e)))
 
 
 def seifert_tau(data, sp):
     """Certified tau function of the orbit, from the closed-form increments."""
-    stop = tau_stop_index(data, sp)
-    vals = [0]
-    for i in range(stop):
-        vals.append(vals[-1] + delta_tau(data, sp, i))
-    return TauFunction(values=tuple(vals), certified=True)
+    c = _increments(data, sp, 0, tau_stop_index(data, sp))
+    return TauFunction(values=(0, *np.cumsum(c).tolist()), certified=True)
 
 
 def dp_invariant(data):
@@ -327,7 +317,7 @@ def dp_invariant(data):
     the canonical-orbit drop count; equals chi(HF+(-M, can)) - min chi."""
     can = _spinc_from_solution(data, 0, (0,) * data.nu)
     stop = tau_stop_index(data, can)
-    return sum(max(0, -delta_tau(data, can, i)) for i in range(stop + 1))
+    return int(np.maximum(-_increments(data, can, 0, stop + 1), 0).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -391,12 +381,22 @@ def _p1_ratio(data, t):
 
 
 def _increments(data, sp, start, stop):
-    """The tau increments c(i) = 1 + a0 - i e0 + sum_l floor((a_l - i
-    omega_l)/alpha_l) for start <= i < stop, by the floor divisions.  In
-    int64, |i omega_l| < stop alpha_l; for the block of
-    torsion_limit_numeric (start = 0, stop = L <= max(NUMERIC_BLOCK,
-    2 alpha)) that is below max(NUMERIC_BLOCK, 2 alpha) alpha, far inside
-    int64 for any datum whose spin^c structures can be enumerated."""
+    """The tau increments c(i) = tau(i+1) - tau(i) = 1 + a0 - i e0 +
+    sum_l floor((a_l - i omega_l)/alpha_l) for start <= i < stop, by the
+    floor divisions.  In int64, |i omega_l| < stop alpha_l:
+
+    - for the block of torsion_limit_numeric (start = 0, stop = L <=
+      max(NUMERIC_BLOCK, 2 alpha)) that is below max(NUMERIC_BLOCK,
+      2 alpha) alpha;
+    - for seifert_tau and dp_invariant (start = 0, stop at most
+      tau_stop_index + 1 <= nu alpha, as -e = o/alpha >= 1/alpha and
+      0 <= a0 < |e0|) it is below nu alpha^2 and |i e0| below nu alpha
+      |e0|; each floor is at most i + 1 in size, so every c(i) is below
+      nu alpha (|e0| + nu + 1) and every partial sum of at most nu alpha of
+      them below (nu alpha)^2 (|e0| + nu + 1).
+
+    Both are far inside int64 for any datum whose spin^c structures can be
+    enumerated."""
     i = np.arange(start, stop, dtype=np.int64)
     c = 1 + sp.a0 - i * data.e0
     for (al, om), a in zip(data.legs, sp.a):
@@ -523,7 +523,11 @@ def seifert_orbit(data, sp, k2s):
                         torsion=limit + rank_red - min_tau)
 
 
-def verify_sw_identity(data, check_numeric=True, numeric_tol=1e-6):
+# Tolerance of the extrapolated numeric torsion limit against the exact one.
+NUMERIC_TOL = 1e-6
+
+
+def verify_sw_identity(data, check_numeric=True):
     """Exact verification of the torsion / Casson-Walker / Heegaard Floer
     identity on every spin^c orbit of the Seifert manifold:
 
@@ -532,7 +536,7 @@ def verify_sw_identity(data, check_numeric=True, numeric_tol=1e-6):
     where L is the exact torsion limit; equivalently T(1) - lambda/|H| =
     chi(HF+(-M)) - min tau + (k_r^2+s)/8.  Also checks the global sum
     lambda(M) = sum_orbits (chi(HF+(M,[k])) - d(M,[k])/2) and, optionally,
-    the Richardson-extrapolated numeric limit within ``numeric_tol``.
+    the Richardson-extrapolated numeric limit within NUMERIC_TOL.
     Returns a per-orbit report; raises IdentityViolated on any mismatch."""
     from .plumbing import casson_walker, k_squared_plus_s
     g = data.graph
@@ -556,7 +560,7 @@ def verify_sw_identity(data, check_numeric=True, numeric_tol=1e-6):
             raise IdentityViolated(f"{data.describe()} orbit {sp.a0};{sp.a}: sw identity")
         if check_numeric:
             approx = torsion_limit_numeric(data, sp)
-            if abs(approx - float(L)) > numeric_tol:
+            if abs(approx - float(L)) > NUMERIC_TOL:
                 raise IdentityViolated(
                     f"{data.describe()} orbit {sp.a0};{sp.a}: numeric limit "
                     f"{approx} vs exact {float(L)}")

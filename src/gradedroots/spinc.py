@@ -12,9 +12,9 @@ generalized Laufer ascent (:func:`plumbing.laufer_ascent`), starting from
 the componentwise ceiling of -l' and pushing up any basis direction with
 positive pairing until none is left; the result is independent of the
 order of pushes.  Every element of L' is carried as its integer pairing
-vector, from the Smith tuple to the finished orbit; the Fraction
-coefficient vectors l'_[k] and k_r are built once, for the values handed
-out.
+vector, from the Smith tuple to the finished orbit; the one Fraction
+coefficient vector, l'_[k], is built once per orbit, for the value handed
+out, and k_r is held by its pairings alone.
 """
 
 from __future__ import annotations
@@ -118,25 +118,17 @@ class HGroup:
     """H = L'/L = coker(B) in Smith coordinates.
 
     ``smith_diag`` lists all elementary divisors (including any 1s); their
-    product equals |det B|.  ``U`` maps pairing vectors to Smith
-    coordinates: c is in L exactly when U c == 0 mod diag."""
+    product equals |det B|.  With U of the Smith form U B V = D, ``U_inv``
+    maps Smith coordinates t back to the pairing vector U^{-1} t."""
 
     order: int
     smith_diag: tuple
-    U: tuple
     U_inv: tuple
-    V: tuple
-
-    def coords(self, pairings):
-        """Smith coordinates of an element of L' given by its pairings."""
-        return tuple(sum(u * c for u, c in zip(row, pairings)) % d if d else
-                     sum(u * c for u, c in zip(row, pairings))
-                     for row, d in zip(self.U, self.smith_diag))
 
 
 def smith_decompose(B):
     """Smith presentation of coker(B) for a nondegenerate integer matrix."""
-    diag, U, V = smith_normal_form(B)
+    diag, U, _ = smith_normal_form(B)
     order = 1
     for d in diag:
         order *= d
@@ -144,9 +136,7 @@ def smith_decompose(B):
         raise InvariantViolated("B must be nondegenerate")
     adj, det = adjugate(U)  # U is unimodular: det = +-1
     return HGroup(order=abs(order), smith_diag=tuple(diag),
-                  U=tuple(tuple(r) for r in U),
-                  U_inv=tuple(tuple(v // det for v in r) for r in adj),
-                  V=tuple(tuple(r) for r in V))
+                  U_inv=tuple(tuple(v // det for v in r) for r in adj))
 
 
 # ---------------------------------------------------------------------------

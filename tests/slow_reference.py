@@ -14,15 +14,17 @@ those are checked against; nothing in the package calls them.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 
+from gradedroots import lens as lens_mod
 from gradedroots.lens import (FOURIER_TOL, LensIdentityError, LensSpace, NotCoprime,
                               RangeError, spinc_coeffs, torsion_fourier_all)
 from gradedroots.plumbing import LatticeVector, _coeffs, adjugate, canonical_class
-from gradedroots.spinc import _integral_pairings, smith_decompose
+from gradedroots.spinc import _integral_pairings, smith_normal_form
 
 
 # ---------------------------------------------------------------------------
@@ -37,6 +39,18 @@ def cf_value(ks):
     return v
 
 
+@functools.cache
+def _package_n_rows(lens):
+    return lens_mod._n_tables(np.array([lens.cf], dtype=lens_mod._int_dtype(lens.p)))[0].tolist()
+
+
+def lens_n(lens, i, j):
+    """n(i, j), the numerator of [k_i, ..., k_j], for 1 <= i <= s + 2 and
+    -1 <= j <= s (1 for j = i-1, 0 for j < i-1): read off the package's
+    n-table lens._n_tables, on a batch of one."""
+    return _package_n_rows(lens)[i][j + 1]
+
+
 def generalized_cf_string(lens, a):
     """Display-only rendering of a/p as the staircase fraction
 
@@ -48,7 +62,7 @@ def generalized_cf_string(lens, a):
     s = lens.s
     expr = None
     for i in range(s, 0, -1):
-        r = f"{lens.n(i, s)}/{lens.n(i + 1, s)}"
+        r = f"{lens_n(lens, i, s)}/{lens_n(lens, i + 1, s)}"
         inner = str(E[i - 1]) if expr is None else f"({E[i - 1]} + {expr})"
         expr = f"{inner}/({r})"
     return f"{a}/{lens.p} = {expr}"
@@ -108,7 +122,7 @@ def casson_walker_chain_formula(lens):
         deg = 1 if j in (1, s) else 2
         if s == 1:
             deg = 0
-        binv_jj = Fraction(-lens.n(1, j - 1) * lens.n(j + 1, s), p)
+        binv_jj = Fraction(-lens_n(lens, 1, j - 1) * lens_n(lens, j + 1, s), p)
         rhs += (2 - deg) * binv_jj
     return -Fraction(p, 24) * rhs
 
@@ -185,7 +199,7 @@ def check_e_table_per_space(lens, n):
     _require(E.dot(col(lambda t: n[1][t - 1])) == aq % p, lens, "fractional identity")
 
 
-def verify_lens_sweep_per_space(p_max, fourier_tol=FOURIER_TOL):
+def verify_lens_sweep_per_space(p_max):
     """The lens sweep one space at a time, on Python integers and Fractions:
     the reference for lens.verify_lens_sweep, with its identities, failure
     message stems and counters."""
@@ -223,7 +237,7 @@ def verify_lens_sweep_per_space(p_max, fourier_tol=FOURIER_TOL):
             if chi.sum() != 3 * p * (p - 1) - p * s_num:
                 raise LensIdentityError(f"{lens}: sum of chi")
             err = max(abs(x - t / (12 * p)) for x, t in zip(torsion_fourier_all(lens), tors))
-            if err > fourier_tol:
+            if err > FOURIER_TOL:
                 raise LensIdentityError(f"{lens}: Fourier torsion off by {err}")
             orbits += p
             pairs += 1
@@ -321,11 +335,11 @@ def x_closed_form(data, sp, i):
     coeffs[0] = i
     for leg, span, E in zip(data.leg_lens, data.leg_spans, sp.E):
         s = leg.s
-        atil = [sum(leg.n(t + 2, s) * E[t] for t in range(j, s)) for j in range(s)]
+        atil = [sum(lens_n(leg, t + 2, s) * E[t] for t in range(j, s)) for j in range(s)]
         prev = i
         for j in range(1, s + 1):
-            num = prev * leg.n(j + 1, s) - atil[j - 1]
-            v = -((-num) // leg.n(j, s))  # ceil for positive denominator
+            num = prev * lens_n(leg, j + 1, s) - atil[j - 1]
+            v = -((-num) // lens_n(leg, j, s))  # ceil for positive denominator
             coeffs[span[0] + j - 1] = v
             prev = v
     return LatticeVector(coeffs)
@@ -400,12 +414,25 @@ def chi_rational(graph, y, K=None):
     return -(Ky + graph.pairing(ys, ys)) / 2
 
 
+def smith_coords(graph):
+    """The Smith coordinates of H = L'/L as a function of the pairing vector
+    c of an element of L': (U c) mod diag, with U of the Smith form
+    U B V = D, so c is in L exactly when every coordinate is 0."""
+    diag, U, _ = smith_normal_form(graph.form.B)
+
+    def coords(c):
+        return tuple(sum(u * ci for u, ci in zip(row, c)) % d if d else
+                     sum(u * ci for u, ci in zip(row, c))
+                     for row, d in zip(U, diag))
+    return coords
+
+
 def orbit_of(graph, orbits, l_prime):
     """Find the enumerated orbit containing l' + L (matching by Smith coords)."""
-    H = smith_decompose(graph.form.B)
-    key = H.coords(_integral_pairings(graph, l_prime))
+    coords = smith_coords(graph)
+    key = coords(_integral_pairings(graph, l_prime))
     for orb in orbits:
-        if H.coords(orb.pairings) == key:
+        if coords(orb.pairings) == key:
             return orb
     raise LookupError("orbit not found; inconsistent enumeration")
 

@@ -165,7 +165,8 @@ def test_criterion_6_lens_sweep():
     < 5 min."""
     t0 = time.perf_counter()
     p_max = 60 if FAST else 200
-    stats = lens.verify_lens_sweep(p_max, fourier_tol=1e-9)
+    assert lens.FOURIER_TOL == 1e-9
+    stats = lens.verify_lens_sweep(p_max)
     took = time.perf_counter() - t0
     assert took < 300, f"took {took:.1f}s"
     report(6, f"p <= {p_max}: {stats['pairs']} lens spaces, "
@@ -186,9 +187,9 @@ def test_criterion_7_seifert_identities():
     numeric extrapolation within 1e-6; < 2 min."""
     t0 = time.perf_counter()
     total = 0
+    assert seifert.NUMERIC_TOL == 1e-6
     for data in SEIFERT_SUITE:
-        rep = seifert.verify_sw_identity(data, check_numeric=True,
-                                         numeric_tol=1e-6)
+        rep = seifert.verify_sw_identity(data, check_numeric=True)
         assert rep["ok"]
         total += len(rep["orbits"])
     took = time.perf_counter() - t0

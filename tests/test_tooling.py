@@ -193,6 +193,156 @@ def test_every_definition_has_a_caller():
     assert not stale, f"LIBRARY_API names the package itself references: {stale}"
 
 
+# Class members and dataclass fields that nothing in the package reads: the
+# API of exported classes offered to callers outside it, and the arithmetic
+# and order operators (see _dead_members).
+CLASS_API = {
+    "ZUModule": ("pretty",),                      # the README example prints it
+    "LensInvariants": ("lam", "sw_tcw"),          # the record lens_invariants returns
+    "LatticeVector": ("__add__", "__sub__", "__neg__", "__rmul__", "__le__", "__ge__"),
+    "DualVector": ("__add__", "__sub__", "__neg__", "__rmul__"),
+}
+
+# The arithmetic and order operators: no attribute read names them, so a
+# use of one cannot be seen by name.
+OPERATORS = frozenset((
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__matmul__",
+    "__truediv__", "__floordiv__", "__mod__", "__pow__", "__neg__", "__pos__", "__abs__",
+    "__lt__", "__le__", "__gt__", "__ge__"))
+
+
+def _is_dataclass(cls):
+    """Whether the class node carries @dataclass, with or without arguments."""
+    for dec in cls.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _attribute_reads(node):
+    """The attribute names that ``node`` reads (loads)."""
+    return [sub.attr for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)]
+
+
+def _dead_members(sources, class_api):
+    """The class members and dataclass fields of ``sources`` (file name ->
+    source text) that no code in them reads, and the stale entries of
+    ``class_api`` (class name -> member names), as (unused, stale) lists.
+
+    - A member is a def in a class body (methods, properties, cached
+      properties), apart from dunders.  It is used when its name is read as
+      an attribute outside its own definition.
+    - A field is an annotated name in the body of a @dataclass.  It is used
+      when its name is read as an attribute anywhere.
+    - The arithmetic and order operators (OPERATORS) are members too, but
+      their uses are not attribute reads, so each must be listed.
+    - An entry of ``class_api`` is stale when the class has no such member
+      or field, or when the code reads it.
+
+    Matching is by name only: a name that two classes share counts as read
+    for both once either is read (``E`` of SeifertSpinc and SpincCoeffs)."""
+    trees = {name: ast.parse(text, filename=name) for name, text in sources.items()}
+    reads = Counter(name for tree in trees.values() for name in _attribute_reads(tree))
+    defined = {}            # (class, member) -> ("module:line", used)
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = node.name
+                    if name in OPERATORS:
+                        used = False
+                    elif name.startswith("__") and name.endswith("__"):
+                        continue
+                    else:
+                        used = reads[name] > _attribute_reads(node).count(name)
+                elif (_is_dataclass(cls) and isinstance(node, ast.AnnAssign)
+                      and isinstance(node.target, ast.Name)):
+                    name = node.target.id
+                    used = reads[name] > 0
+                else:
+                    continue
+                defined[cls.name, name] = (f"{module}:{node.lineno}", used)
+    listed = {(cls, name) for cls, names in class_api.items() for name in names}
+    unused = [f"{where} {cls}.{name}" for (cls, name), (where, used) in defined.items()
+              if not used and (cls, name) not in listed]
+    stale = [f"{cls}.{name}" for cls, name in sorted(listed)
+             if (cls, name) not in defined or defined[cls, name][1]]
+    return unused, stale
+
+
+def test_every_member_has_a_caller():
+    """Every method, property and dataclass field of the package is read in
+    the package's code (outside __init__.py), unless CLASS_API lists it;
+    see _dead_members.  Code that only tests read belongs in tests/.
+    Known limit: matching is by name, so a member whose name another class
+    shares passes once either is read (``E`` of SeifertSpinc and
+    SpincCoeffs)."""
+    sources = {}
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py") and name != "__init__.py":
+            with open(os.path.join(SRC, name)) as f:
+                sources[name] = f.read()
+    unused, stale = _dead_members(sources, CLASS_API)
+    assert not unused, f"members and fields that nothing in the package reads: {unused}"
+    assert not stale, f"CLASS_API entries the package defines nowhere or reads itself: {stale}"
+
+
+SYNTHETIC = """
+from dataclasses import dataclass
+from functools import cached_property
+
+
+@dataclass(frozen=True)
+class Box:
+    width: int
+    height: int
+
+    def area(self):
+        return self.width * self.width
+
+    def rescale(self, f):
+        return self.rescale(f)
+
+    @property
+    def perimeter(self):
+        return 4 * self.width
+
+    @cached_property
+    def diagonal(self):
+        return 2 * self.area()
+
+    def __add__(self, other):
+        return Box(self.width + other.width, 0)
+
+    def __repr__(self):
+        return "Box"
+
+
+def use(box):
+    return box.diagonal
+"""
+
+
+def test_dead_members_finds_unread_members():
+    """The scan flags an unread method (read only by itself), an unread
+    property, an unread dataclass field and an unlisted operator, and
+    reports a CLASS_API entry that the code reads, or that names no member,
+    as stale."""
+    unused, stale = _dead_members({"box.py": SYNTHETIC}, {})
+    assert sorted(u.split()[1] for u in unused) == [
+        "Box.__add__", "Box.height", "Box.perimeter", "Box.rescale"]
+    assert all(u.startswith("box.py:") for u in unused)
+    assert not stale
+    unused, stale = _dead_members({"box.py": SYNTHETIC},
+                                  {"Box": ("__add__", "area", "height", "missing")})
+    assert sorted(u.split()[1] for u in unused) == ["Box.perimeter", "Box.rescale"]
+    assert stale == ["Box.area", "Box.missing"]
+
+
 # subcommand -> its argparse arguments (option strings, or the dest of a
 # positional), in the order they are added
 CLI_ARGUMENTS = {
