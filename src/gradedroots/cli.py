@@ -200,11 +200,14 @@ def cmd_oracle(args):
     orbits = spinc.enumerate_spinc(g)
     chosen = orbits if args.orbit is None else [orbits[args.orbit]]
     for orb in chosen:
-        min_c = oracle.min_chi(g, orb.k_r, point_cap=args.point_cap)
-        n_max = args.level if args.level is not None else min_c + 6
-        # one enumeration of the top level gives the root and the point
-        # count; the components at n_max are the root's vertices there
+        n_max = args.level
+        if n_max is None:
+            n_max = oracle.min_chi(g, orb.k_r, point_cap=args.point_cap) + 6
+        # one enumeration of the top level gives the root, whose lowest
+        # level is min chi, and the point count; the components at n_max
+        # are the root's vertices there
         root, n_points = next(oracle.graph_roots(g, [orb.k_r], [n_max], args.point_cap))
+        min_c = root.min_chi()
         components = sum(1 for c in root.truncate(n_max).chi if c == n_max)
         print(f"orbit {orb.orbit_index}: min chi = {min_c}, "
               f"|sublevel({n_max})| = {n_points}, "

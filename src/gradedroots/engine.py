@@ -35,7 +35,8 @@ from fractions import Fraction
 
 from .plumbing import (InvariantViolated, LatticeVector, canonical_class,
                        laufer_ascent)
-from .roots import TauFunction, module_of_root, root_from_tau, tau_invariants
+from .roots import (TauFunction, descent_prefix, module_of_root, root_from_tau,
+                    tau_invariants)
 from .spinc import SpincOrbit, _orbit, enumerate_spinc
 
 DEFAULT_AR_DECREMENT_CAP = 64
@@ -241,12 +242,14 @@ def analyze_orbit(graph, orbit, classification=None):
 
     The module carries the absolute grading of HF+(-M, [k]), i.e. the
     relative one shifted by -(k_r^2 + s)/4; its tower then starts in
-    degree -d(M, [k])."""
+    degree -d(M, [k]).  The root is built from tau up to one past its last
+    strict descent (:func:`roots.descent_prefix`), the same certified
+    root; the report keeps the whole tau."""
     cls = classification or classify(graph)
     if not cls.is_ar():
         raise NotAR(cls.describe())
     t = tau(graph, cls.j0, orbit)
-    root = root_from_tau(t)
+    root = root_from_tau(descent_prefix(t.values))
     kr2s = graph.form.square(orbit.k_r.pairings) + graph.s
     min_tau, rank_red, d = tau_invariants(t.values, kr2s)
     module = module_of_root(root).shifted(-Fraction(kr2s, 4))

@@ -31,7 +31,11 @@ arithmetic.  The leaves come out x_{s-1}-major, in the walk's order, which
 also fixes every node count that the point cap reads.  One lexsort by
 (start, chi, x_0, ..., x_{s-1}) gives each orbit's vertices in the (chi,
 lexicographic) order that numbers the root's vertices, and the edges map
-through its inverse.
+through its inverse.  Every lattice edge joins two leaves of one start, so
+components never cross orbits: one component sweep of the whole walk, on
+each orbit's levels relative to its own minimum, gives every orbit's
+sublevel components (:func:`roots.segment_sweeps`), and each orbit's merge
+tree reads its own slice of them.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import numpy as np
 
 from . import _kernels
 from .plumbing import InvariantViolated, canonical_class
-from .roots import array_sweep, merge_tree
+from .roots import _narrow, merge_tree, segment_sweeps
 
 DEFAULT_POINT_CAP = 10 ** 7
 
@@ -52,25 +56,32 @@ class LevelTooLarge(ValueError):
     """The enumeration would visit more nodes than the configured cap."""
 
 
-def _proven_dtype(Q, c, limit, blocks):
+def _proven_dtype(Q, starts, blocks):
     """int64 when a bound proves that every intermediate of
     :func:`_fincke_pohst` has absolute value below 2^62 (so a sum of two
-    stays below 2^63), else exact object integers.
+    stays below 2^63) for every (c, limit) in ``starts``, else exact object
+    integers.
 
-    The bound starts from the box of the whole ellipsoid, by the depth-0
-    formula on every coordinate: each x_i and each interval end at every
-    depth lies within m of 0, because the projection of a slice lies inside
-    the projection of the ellipsoid.  From m follow bounds on the folded
-    pairings c', the remaining limit L', u = A_j c' and N = 4 D_j L' + c'.u."""
-    s = len(c)
+    The bound is taken once for all starts, from c = the elementwise
+    maximum of |c| and limit = the maximum |limit| over them.  It starts
+    from the box of the whole ellipsoid, by the depth-0 formula on every
+    coordinate: each x_i and each interval end at every depth lies within
+    m of 0, because the projection of a slice lies inside the projection
+    of the ellipsoid.  Here u = A_j c and N = 4 D_j limit + c.u are
+    replaced by |A_j| c and 4 D_j limit + c.|A_j| c, which bound the |u|
+    and N of every start.  From m follow bounds on the folded pairings
+    c', the remaining limit L', u = A_j c' and N = 4 D_j L' + c'.u, each
+    nondecreasing in c, limit and m."""
+    s = len(Q)
+    c = [max((abs(ci[i]) for ci, _ in starts), default=0) for i in range(s)]
+    limit = max((abs(lim) for _, lim in starts), default=0)
     A, D = blocks[-1]
-    u = [sum(a * cj for a, cj in zip(row, c)) for row in A]
+    u = [sum(abs(a) * cj for a, cj in zip(row, c)) for row in A]
     N = 4 * D * limit + sum(ci * ui for ci, ui in zip(c, u))
-    m = 0 if N < 0 else max((abs(u[i]) + math.isqrt(N * A[i][i])) // (2 * D)
-                            for i in range(s)) + 2
+    m = max((u[i] + math.isqrt(N * A[i][i])) // (2 * D) for i in range(s)) + 2
     q_sum = sum(abs(v) for row in Q for v in row)
-    C = sum(abs(v) for v in c) + 2 * m * q_sum
-    L = abs(limit) + m * (m * q_sum + C) + 1
+    C = sum(c) + 2 * m * q_sum
+    L = limit + m * (m * q_sum + C) + 1
     bound = max(m, C, L)
     for j, (A, D) in enumerate(blocks):
         a_row = max(sum(abs(v) for v in row) for row in A)
@@ -161,7 +172,7 @@ def _fincke_pohst(Q, starts, point_cap):
 
     whose integer ends are exact with the integer square root r: the floor
     of (u_j + r) / 2D_j and minus the floor of (r - u_j) / 2D_j.  The dtype
-    is the widest that :func:`_proven_dtype` gives over the starts.
+    is the one that :func:`_proven_dtype` proves for all the starts.
     ``point_cap`` bounds the nodes visited over all depths and starts.
 
     The pairs of rows that differ by one e_i enter as adjacent siblings at
@@ -169,9 +180,7 @@ def _fincke_pohst(Q, starts, point_cap):
     :class:`_Walk`."""
     s = len(Q)
     blocks = _leading_adjugates(Q)
-    dtype = np.int64
-    if any(_proven_dtype(Q, c, limit, blocks) is object for c, limit in starts):
-        dtype = object
+    dtype = _proven_dtype(Q, starts, blocks)
     Qm = np.array(Q, dtype=dtype)
     # c' and L' of every prefix
     cp = np.array([c for c, _ in starts], dtype=dtype).reshape(len(starts), s)
@@ -243,15 +252,6 @@ def _enumerate_points(graph, ks, levels, point_cap):
     return walk, walk.h // 2
 
 
-def _narrow(a):
-    """a - min(a) in the narrowest unsigned dtype that holds it: the same
-    order, and numpy sorts keys of 16 bits or less by radix."""
-    if not len(a):
-        return a
-    low = a.min()
-    return (a - low).astype(np.min_scalar_type(a.max() - low))
-
-
 def _vertex_order(walk, chi):
     """The leaves sorted by start, chi and then lexicographically in
     x_0, ..., x_{s-1}, and the edges in that order's vertex ids, int32
@@ -260,41 +260,6 @@ def _vertex_order(walk, chi):
     ids = np.empty(len(order), dtype=np.int32)
     ids[order] = np.arange(len(order), dtype=np.int32)
     return order, ids[walk.eu], ids[walk.ev]
-
-
-def _orbit_sublevels(graph, ks, levels, point_cap):
-    """For each (k, n) in order, the points of {chi_k <= n} as (chi, eu, ev):
-    chi of every point in (chi, lexicographic) order and the lattice edges
-    between them.  One walk serves all of them while its nodes stay within
-    ``point_cap``; otherwise the starts are split in halves, left half
-    first, each its own walk, and a single start over the cap raises its
-    :class:`LevelTooLarge`.  So each walk stays within the cap, and the
-    first start that fails fails as it does alone."""
-    try:
-        found = _enumerate_points(graph, ks, levels, point_cap)
-    except LevelTooLarge:
-        if len(ks) == 1:
-            raise
-        found = None
-    if found is None:
-        half = len(ks) // 2
-        yield from _orbit_sublevels(graph, ks[:half], levels[:half], point_cap)
-        yield from _orbit_sublevels(graph, ks[half:], levels[half:], point_cap)
-        return
-    walk, chi = found
-    order, eu, ev = _vertex_order(walk, chi)
-    chi = chi[order]
-    ends = np.searchsorted(walk.start[order], np.arange(1, len(ks) + 1)).tolist()
-    edge_ends = [len(eu)]
-    if len(ks) > 1:
-        edge_start = walk.start[walk.eu]
-        by_start = np.argsort(edge_start, kind="stable")
-        eu, ev = eu[by_start], ev[by_start]
-        edge_ends = np.searchsorted(edge_start[by_start], np.arange(1, len(ks) + 1)).tolist()
-        del edge_start, by_start
-    del found, walk, order  # the sweeps need none of the tree
-    for lo, hi, elo, ehi in zip([0] + ends, ends, [0] + edge_ends, edge_ends):
-        yield chi[lo:hi], eu[elo:ehi] - lo, ev[elo:ehi] - lo
 
 
 def enumerate_sublevel(graph, k, n, point_cap=DEFAULT_POINT_CAP):
@@ -310,10 +275,54 @@ def enumerate_sublevel(graph, k, n, point_cap=DEFAULT_POINT_CAP):
                            chi_values=chi, labels=labels)
 
 
+def _walk_roots(graph, ks, levels, truncated, point_cap):
+    """:func:`graph_roots`: one walk over every (k, n) while its nodes stay
+    within ``point_cap``; otherwise the starts are split in halves, left
+    half first, each its own walk, and a single start over the cap raises
+    its :class:`LevelTooLarge`.  So each walk stays within the cap, and the
+    first start that fails fails as it does alone.  The points of a walk
+    are sorted by start, then by (chi, lexicographic) order, and one
+    :func:`roots.segment_sweeps` gives every start's components.  The
+    roots come out in order, up to the first start whose sublevel set
+    cannot make one, which raises in its turn."""
+    try:
+        found = _enumerate_points(graph, ks, levels, point_cap)
+    except LevelTooLarge:
+        if len(ks) == 1:
+            raise
+        found = None
+    if found is None:
+        half = len(ks) // 2
+        yield from _walk_roots(graph, ks[:half], levels[:half], truncated[:half], point_cap)
+        yield from _walk_roots(graph, ks[half:], levels[half:], truncated[half:], point_cap)
+        return
+    walk, chi = found
+    order, eu, ev = _vertex_order(walk, chi)
+    chi = chi[order]
+    ends = np.searchsorted(walk.start[order], np.arange(1, len(ks) + 1)).tolist()
+    del found, walk, order  # the sweep needs none of the tree
+    error = None
+    for i, (lo, hi) in enumerate(zip([0] + ends, ends)):
+        if lo == hi or levels[i] < int(chi[lo]) + 1:
+            error = ("empty sublevel set; raise n_max above min chi_k" if lo == hi
+                     else "need n_max >= min chi_k + 1")
+            ends, chi = ends[:i], chi[:lo]
+            inside = eu < lo  # an edge joins two points of one start
+            eu, ev = eu[inside], ev[inside]
+            break
+    steps = segment_sweeps(chi, eu, ev, ends)
+    del chi, eu, ev
+    for lo, hi, top, trunc, own in zip([0] + ends, ends, levels, truncated, steps):
+        yield merge_tree(own, top=top, truncated=trunc), hi - lo
+    if error:
+        raise ValueError(error)
+
+
 def graph_roots(graph, ks, n_maxes, point_cap=DEFAULT_POINT_CAP):
     """The graded roots of (Gamma, k) up to level n_max for every (k, n_max)
-    in zip(ks, n_maxes), from one enumeration walk for all of them (see
-    :func:`_orbit_sublevels`).  Yields (root, number of points) in order.
+    in zip(ks, n_maxes), from one enumeration walk and one component sweep
+    for all of them (see :func:`_walk_roots`).  Yields (root, number of
+    points) in order.
 
     A root is the merge tree of the enumerated points (entering at chi_k)
     and their lattice edges: vertices at level n are components of the
@@ -323,15 +332,8 @@ def graph_roots(graph, ks, n_maxes, point_cap=DEFAULT_POINT_CAP):
     otherwise it is marked truncated."""
     ks, n_maxes = list(ks), list(n_maxes)
     K = tuple(canonical_class(graph).pairings)
-    sublevels = _orbit_sublevels(graph, ks, n_maxes, point_cap)
-    for k, n_max, (chi, eu, ev) in zip(ks, n_maxes, sublevels):
-        if not len(chi):
-            raise ValueError("empty sublevel set; raise n_max above min chi_k")
-        if n_max < int(chi[0]) + 1:
-            raise ValueError("need n_max >= min chi_k + 1")
-        root = merge_tree(array_sweep, chi, eu, ev, top=n_max,
-                          truncated=not (tuple(k.pairings) == K and n_max >= 1))
-        yield root, len(chi)
+    truncated = [not (tuple(k.pairings) == K and n >= 1) for k, n in zip(ks, n_maxes)]
+    yield from _walk_roots(graph, ks, n_maxes, truncated, point_cap)
 
 
 def root_oracle(graph, k, n_max, point_cap=DEFAULT_POINT_CAP):

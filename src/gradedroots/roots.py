@@ -17,10 +17,13 @@ what has entered by level n, each joined to the component containing it
 one level up (Nemethi, Graded roots and singularities, 2005, section 2).
 Each component is named by its smallest element, and vertices are numbered
 level by level and, within a level, by that smallest element.  Two sweeps
-feed the builder the same per-level data: the oracle's sublevel sets go
-through numpy hook-and-jump (:func:`array_sweep`), tau functions (path
-graphs, :func:`root_from_tau`) and (n_i, n_ij) data (complete graphs on the
-rays, :func:`root_from_minima`) through a Python union-find
+feed the builder the same per-level steps.  The oracle's sublevel sets go
+through numpy hook-and-jump (:func:`label_sweep`), one sweep per
+enumeration walk for every spin^c orbit in it (:func:`segment_sweeps`):
+each orbit's points enter at their levels relative to the orbit's lowest,
+so one level of the sweep serves every orbit.  Tau functions (path graphs,
+:func:`root_from_tau`) and (n_i, n_ij) data (complete graphs on the rays,
+:func:`root_from_minima`) go through a Python union-find
 (:func:`level_sweep`).  Those are a few dozen elements, where array calls
 cost more than they save: on the 1 803 tau paths of one ``analyze`` batch
 the array sweep took 0.40 s against 0.066 s.
@@ -254,6 +257,17 @@ def level_sweep(size, elements, links, top=None):
         yield n, cur, up
 
 
+def _narrow(a):
+    """a - min(a) in the narrowest unsigned dtype that holds it: the same
+    order, and numpy sorts keys of 16 bits or less by radix.  For int64 a
+    the difference lies in [0, 2^64): the int64 subtraction wraps only
+    where it exceeds 2^63 - 1, and the uint64 cast then undoes the wrap."""
+    if not len(a):
+        return a
+    low = a.min()
+    return (a - low).astype(np.min_scalar_type(int(a.max()) - int(low)))
+
+
 def label_sweep(levels, eu, ev, top=None):
     """Hook-and-jump connectivity (Shiloach-Vishkin) of a filtered graph
     given as arrays: element p enters at levels[p], edge (eu[i], ev[i])
@@ -263,10 +277,16 @@ def label_sweep(levels, eu, ev, top=None):
     The edges of level n hook the larger label of their ends onto the
     smaller (``np.minimum.at``) until no edge joins two labels, with pointer
     jumping to ``lab[lab] == lab`` after each round.  A label only points
-    down, so a component's fixed point is its smallest element.  Labels and
-    edge ends are int32; :class:`SweepIndexError` rejects what they cannot
-    hold before the cast."""
-    levels = np.asarray(levels, dtype=np.int64)
+    down, so a component's fixed point is its smallest element.
+
+    Bounds: labels and edge ends are int32, and :class:`SweepIndexError`
+    rejects what they cannot hold before the cast.  The levels and the edge
+    levels are swept as levels - min(levels) (:func:`_narrow`), unsigned and
+    below max - min + 1 <= 2^64, so the edges sort by a stable radix sort
+    when the levels span fewer than 2^16; ``n`` is yielded in the caller's
+    units, as a Python integer.  The sort keys are freed before the first
+    level."""
+    levels = np.asarray(levels)
     n = len(levels)
     if n >= 1 << 31:
         raise SweepIndexError(f"{n} elements exceed the 2^31 that int32 labels hold")
@@ -275,14 +295,22 @@ def label_sweep(levels, eu, ev, top=None):
         if len(ends) and not 0 <= ends.min() <= ends.max() < n:
             raise SweepIndexError(f"an edge end in [{ends.min()}, {ends.max()}] lies "
                                   f"outside the {n} elements")
+    if not n:
+        return
     eu, ev = eu.astype(np.int32, copy=False), ev.astype(np.int32, copy=False)
-    edge_levels = np.maximum(levels[eu], levels[ev])
-    by_level = np.argsort(edge_levels)
-    eu, ev, edge_levels = eu[by_level], ev[by_level], edge_levels[by_level]
-    stops = np.unique(levels if top is None else levels[levels <= top])
-    lab = np.arange(len(levels), dtype=np.int32)
-    ends = np.searchsorted(edge_levels, stops, "right").tolist()
-    for n, e0, e1 in zip(stops.tolist(), [0] + ends, ends):
+    low = int(levels.min())
+    rel = _narrow(levels)
+    stops = np.unique(rel)
+    if top is not None:
+        stops = stops[stops <= top - low]
+    edge_levels = np.maximum(rel[eu], rel[ev])
+    del rel
+    by_level = np.argsort(edge_levels, kind="stable")
+    eu, ev = eu[by_level], ev[by_level]
+    ends = np.searchsorted(edge_levels[by_level], stops, "right").tolist()
+    del by_level, edge_levels
+    lab = np.arange(n, dtype=np.int32)
+    for r, e0, e1 in zip(stops.tolist(), [0] + ends, ends):
         a, b = eu[e0:e1], ev[e0:e1]
         la, lb = lab[a], lab[b]
         while (la != lb).any():
@@ -290,33 +318,75 @@ def label_sweep(levels, eu, ev, top=None):
             while (lab != (jump := lab[lab])).any():
                 lab = jump
             la, lb = lab[a], lab[b]
-        yield n, lab
+        yield low + r, lab
 
 
-def array_sweep(levels, eu, ev, top=None):
-    """:func:`label_sweep` read as :func:`level_sweep`, yielding (n, cur, up):
-    the components at n are the elements entered by n that are their own
-    label."""
+def segment_sweeps(levels, eu, ev, ends):
+    """The steps (n, cur, up) of :func:`level_sweep` for every segment of a
+    filtered graph given as arrays, from one :func:`label_sweep`.  Segment
+    i holds the elements ends[i-1] .. ends[i] - 1 (from 0), is not empty,
+    has nondecreasing levels and shares no edge with another segment.
+    Each segment is swept on its levels minus its lowest, so one
+    hook-and-jump per relative level serves every segment; segment i gets
+    a step at each of its own levels only, in its own units, with ``cur``
+    and ``up`` naming components by their smallest element as
+    :func:`level_sweep` does.  Between two of its own levels nothing of a
+    segment enters, so its components stand still and ``up`` reads them
+    off the last step of any segment.  Returns one list of steps per
+    segment, for :func:`merge_tree`.
+
+    Bounds: the levels are int64, and the relative levels are unsigned
+    (:func:`_narrow`), each below its segment's span + 1.  A segment that
+    spans 2^63 or more wraps in the int64 subtraction, shows as a decrease
+    and is refused with the unsorted ones."""
+    if not ends:
+        return []
     levels = np.asarray(levels, dtype=np.int64)
-    own = np.arange(len(levels))
-    cur = own[:0]
-    for n, lab in label_sweep(levels, eu, ev, top):
-        up = lab[cur]
-        cur = np.flatnonzero((lab == own) & (levels <= n))
-        yield n, cur.tolist(), up.tolist()
+    begins = [0] + ends[:-1]
+    low = levels[begins]
+    rel = _narrow(levels - low.repeat(np.diff([0] + ends)))
+    # the segments that own each relative level: the first element of
+    # each run of equal levels inside a segment
+    first = np.ones(len(rel), dtype=bool)
+    first[1:] = rel[1:] != rel[:-1]
+    first[begins] = True
+    down = rel[1:] < rel[:-1]
+    down[np.array(begins[1:], dtype=np.int64) - 1] = False
+    if down.any():
+        raise ValueError("the levels of a segment must not decrease")
+    del down
+    owners = {}
+    runs = np.flatnonzero(first)
+    for i, r in zip(np.searchsorted(ends, runs, "right").tolist(), rel[runs].tolist()):
+        owners.setdefault(r, []).append(i)
+    del first, runs
+    low = low.tolist()
+    steps = [[] for _ in ends]
+    own = np.arange(len(rel), dtype=np.int32)
+    heads, cut = own[:0], [0] * (len(ends) + 1)
+    for r, lab in label_sweep(rel, eu, ev):
+        up = lab[heads].tolist()
+        heads = np.flatnonzero((lab == own) & (rel <= r))
+        prev, cut = cut, [0] + np.searchsorted(heads, ends).tolist()
+        cur = heads.tolist()
+        for i in owners[r]:
+            steps[i].append((low[i] + r, cur[cut[i]:cut[i + 1]], up[prev[i]:prev[i + 1]]))
+    return steps
 
 
-def merge_tree(sweep, *graph, top=None, truncated=False):
-    """The graded root of a filtered graph, read off ``sweep(*graph, top)``
-    (:func:`level_sweep` or :func:`array_sweep`): its vertices at level n
-    are the components of the subgraph of everything entered by level n,
-    each joined to the component that contains it one level up.
+def merge_tree(steps, top=None, truncated=False):
+    """The graded root of a filtered graph, read off its sweep ``steps``,
+    the (n, cur, up) of :func:`level_sweep` or :func:`segment_sweeps`: its
+    vertices at level n are the components of the subgraph of everything
+    entered by level n, each joined to the component that contains it one
+    level up.
 
     Levels run from the lowest element level to ``top`` (default: the last
-    level at which something enters).  Vertices are numbered level by
-    level and, within a level, by the smallest element of their component.
-    A non-truncated root is stored up to the last level at which the number
-    of components changes; above it the root is the single infinite ray.
+    level at which something enters); no step lies above ``top``.  Vertices
+    are numbered level by level and, within a level, by the smallest
+    element of their component.  A non-truncated root is stored up to the
+    last level at which the number of components changes; above it the
+    root is the single infinite ray.
     """
     chi, edges = [], []
     ids, last, end = [], None, None  # vertices of the last stored level
@@ -332,7 +402,7 @@ def merge_tree(sweep, *graph, top=None, truncated=False):
             ids = list(new)
         last = n
 
-    for n, cur, up in sweep(*graph, top):
+    for n, cur, up in steps:
         end = n
         if len(cur) == len(ids) == 1:
             continue  # the single component only grew
@@ -372,9 +442,20 @@ def root_from_tau(tau, truncate_at=None):
     if truncate_at is not None and truncate_at < min(vals):
         raise ValueError("truncation level below min tau")
     m = len(vals)
-    return merge_tree(level_sweep, m, sorted(zip(vals, range(m))),
-                      sorted((max(vals[i], vals[i + 1]), i, i + 1) for i in range(m - 1)),
+    links = sorted((max(vals[i], vals[i + 1]), i, i + 1) for i in range(m - 1))
+    return merge_tree(level_sweep(m, sorted(zip(vals, range(m))), links, truncate_at),
                       top=truncate_at, truncated=truncate_at is not None or not tau.certified)
+
+
+def descent_prefix(values):
+    """tau up to one past its last strict descent: tau(0 .. i+1) for the
+    last i with tau(i) > tau(i+1), or tau(0) alone.  Past it a certified
+    tau only rises, so each later index joins the run of its predecessor
+    as it enters and the certified root is unchanged."""
+    last = len(values) - 1
+    while last and values[last - 1] <= values[last]:
+        last -= 1
+    return values[:last + 1]
 
 
 def root_from_minima(n_i, n_ij):
@@ -404,8 +485,8 @@ def root_from_minima(n_i, n_ij):
                 if N[j][k] > max(N[i][j], N[i][k]):
                     raise ConditionViolated(
                         f"n_jk > max(n_ij, n_ik) at (i,j,k)=({i},{j},{k})")
-    return merge_tree(level_sweep, m, sorted(zip(n_i, range(m))),
-                      sorted((N[i][j], i, j) for i in range(m) for j in range(i + 1, m)))
+    links = sorted((N[i][j], i, j) for i in range(m) for j in range(i + 1, m))
+    return merge_tree(level_sweep(m, sorted(zip(n_i, range(m))), links))
 
 
 # ---------------------------------------------------------------------------

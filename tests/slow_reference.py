@@ -8,8 +8,9 @@ on every q of one p at once, and the oracle reads its lattice edges off
 its enumeration tree.  The per-a definitions, the Fraction Dedekind sum
 and Casson-Walker chain formula, the per-space lens sweep, the per-term
 numeric Seifert torsion limit, the Fraction inverse, the mpmath Fourier
-sum and the sorting lattice edges below are the independent slow paths
-those are checked against; nothing in the package calls them.
+sum, the sorting lattice edges and the union-find merge tree below are
+the independent slow paths those are checked against; nothing in the
+package calls them.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from gradedroots import lens as lens_mod
 from gradedroots.lens import (FOURIER_TOL, LensIdentityError, LensSpace, NotCoprime,
                               RangeError, spinc_coeffs, torsion_fourier_all)
 from gradedroots.plumbing import LatticeVector, _coeffs, adjugate, canonical_class
+from gradedroots.roots import level_sweep, merge_tree
 from gradedroots.spinc import _integral_pairings, smith_normal_form
 
 
@@ -485,3 +487,14 @@ def lattice_edges(coords):
         us.append(rows[hit])
         vs.append(rows[hit + 1])
     return np.concatenate(us), np.concatenate(vs)
+
+
+def union_find_root(levels, eu, ev, top=None, truncated=False):
+    """The merge tree of a filtered graph given as arrays, swept by the
+    Python union-find ``roots.level_sweep`` up to ``top``: the reference
+    for the array sweeps of the oracle."""
+    levels = [int(v) for v in levels]
+    links = sorted((max(levels[u], levels[v]), u, v)
+                   for u, v in zip(np.asarray(eu).tolist(), np.asarray(ev).tolist()))
+    steps = level_sweep(len(levels), sorted(zip(levels, range(len(levels)))), links, top)
+    return merge_tree(steps, top=top, truncated=truncated)

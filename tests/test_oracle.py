@@ -9,8 +9,8 @@ from conftest import (chain_graph, chain_level_one_rows, e8_graph, random_ration
 from gradedroots import engine, oracle, spinc
 from gradedroots.plumbing import (LatticeVector, build_graph, canonical_class,
                                   characteristic_from_pairings, chi_k)
-from gradedroots.roots import array_sweep, merge_tree, ray_root, shift_root
-from slow_reference import lattice_edges
+from gradedroots.roots import ray_root, shift_root
+from slow_reference import lattice_edges, union_find_root
 
 
 def test_single_vertex_levels():
@@ -164,13 +164,14 @@ def test_tree_edges_match_reference(rng):
 
 
 def test_graph_roots_match_per_orbit_reference(rng):
-    """graph_roots, one walk for every orbit of a graph, against a
-    per-orbit reference on 40 random AR trees, every orbit, three levels
-    above min chi: each orbit's points enumerated alone, put in (chi,
-    lexicographic) order by Python's sort, joined by
-    slow_reference.lattice_edges and fed to merge_tree.  The roots and the
-    point counts must be identical, and enumerate_sublevel must list the
-    points in that order."""
+    """graph_roots, one walk and one sweep for every orbit of a graph,
+    against a per-orbit reference on 40 random AR trees, every orbit,
+    three levels above min chi: each orbit's points enumerated alone, put
+    in (chi, lexicographic) order by Python's sort, joined by
+    slow_reference.lattice_edges and swept by the union-find
+    (slow_reference.union_find_root).  The roots and the point counts
+    must be identical, and enumerate_sublevel must list the points in
+    that order."""
     graphs = []
     while len(graphs) < 40:
         g = random_small_tree(rng, s_max=5) if len(graphs) % 2 else random_star(rng, 1)
@@ -188,8 +189,8 @@ def test_graph_roots_match_per_orbit_reference(rng):
             assert listed == points
             chi = np.array([c for c, _ in points], dtype=np.int64)
             eu, ev = lattice_edges(np.array([x for _, x in points], dtype=np.int64))
-            expect = merge_tree(array_sweep, chi, eu, ev, top=n_max,
-                                truncated=not (k.pairings == K and n_max >= 1))
+            expect = union_find_root(chi, eu, ev, top=n_max,
+                                     truncated=not (k.pairings == K and n_max >= 1))
             assert (root.chi, root.edges, root.top_level, root.truncated) == \
                 (expect.chi, expect.edges, expect.top_level, expect.truncated)
             assert n_points == len(points)

@@ -6,10 +6,11 @@ import pytest
 
 from gradedroots.roots import (ConditionViolated, EmptyTau, GradedRoot,
                                SweepIndexError, TauFunction, ZUModule,
-                               array_sweep, dot_export, label_sweep,
+                               descent_prefix, dot_export, label_sweep,
                                level_sweep, merge_tree, module_of_root,
                                rank_red_from_tau, ray_root, root_from_minima,
-                               root_from_tau, shift_root)
+                               root_from_tau, segment_sweeps, shift_root)
+from slow_reference import union_find_root
 
 R1_TAU = (-3, -1, -2, 0, -2)
 R2_TAU = (-3, 0, -2, -1, -2)
@@ -372,18 +373,29 @@ def test_label_sweep_rejects_what_int32_cannot_hold():
     assert [n for n, _ in label_sweep(levels, np.array([0, 1]), np.array([1, 2]))] == [0, 1, 2]
 
 
-def test_array_sweep_matches_level_sweep():
-    """The array sweep against the union-find and a per-level search, on
-    seeded random filtrations with tied and negative levels, several
-    components, isolated points and edges entering at their higher end,
-    up to a random top below or above the highest level, truncated or
-    not: the roots agree field by field, and each level's labels are
-    the smallest member of each component."""
+def test_label_sweep_narrows_the_whole_int64_range():
+    """label_sweep sorts levels - min(levels) in the narrowest unsigned
+    dtype; levels spanning all of int64 still sweep in order, in the
+    caller's units."""
+    levels = np.array([2 ** 63 - 1, -2 ** 63, 0], dtype=np.int64)
+    swept = [(n, lab.tolist()) for n, lab in label_sweep(levels, np.array([1]), np.array([2]))]
+    assert swept == [(-2 ** 63, [0, 1, 2]), (0, [0, 1, 1]), (2 ** 63 - 1, [0, 1, 1])]
+
+
+def test_segment_sweeps_match_level_sweep():
+    """The array sweep of one segment against the union-find and a
+    per-level search, on seeded random filtrations with tied and negative
+    levels, several components, isolated points and edges entering at
+    their higher end, up to a random top below or above the highest
+    level, truncated or not: the roots agree field by field, and each
+    level's labels are the smallest member of each component.  The levels
+    are drawn in nondecreasing order, as segment_sweeps takes them, and it
+    is given the sublevel set up to the top, as the oracle gives it."""
     from test_kernels import bfs_labels
 
-    def built(sweep, *graph):
+    def built(steps):
         try:
-            return raw(merge_tree(sweep, *graph, top=top, truncated=truncated))
+            return raw(merge_tree(steps, top=top, truncated=truncated))
         except ValueError as exc:  # no vertex, or no single ray at the top
             return str(exc)
 
@@ -391,7 +403,7 @@ def test_array_sweep_matches_level_sweep():
     seen = set()
     for _ in range(300):
         size = rng.randint(1, 30)
-        levels = [rng.randint(-4, 3) for _ in range(size)]
+        levels = sorted(rng.randint(-4, 3) for _ in range(size))
         edges = [(rng.randrange(size), rng.randrange(size))
                  for _ in range(rng.randint(0, 2 * size))]
         eu = np.array([u for u, _ in edges], dtype=np.int64)
@@ -399,8 +411,11 @@ def test_array_sweep_matches_level_sweep():
         top = rng.choice([None, rng.randint(min(levels), max(levels) + 2)])
         truncated = rng.random() < 0.5
         links = sorted((max(levels[u], levels[v]), u, v) for u, v in edges)
-        expect = built(level_sweep, size, sorted(zip(levels, range(size))), links)
-        assert built(array_sweep, levels, eu, ev) == expect
+        expect = built(level_sweep(size, sorted(zip(levels, range(size))), links, top))
+        inside = sum(top is None or v <= top for v in levels)
+        kept = (eu < inside) & (ev < inside)
+        steps = segment_sweeps(levels[:inside], eu[kept], ev[kept], [inside] if inside else [])
+        assert built(steps[0] if steps else []) == expect
         if isinstance(expect, tuple):
             seen.add((truncated, top is None or top >= max(levels),
                       len(set(expect[0])) < len(expect[0])))
@@ -411,6 +426,73 @@ def test_array_sweep_matches_level_sweep():
         assert swept == [(n, bfs_labels(levels, edges, n))
                          for n in sorted(set(levels)) if top is None or n <= top]
     assert len(seen) == 9  # 8 kinds of root, and no single ray at the top
+
+
+def test_segment_sweeps_match_per_segment_union_find():
+    """One sweep over many segments against the union-find on each
+    segment alone, on seeded random multi-segment filtrations as one
+    oracle walk makes them: nondecreasing levels inside each segment,
+    negative and differing minima, levels skipped inside some segments,
+    single-point segments, edges in random order across segments and a
+    top of each segment's own, at or above its highest level.  Each
+    segment's root equals its union-find root field by field, or both
+    refuse it (no single ray at the top of a non-truncated root)."""
+
+    def built(make, *graph, **options):
+        try:
+            return raw(make(*graph, **options))
+        except ValueError as exc:
+            return str(exc)
+
+    rng = random.Random(61)
+    single = skipped = branched = 0
+    for _ in range(150):
+        levels, edges, bounds = [], [], []
+        for _ in range(rng.randint(1, 6)):
+            size = rng.choice([1, rng.randint(1, 25)])
+            low = rng.randint(-6, 6)
+            allowed = rng.choice([range(4), [0, 2, 3, 6], [0, 5]])
+            seg = sorted(low + rng.choice(allowed) for _ in range(size))
+            base = len(levels)
+            edges += [(base + rng.randrange(size), base + rng.randrange(size))
+                      for _ in range(rng.randint(0, 2 * size))]
+            levels += seg
+            bounds.append((base, len(levels), max(seg) + rng.randint(0, 2),
+                           rng.random() < 0.5))
+            single += size == 1
+            skipped += any(b - a > 1 for a, b in zip(sorted(set(seg)), sorted(set(seg))[1:]))
+        rng.shuffle(edges)
+        eu = np.array([u for u, _ in edges], dtype=np.int64)
+        ev = np.array([v for _, v in edges], dtype=np.int64)
+        steps = segment_sweeps(np.array(levels), eu, ev, [hi for _, hi, _, _ in bounds])
+        for own, (lo, hi, top, truncated) in zip(steps, bounds):
+            inside = (eu >= lo) & (eu < hi)
+            expect = built(union_find_root, levels[lo:hi], eu[inside] - lo, ev[inside] - lo,
+                           top=top, truncated=truncated)
+            assert built(merge_tree, own, top=top, truncated=truncated) == expect
+            branched += isinstance(expect, tuple) and len(set(expect[0])) < len(expect[0])
+    assert single >= 20 and skipped >= 50 and branched >= 50
+    with pytest.raises(ValueError, match="must not decrease"):
+        segment_sweeps([0, 1, 0, 2, 1], np.array([0]), np.array([1]), [2, 5])
+
+
+def test_descent_prefix_keeps_the_root():
+    """The root of a certified tau cut one past its last strict descent
+    equals the root of the whole tau, field by field, on seeded random
+    taus of every shape: rising tails, no descent at all, plateaus."""
+    rng = random.Random(67)
+    cut = 0
+    for _ in range(2000):
+        vals = tuple(rng.randint(-5, 5) for _ in range(rng.randint(1, 10)))
+        vals += tuple(sorted(rng.randint(max(vals[-1], -5), 8)
+                             for _ in range(rng.randint(0, 12))))
+        prefix = descent_prefix(vals)
+        assert vals[:len(prefix)] == prefix
+        assert raw(root_from_tau(prefix)) == raw(root_from_tau(vals))
+        cut += len(prefix) < len(vals)
+    assert cut > 1000
+    assert descent_prefix((3, 1, 2, 2, 5)) == (3, 1)
+    assert descent_prefix((0, 1, 1)) == (0,)
 
 
 def test_library_dot_golden():
