@@ -31,7 +31,7 @@ import numpy as np
 from . import engine, lens as lens_mod, oracle, seifert as seifert_mod, spinc
 from .plumbing import (InvariantViolated, canonical_class, casson_walker, graph_from_json,
                        k_squared_plus_s)
-from .roots import _fmt_q, dot_export
+from .roots import _fmt_q, _fmt_ratios, dot_export
 
 
 def _write_atomic(path, text):
@@ -96,9 +96,10 @@ def cmd_analyze(args):
               "the `oracle` subcommand still enumerates sublevel roots")
         return 2
     cls, reports = engine.analyze_all(graph, cls)
+    chosen = select(reports)
     orbits = []
-    for r in select(reports):
-        entry = r.to_json()
+    for r, l_prime in zip(chosen, spinc.l_prime_strings(graph, [r.orbit for r in chosen])):
+        entry = r.to_json(l_prime)
         # orbits are rendered both as b-coordinates and pairing vectors
         entry["l_prime_pairings"] = list(r.orbit.pairings)
         entry["module"] = r.module.to_json()
@@ -137,14 +138,6 @@ def cmd_root(args):
 
 # ---------------------------------------------------------------------------
 # lens / seifert reports
-
-
-def _fmt_ratios(nums, den):
-    """Each nums[i] / den in lowest terms, as _fmt_q prints it, from one
-    np.gcd over the column; den > 0."""
-    g = np.gcd(nums, den)
-    return [str(n) if d == 1 else f"{n}/{d}"
-            for n, d in zip((nums // g).tolist(), (den // g).tolist())]
 
 
 def cmd_lens(args):
@@ -214,8 +207,7 @@ def cmd_oracle(args):
               f"components = {components}, root = {root!r}")
         if args.dot:
             path = f"{args.dot}_orbit{orb.orbit_index}.dot"
-            kr2s = g.form.square(orb.k_r.pairings) + g.s
-            _write_atomic(path, dot_export(root, kr2s / 4))
+            _write_atomic(path, dot_export(root, orb.kr2s / 4))
             print(f"wrote {path}")
     return 0
 

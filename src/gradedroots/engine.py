@@ -33,11 +33,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .plumbing import (InvariantViolated, LatticeVector, canonical_class,
-                       laufer_ascent)
+from .plumbing import InvariantViolated, LatticeVector, laufer_ascent
 from .roots import (TauFunction, descent_prefix, module_of_root, root_from_tau,
                     tau_invariants)
-from .spinc import SpincOrbit, _orbit, enumerate_spinc
+from .spinc import SpincOrbit, _orbit_from, enumerate_spinc
 
 DEFAULT_AR_DECREMENT_CAP = 64
 
@@ -147,7 +146,7 @@ def _attach_elliptic_length(graph, cls):
 
 def canonical_orbit_data(graph):
     """The canonical orbit [K] as a SpincOrbit (l'_[K] = 0)."""
-    return _orbit(graph, canonical_class(graph), [0] * graph.s, -1)
+    return _orbit_from(graph, [0] * graph.s)
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +224,12 @@ class ARReport:
     def certified(self):
         return self.tau.certified
 
-    def to_json(self):
+    def to_json(self, l_prime):
+        """The JSON record, with l'_[k] given as its ratio strings
+        (:func:`spinc.l_prime_strings` formats a whole graph at once)."""
         from .roots import _fmt_q
         return {"orbit": self.orbit.orbit_index,
-                "l_prime": [_fmt_q(c) for c in self.orbit.l_prime_min.coeffs],
+                "l_prime": l_prime,
                 "d": _fmt_q(self.d),
                 "rank_red": self.rank_red,
                 "chi_hf": self.chi_hf,
@@ -250,7 +251,7 @@ def analyze_orbit(graph, orbit, classification=None):
         raise NotAR(cls.describe())
     t = tau(graph, cls.j0, orbit)
     root = root_from_tau(descent_prefix(t.values))
-    kr2s = graph.form.square(orbit.k_r.pairings) + graph.s
+    kr2s = orbit.kr2s
     min_tau, rank_red, d = tau_invariants(t.values, kr2s)
     module = module_of_root(root).shifted(-Fraction(kr2s, 4))
     if module.rank_reduced() != rank_red:

@@ -495,7 +495,9 @@ def laufer_ascent(e, adjacency, x, pair, skip=None):
     element above x of the target set {pair_j <= 0 for j != skip} lies above
     x + b_j whenever pair[j] > 0.  So the endpoint, that least element, does
     not depend on the order of the pushes, and b_j enters ceil(pair[j] /
-    -e_j) times at once."""
+    -e_j) times at once.  Since every push at x is forced, so are all of
+    them together: ``spinc._ascend`` makes every such push of a round at
+    once, in every row of a batch."""
     todo = [j for j, p in enumerate(pair) if p > 0 and j != skip]
     while todo:
         j = todo.pop()

@@ -84,6 +84,14 @@ def _fmt_q(x):
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def _fmt_ratios(nums, den):
+    """Each nums[i] / den of a 1-D integer array in lowest terms, as
+    :func:`_fmt_q` prints it, from one np.gcd over the array; den > 0."""
+    g = np.gcd(nums, den)
+    return [str(n) if d == 1 else f"{n}/{d}"
+            for n, d in zip((nums // g).tolist(), (den // g).tolist())]
+
+
 @dataclass(frozen=True, eq=False)
 class GradedRoot:
     """Finite presentation of a graded root.

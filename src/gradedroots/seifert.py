@@ -39,7 +39,7 @@ import numpy as np
 from . import lens as lens_mod
 from .plumbing import InvariantViolated, build_graph
 from .roots import TauFunction, tau_invariants
-from .spinc import _ascend
+from .spinc import _ascend_rows
 
 
 class PositiveOrbifoldEuler(ValueError):
@@ -267,8 +267,8 @@ def enumerate_seifert_spinc(data):
     if len(out) != data.h_order:
         raise CountMismatch(
             f"{data.describe()}: found {len(out)} solutions, |H| = {data.h_order}")
-    for sp in out:
-        if tuple(_ascend(data.graph, sp.pairings)[1]) != sp.pairings:
+    for sp, pair in zip(out, _ascend_rows(data.graph, [sp.pairings for sp in out])[0].tolist()):
+        if tuple(pair) != sp.pairings:
             raise CountMismatch(
                 f"{data.describe()}: {sp.a0};{sp.a} is not a minimal representative")
     return out

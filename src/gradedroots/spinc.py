@@ -8,23 +8,28 @@ and decides membership questions exactly.
 Each orbit [k] = K + 2(l' + L) carries a distinguished representative:
 the unique componentwise-minimal element l'_[k] of (l' + L) intersected
 with the cone S_Q = {x : (x, b_j) <= 0 for all j}.  It is computed by a
-generalized Laufer ascent (:func:`plumbing.laufer_ascent`), starting from
-the componentwise ceiling of -l' and pushing up any basis direction with
-positive pairing until none is left; the result is independent of the
-order of pushes.  Every element of L' is carried as its integer pairing
-vector, from the Smith tuple to the finished orbit; the one Fraction
-coefficient vector, l'_[k], is built once per orbit, for the value handed
-out, and k_r is held by its pairings alone.
+generalized Laufer ascent (the argument of :func:`plumbing.laufer_ascent`),
+starting from the componentwise ceiling of -l' and pushing up any basis
+direction with positive pairing until none is left; the result is
+independent of the order of pushes.  All orbits of a graph go through one
+integer pass: the Smith tuples as an index grid, their pairing vectors,
+one simultaneous ascent, and then k_r, the numerators |H| l'_[k] and
+|H| k_r^2, as int64 arrays where a per-graph bound proves they fit and as
+exact object integers otherwise.  An orbit holds integers only; a
+Fraction l'_[k] is built when a caller asks for ``l_prime_min``, and the
+CLI prints l' from the numerators (:func:`l_prime_strings`).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .plumbing import (CharElement, DualVector, InvariantViolated, adjugate,
-                       canonical_class, characteristic_from_pairings, chi_k,
-                       laufer_ascent)
+import numpy as np
+
+from .plumbing import (CharElement, DualVector, InvariantViolated, ParityViolation, adjugate,
+                       canonical_class, chi_k)
+from .roots import _fmt_ratios
 
 
 class NotIntegral(ValueError):
@@ -143,20 +148,68 @@ def smith_decompose(B):
 # distinguished representatives
 
 
-def _ascend(graph, c):
-    """The minimal element l'_[k] of (l' + L) n S_Q for the l' in L' with
-    integer pairings c, by Laufer ascent: (x, pairings) with l'_[k] =
-    l' + x, x in L, and pairings its pairing vector c + B x.
+def _int_dtype(bound):
+    """int64 when ``bound`` is below 2^62, so that a sum of two values
+    within it stays below 2^63, else exact object integers."""
+    return np.int64 if bound < 1 << 62 else object
 
-    Start at x0 = ceil(-l') = ceil(A c / |det B|) componentwise (a lower
-    bound, since every element of S_Q is effective) and add b_j while some
-    (x + l', b_j) > 0.  Termination is forced by negative definiteness;
-    the endpoint does not depend on the order of the pushes."""
+
+def _pass_dtype(graph, c):
+    """The dtype of :func:`_ascend` and :func:`_orbits` on starting
+    pairing rows whose entries lie within c in absolute value: int64
+    when every array and intermediate provably stays within a bound below
+    2^62, else object.
+
+    With A = ``adjugate_neg`` (entries in [0, a]), s vertices, |e_j| <= m,
+    w = m - 1 and |H| = ``order``, the bound is the largest of:
+    - n = s a c: |N| = |A C| for a starting row C, and every partial sum
+      of it;
+    - x = (n + s a w) // |H| + 1: every x of the ascent lies between
+      x0 = ceil(N/|H|) and the endpoint l'_[k] + N/|H|, where
+      0 <= |H| l'_[k] = -A P <= s a w since the final pairings P lie in
+      [e_j + 1, 0];
+    - p = c + b x, with b = max_j (|e_j| + deg j) the largest row sum of
+      |B|: every pairing row P = C + B x, and every push (<= P);
+    - b p: the pushes times B;
+    - k = 4m: k_r = K + 2P (|K_j| = |e_j + 2| <= m) and k_r + e;
+    - s a k: k_r A and the l' numerators -A P (<= s a w);
+    - s k (s a k): |H| k_r^2 = -k_r A k_r and its partial sums;
+    - |H|, and the Smith tuples below it."""
+    s, order = graph.s, graph.form.order
+    a = max(map(max, graph.form.adjugate_neg))
+    m = max(-ej for ej in graph.e)
+    b = max(-ej + d for ej, d in zip(graph.e, graph.degrees))
+    n = s * a * c
+    x = (n + s * a * (m - 1)) // order + 1
+    p = c + b * x
+    k = 4 * m
+    return _int_dtype(max(n, x, p, b * p, s * a * k, s * k * (s * a * k), order))
+
+
+def _ascend(graph, C, dtype):
+    """The pairing rows of the minimal elements l'_[k] of (l' + L) n S_Q,
+    one per row of C, the integer pairings of an l' in L'; by one
+    simultaneous Laufer ascent in ``dtype`` (see :func:`_pass_dtype`).
+
+    Each row starts at x0 = ceil(-l') = ceil(A c / |det B|) componentwise
+    (a lower bound, since every element of S_Q is effective) with pairings
+    c + B x0.  Each round pushes every j with a positive pairing, in every
+    row at once, by ceil(pair_j / -e_j): each push is forced against the
+    same x (the :func:`plumbing.laufer_ascent` docstring), so they all are
+    together, and the endpoint is the one of any order of pushes.
+    Termination is forced by negative definiteness."""
     order = graph.form.order
-    x = [-(-v // order) for v in graph.form.numerators(c)]
-    pair = [ci + p for ci, p in zip(c, graph.pairings(x))]
-    laufer_ascent(graph.e, graph.adjacency, x, pair)
-    return x, pair
+    A = np.array(graph.form.adjugate_neg, dtype=dtype)
+    B = np.array(graph.form.B, dtype=dtype)
+    e = np.array(graph.e, dtype=dtype)
+    P = C + (-(-(C @ A) // order)) @ B
+    live = np.flatnonzero((P > 0).any(axis=1))
+    while len(live):
+        rows = P[live]
+        rows += np.where(rows > 0, -(rows // e), 0) @ B
+        P[live] = rows
+        live = live[(rows > 0).any(axis=1)]
+    return P
 
 
 def _integral_pairings(graph, y):
@@ -168,55 +221,109 @@ def _integral_pairings(graph, y):
     return [int(v) for v in c]
 
 
+def _ascend_rows(graph, rows):
+    """(P, dtype): :func:`_ascend` on a list of integer pairing vectors, in
+    the dtype that :func:`_pass_dtype` proves for them."""
+    dtype = _pass_dtype(graph, max(abs(v) for r in rows for v in r))
+    C = np.array(rows, dtype=dtype).reshape(len(rows), graph.s)
+    return _ascend(graph, C, dtype), dtype
+
+
 def distinguished_rep(graph, l_prime):
     """The minimal element l'_[k] of (l' + L) n S_Q, for l' in L' given by
     its coefficients in the basis {b_j}."""
-    return graph.dual_from_pairings(_ascend(graph, _integral_pairings(graph, l_prime))[1])
+    return _orbit_from(graph, _integral_pairings(graph, l_prime)).l_prime_min
 
 
 @dataclass(frozen=True)
 class SpincOrbit:
-    """One spin^c structure, held by its distinguished data.
+    """One spin^c structure, held by its distinguished data in integers.
 
-    * ``l_prime_min``: the minimal representative l'_[k] in S_Q,
-    * ``pairings``: its integer pairing vector ((l'_[k], b_j))_j,
+    * ``pairings``: the integer pairing vector ((l'_[k], b_j))_j of the
+      minimal representative l'_[k] in S_Q,
     * ``k_r`` = K + 2 l'_[k], the distinguished characteristic element,
-    * ``orbit_index``: position in the canonical Smith-coordinate order.
+    * ``orbit_index``: position in the canonical Smith-coordinate order,
+    * ``l_prime_num``: |H| l'_[k] in the basis {b_j}, integers >= 0,
+    * ``kr2_num``: |H| k_r^2, an integer,
+    * ``order``: |H| = |det B|, the denominator of both.
     """
 
-    l_prime_min: DualVector
     pairings: tuple
     k_r: CharElement
     orbit_index: int
+    l_prime_num: tuple
+    kr2_num: int
+    order: int
+
+    @property
+    def l_prime_min(self):
+        """l'_[k] as a Fraction vector, built on each call."""
+        return DualVector(Fraction(v, self.order) for v in self.l_prime_num)
+
+    @property
+    def kr2s(self):
+        """k_r^2 + s."""
+        return Fraction(self.kr2_num, self.order) + len(self.pairings)
 
 
-def _orbit(graph, K, pairings, index):
-    """The orbit whose minimal representative has the given pairings."""
-    k_r = characteristic_from_pairings(graph, [k + 2 * p for k, p in zip(K.pairings, pairings)])
-    return SpincOrbit(l_prime_min=graph.dual_from_pairings(pairings), pairings=tuple(pairings),
-                      k_r=k_r, orbit_index=index)
+def _orbits(graph, P, dtype, indices):
+    """The orbits whose minimal representatives have the pairing rows P,
+    with the given orbit indices: k_r = K + 2P, the l' numerators -A P and
+    |H| k_r^2 = -k_r A k_r, all in ``dtype`` (see :func:`_pass_dtype`)."""
+    A = np.array(graph.form.adjugate_neg, dtype=dtype)
+    e = np.array(graph.e, dtype=dtype)
+    kr = np.array(canonical_class(graph).pairings, dtype=dtype) + 2 * P
+    if ((kr + e) % 2).any():
+        raise ParityViolation("k_r(b_j) + e_j is odd for some orbit and j")
+    order = graph.form.order
+    return [SpincOrbit(pairings=tuple(p), k_r=CharElement(pairings=tuple(k)),
+                       orbit_index=i, l_prime_num=tuple(n), kr2_num=q, order=order)
+            for p, k, n, q, i in zip(P.tolist(), kr.tolist(), (-(P @ A)).tolist(),
+                                     (-((kr @ A) * kr).sum(axis=1)).tolist(), indices)]
+
+
+def _orbit_from(graph, c):
+    """The orbit, with index -1, of the l' in L' with integer pairings c."""
+    P, dtype = _ascend_rows(graph, [c])
+    return _orbits(graph, P, dtype, [-1])[0]
 
 
 def enumerate_spinc(graph):
     """All |det B| spin^c orbits, in canonical Smith-coordinate order.
 
-    Each Smith tuple t (0 <= t_i < d_i) is mapped back to a pairing vector
-    U^{-1} t, whose class is then normalized by the Laufer ascent."""
-    H = smith_decompose(graph.form.B)
-    K = canonical_class(graph)
-    orbits = []
-    # t_j = 0 on the columns with d_j = 1, so only the others enter U^{-1} t
-    cols = [j for j, d in enumerate(H.smith_diag) if d > 1]
-    U_cols = [[row[j] for row in H.U_inv] for j in cols]
-    for index, t in enumerate(itertools.product(*(range(H.smith_diag[j]) for j in cols))):
-        c = [0] * graph.s
-        for tj, col in zip(t, U_cols):
-            if tj:
-                c = [ci + tj * u for ci, u in zip(c, col)]
-        orbits.append(_orbit(graph, K, _ascend(graph, c)[1], index))
-    if len(orbits) != H.order:
-        raise InvariantViolated(f"{len(orbits)} orbits enumerated for |H| = {H.order}")
+    The Smith tuples t (0 <= t_i < d_i, in itertools.product order) form
+    an index grid T; the rows of C = T U^{-1} (on the columns with
+    d_i > 1) are pairing vectors, one per class, which one simultaneous
+    Laufer ascent (:func:`_ascend`) normalizes.  Every array is int64 when
+    :func:`_pass_dtype` proves it fits, else object."""
+    order = graph.form.order
+    ds, U = [], []
+    if order > 1:  # H = 0 has one class, that of l' = 0, and needs no Smith form
+        H = smith_decompose(graph.form.B)
+        ds = [d for d in H.smith_diag if d > 1]
+        # t_j = 0 on the columns with d_j = 1, so only the others enter U^{-1} t
+        U = [[row[j] for row in H.U_inv] for j, d in enumerate(H.smith_diag) if d > 1]
+    # |C| <= sum_j (d_j - 1) |U_j|, and so is every partial sum of T U^{-1}
+    dtype = _pass_dtype(graph, max(sum((d - 1) * abs(u[i]) for d, u in zip(ds, U))
+                                   for i in range(graph.s)))
+    T = np.indices(ds, dtype=dtype).reshape(len(ds), -1).T if ds else np.zeros((1, 0), dtype)
+    C = T @ np.array(U, dtype=dtype).reshape(len(ds), graph.s)
+    orbits = _orbits(graph, _ascend(graph, C, dtype), dtype, range(len(C)))
+    if len(orbits) != order:
+        raise InvariantViolated(f"{len(orbits)} orbits enumerated for |H| = {order}")
     return orbits
+
+
+def l_prime_strings(graph, orbits):
+    """The coordinates of l'_[k] of each orbit as reduced ratio strings,
+    as ``roots._fmt_q`` prints them, from one np.gcd over all numerators.
+    They lie in [0, s a w] (see :func:`_pass_dtype`); with |H| that
+    bound picks the dtype."""
+    bound = graph.s * max(map(max, graph.form.adjugate_neg)) * max(-ej - 1 for ej in graph.e)
+    nums = np.array([o.l_prime_num for o in orbits],
+                    dtype=_int_dtype(max(bound, graph.form.order)))
+    flat = _fmt_ratios(nums.ravel(), graph.form.order)
+    return [flat[i:i + graph.s] for i in range(0, len(flat), graph.s)]
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +339,8 @@ def m_k(graph, k, method="auto"):
     certifies almost-rational, else from exact sublevel enumeration.
     ``method`` is one of 'auto', 'engine', 'oracle'.
     """
-    K = canonical_class(graph)
-    x, pair = _ascend(graph, [(a - b) // 2 for a, b in zip(k.pairings, K.pairings)])
-    orb = _orbit(graph, K, pair, -1)
+    c = [(a - b) // 2 for a, b in zip(k.pairings, canonical_class(graph).pairings)]
+    orb = _orbit_from(graph, c)
     min_kr = None
     if method in ("auto", "engine"):
         from . import engine
@@ -246,5 +352,6 @@ def m_k(graph, k, method="auto"):
     if min_kr is None:
         from . import oracle
         min_kr = oracle.min_chi(graph, orb.k_r)
-    # k = k_r + 2l with l = l' - l'_[k] = -x
-    return min_kr - chi_k(graph, orb.k_r, [-v for v in x])
+    # k = k_r + 2l with l = l' - l'_[k], and |H| l' = -A c
+    l = [-(n + a) // orb.order for n, a in zip(orb.l_prime_num, graph.form.numerators(c))]
+    return min_kr - chi_k(graph, orb.k_r, l)

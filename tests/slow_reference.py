@@ -8,14 +8,15 @@ on every q of one p at once, and the oracle reads its lattice edges off
 its enumeration tree.  The per-a definitions, the Fraction Dedekind sum
 and Casson-Walker chain formula, the per-space lens sweep, the per-term
 numeric Seifert torsion limit, the Fraction inverse, the mpmath Fourier
-sum, the sorting lattice edges and the union-find merge tree below are
-the independent slow paths those are checked against; nothing in the
-package calls them.
+sum, the sorting lattice edges, the union-find merge tree and the
+per-orbit spin^c records below are the independent slow paths those are
+checked against; nothing in the package calls them.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -24,9 +25,10 @@ import numpy as np
 from gradedroots import lens as lens_mod
 from gradedroots.lens import (FOURIER_TOL, LensIdentityError, LensSpace, NotCoprime,
                               RangeError, spinc_coeffs, torsion_fourier_all)
-from gradedroots.plumbing import LatticeVector, _coeffs, adjugate, canonical_class
+from gradedroots.plumbing import (LatticeVector, _coeffs, adjugate, canonical_class,
+                                  characteristic_from_pairings, laufer_ascent)
 from gradedroots.roots import level_sweep, merge_tree
-from gradedroots.spinc import _integral_pairings, smith_normal_form
+from gradedroots.spinc import _integral_pairings, smith_decompose, smith_normal_form
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +429,33 @@ def smith_coords(graph):
                      sum(u * ci for u, ci in zip(row, c))
                      for row, d in zip(U, diag))
     return coords
+
+
+def scalar_ascend(graph, c):
+    """The pairing vector of l'_[k] for the l' in L' with integer pairings
+    c, by one scalar Laufer ascent from x0 = ceil(A c / |det B|)."""
+    order = graph.form.order
+    x = [-(-v // order) for v in graph.form.numerators(c)]
+    pair = [ci + p for ci, p in zip(c, graph.pairings(x))]
+    laufer_ascent(graph.e, graph.adjacency, x, pair)
+    return tuple(pair)
+
+
+def spinc_records(graph):
+    """Per orbit, in Smith-coordinate order, (pairings, l'_[k], k_r,
+    k_r^2): the pairing vector U^{-1} t of each Smith tuple t through
+    :func:`scalar_ascend`, l'_[k] from ``dual_from_pairings``, k_r from
+    ``characteristic_from_pairings`` and k_r^2 from ``form.square``."""
+    H = smith_decompose(graph.form.B)
+    K = canonical_class(graph)
+    records = []
+    for t in itertools.product(*(range(d) for d in H.smith_diag)):
+        c = [sum(tj * row[j] for j, tj in enumerate(t)) for row in H.U_inv]
+        pair = scalar_ascend(graph, c)
+        k_r = characteristic_from_pairings(graph, [k + 2 * p for k, p in zip(K.pairings, pair)])
+        records.append((pair, graph.dual_from_pairings(pair), k_r,
+                        graph.form.square(k_r.pairings)))
+    return records
 
 
 def orbit_of(graph, orbits, l_prime):

@@ -255,7 +255,7 @@ def test_criterion_11_engine_vs_lens_closed_forms():
     """Every L(p, q) with p <= 40: each engine orbit on the chain graph
     matches the lens row a with l'_[k] = l'_[-a g_s], with equal d,
     rank_red = 0 and the single ray from min tau as its root; < 30 s
-    (about 4 s on a 2-core host)."""
+    (about 3 s on a 2-core host)."""
     t0 = time.perf_counter()
     p_max = 20 if FAST else 40
     n_spaces = n_orbits = 0

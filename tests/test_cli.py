@@ -304,6 +304,9 @@ CLI_CASES = {
     **_formats("analyze_star5", ["analyze", "star5.json"]),
     "analyze_star5_orbits": ["analyze", "star5.json", "--orbits", "1,3", "--format", "csv"],
     "analyze_star5_ar_cap": ["analyze", "star5.json", "--ar-cap", "0"],
+    # |H| = 51: l' entries over 17 and 51, not halves only
+    "analyze_star51_json": ["analyze", "star51.json", "--format", "json"],
+    "analyze_star51_table": ["analyze", "star51.json"],
     "root_sigma237": ["root", "sigma237.json", "-o", "s237"],
     "root_star5_orbits": ["root", "star5.json", "--orbits", "0,2", "-o", "star5"],
     **_formats("lens_5_3", ["lens", "5", "3"]),
@@ -354,7 +357,7 @@ def cli_transcript(argv):
 def test_cli_transcript_golden(name, tmp_path, monkeypatch):
     """Every subcommand in every format, and the error paths, print exactly
     the recorded transcript (golden/cli/NAME.txt)."""
-    for graph in ("e8", "sigma237", "star5"):
+    for graph in ("e8", "sigma237", "star5", "star51"):
         shutil.copy(os.path.join(GOLDEN, f"{graph}.json"), tmp_path)
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", "80")

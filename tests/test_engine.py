@@ -362,7 +362,8 @@ def test_engine_root_multiset_blowup_invariant():
 def test_report_json_schema():
     g = remark56_graph()
     _, reports = engine.analyze_all(g)
-    js = reports[0].to_json()
+    (l_prime,) = spinc.l_prime_strings(g, [reports[0].orbit])
+    js = reports[0].to_json(l_prime)
     assert set(js) == {"orbit", "l_prime", "d", "rank_red", "chi_hf",
                        "sw_osz", "tau", "certified"}
     assert isinstance(js["d"], str) and isinstance(js["certified"], bool)

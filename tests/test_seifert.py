@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -346,3 +347,24 @@ def test_oracle_root_matches_seifert_tau():
         cut = min(t.values) + 4
         orc = oracle.root_oracle(g, orb.k_r, cut)
         assert root_from_tau(t).truncate(cut) == orc.truncate(cut)
+
+
+def test_minimality_check_names_a_non_minimal_solution(monkeypatch):
+    """The one batched ascent of enumerate_seifert_spinc flags a solution
+    whose pairings are those of l'_[k] + b_0, in the same class but not
+    minimal, and names it."""
+    data = SeifertData(e0=-2, legs=((3, 1), (5, 2), (7, 3)))
+    exact = seifert._spinc_from_solution
+    shifted = seifert.enumerate_seifert_spinc(data)[5]
+
+    def moved(data_, a0, avec):
+        sp = exact(data_, a0, avec)
+        if (a0, tuple(avec)) != (shifted.a0, shifted.a):
+            return sp
+        pairings = [p + b for p, b in zip(sp.pairings, data_.graph.form.B[0])]
+        return seifert.SeifertSpinc(a0=sp.a0, a=sp.a, atilde=sp.atilde, E=sp.E,
+                                    pairings=tuple(pairings))
+    monkeypatch.setattr(seifert, "_spinc_from_solution", moved)
+    with pytest.raises(seifert.CountMismatch,
+                       match=re.escape(f"{shifted.a0};{shifted.a} is not a minimal representative")):
+        seifert.enumerate_seifert_spinc(data)

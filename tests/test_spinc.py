@@ -1,15 +1,20 @@
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from conftest import e8_graph, random_small_tree
+from conftest import e8_graph, non_ar_graph_b, pad_chain, random_small_tree
+from gradedroots import spinc
+from gradedroots.lens import LensSpace
 from gradedroots.plumbing import (DualVector, LatticeVector, build_graph, canonical_class,
                                   characteristic_from_pairings, chi_k)
 from gradedroots.spinc import (NotIntegral, distinguished_rep, enumerate_spinc,
                                m_k, smith_decompose,
                                smith_normal_form)
-from slow_reference import orbit_of, smith_coords
+from gradedroots.seifert import brieskorn
+from slow_reference import orbit_of, smith_coords, spinc_records
 
 
 def brute_min_rep(graph, l_prime):
@@ -194,8 +199,8 @@ def test_involution_permutes_orbits(rng):
 
 def test_enumerate_spinc_stays_on_integer_pairings(monkeypatch):
     """enumerate_spinc carries each orbit on its integer pairing vector: no
-    _integral_pairings round trip, and DualVectors only for the values it
-    hands out, l'_[k] and k_r of each orbit, plus K."""
+    _integral_pairings round trip, and no DualVector at all, since an
+    orbit builds l'_[k] only when ``l_prime_min`` is read."""
     from gradedroots import plumbing, spinc
     g = build_graph([(0, -2), (1, -3), (2, -5), (3, -7)], [(0, 1), (0, 2), (0, 3)])
     calls = {"dual": 0, "integral": 0}
@@ -214,7 +219,9 @@ def test_enumerate_spinc_stays_on_integer_pairings(monkeypatch):
     orbits = enumerate_spinc(g)
     assert len(orbits) == g.form.order == 139
     assert calls["integral"] == 0
-    assert calls["dual"] <= 2 * len(orbits) + 1
+    assert calls["dual"] == 0
+    assert orbits[1].l_prime_min == g.dual_from_pairings(orbits[1].pairings)
+    assert calls["dual"] == 2
 
 
 def test_mk_rational_is_zero():
@@ -245,3 +252,88 @@ def test_mk_engine_oracle_agree(rng):
             continue
         for orb in enumerate_spinc(g):
             assert m_k(g, orb.k_r, method="engine") == m_k(g, orb.k_r, method="oracle")
+
+
+def _agreement_graphs(rng):
+    """Seeded random trees, lens chains, |H| = 1 graphs and s = 1 graphs."""
+    graphs = [random_small_tree(rng, s_max=7) for _ in range(25)]
+    graphs += [LensSpace(p, q).graph for p, q in ((7, 3), (13, 5), (29, 12), (40, 9))]
+    graphs += [e8_graph(), brieskorn(2, 3, 7).graph, brieskorn(5, 7, 11).graph]
+    return graphs + [build_graph([(0, e)], []) for e in range(-1, -8, -1)]
+
+
+def _assert_records(g, orbits):
+    """The orbits of ``g`` orbit by orbit against the per-orbit definitions:
+    pairings, l'_[k], k_r and k_r^2."""
+    records = spinc_records(g)
+    assert len(orbits) == len(records) == g.form.order
+    for index, (orb, (pairings, l_prime, k_r, kr2)) in enumerate(zip(orbits, records)):
+        assert orb.orbit_index == index
+        assert orb.pairings == pairings
+        assert orb.l_prime_min == l_prime
+        assert orb.k_r == k_r
+        assert orb.kr2s == kr2 + g.s
+
+
+def test_batched_pass_matches_per_orbit_definitions(rng):
+    """enumerate_spinc's one simultaneous ascent against the per-orbit
+    scalar ascent, dual_from_pairings, characteristic_from_pairings and
+    form.square, on every orbit; the padded non-AR graph has 10 752 orbits
+    on a four-column Smith grid, H = Z/2 + Z/4 + Z/4 + Z/336."""
+    big = pad_chain(non_ar_graph_b(), 0, 6, e=-2)
+    assert [d for d in spinc.smith_decompose(big.form.B).smith_diag if d > 1] == [2, 4, 4, 336]
+    for g in _agreement_graphs(rng) + [big]:
+        _assert_records(g, enumerate_spinc(g))
+
+
+def test_batched_pass_on_object_integers(rng, monkeypatch):
+    """Forced onto object dtype, the pass, the l' strings, the batch-of-one
+    callers and the Seifert minimality check give what int64 gives."""
+    from gradedroots import engine, seifert
+    graphs = _agreement_graphs(rng)[::3]
+    want = [(enumerate_spinc(g), m_k(g, canonical_class(g), method="oracle")) for g in graphs]
+    want_strings = [spinc.l_prime_strings(g, orbits) for g, (orbits, _) in zip(graphs, want)]
+    data = seifert.SeifertData(e0=-2, legs=((3, 1), (5, 2), (7, 3)))
+    want_seifert = seifert.enumerate_seifert_spinc(data)
+    monkeypatch.setattr(spinc, "_int_dtype", lambda bound: object)
+    assert spinc._pass_dtype(graphs[0], 0) is object
+    for g, (orbits, mk), strings in zip(graphs, want, want_strings):
+        got = enumerate_spinc(g)
+        assert got == orbits
+        _assert_records(g, got)
+        assert spinc.l_prime_strings(g, got) == strings
+        assert m_k(g, canonical_class(g), method="oracle") == mk
+        assert engine.canonical_orbit_data(g).kr2s == orbits[0].kr2s
+        for orb in got[:3]:
+            assert distinguished_rep(g, orb.l_prime_min) == orb.l_prime_min
+    assert seifert.enumerate_seifert_spinc(data) == want_seifert
+
+
+def test_int_dtype_bounds():
+    """int64 below 2^62 and object from there on; _pass_dtype and
+    l_prime_strings go to object when the starting pairings, the adjugate
+    or |H| pass the bound, on stand-in forms (no large allocation)."""
+    assert spinc._int_dtype((1 << 62) - 1) is np.int64
+    assert spinc._int_dtype(1 << 62) is object
+    g = e8_graph()
+    assert spinc._pass_dtype(g, 0) is np.int64
+    assert spinc._pass_dtype(g, 1 << 30) is np.int64
+    assert spinc._pass_dtype(g, 1 << 62) is object
+
+    def stand_in(adj, order, e=(-3, -2)):
+        return SimpleNamespace(s=2, e=e, degrees=(1, 1),
+                               form=SimpleNamespace(adjugate_neg=adj, order=order))
+    assert spinc._pass_dtype(stand_in(((2, 1), (1, 3)), 5), 1) is np.int64
+    assert spinc._pass_dtype(stand_in(((1 << 60, 1), (1, 3)), 5), 1) is object
+    assert spinc._pass_dtype(stand_in(((2, 1), (1, 3)), 1 << 62), 1) is object
+    # c = 0 and |H| = a keep N, x and P small; only |H| k_r^2 <= s k (s a k)
+    # passes 2^62 once k = 4m does
+    wide = ((1 << 40, 1), (1, 3))
+    assert spinc._pass_dtype(stand_in(wide, 1 << 40, e=(-(1 << 6), -2)), 0) is np.int64
+    assert spinc._pass_dtype(stand_in(wide, 1 << 40, e=(-(1 << 10), -2)), 0) is object
+    # l' numerators in [0, s a w] = [0, 2^61], and |H| past 2^62
+    huge = stand_in(((1 << 60, 1), (1, 3)), 3 << 62)
+    orbits = [SimpleNamespace(l_prime_num=(6 << 62, 1)), SimpleNamespace(l_prime_num=(0, 3))]
+    assert spinc.l_prime_strings(huge, orbits) == [["2", f"1/{3 << 62}"], ["0", f"1/{1 << 62}"]]
+    small = stand_in(((2, 1), (1, 3)), 5)
+    assert spinc.l_prime_strings(small, [SimpleNamespace(l_prime_num=(10, 4))]) == [["2", "4/5"]]

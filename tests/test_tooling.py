@@ -113,17 +113,22 @@ def test_torsion_limit_loops_are_integer():
 
 
 def _reached(roots):
-    """The module-level functions and classes of lens.py and cli.py that the
-    ``roots`` (module, name) reach: by name within their module, and as
-    ``lens_mod.<name>`` from cli.py."""
-    defs = {}
-    for module in ("lens.py", "cli.py"):
+    """The module-level functions and classes of lens.py, cli.py and
+    roots.py that the ``roots`` (module, name) reach: by name within their
+    module, through a ``from .module import name`` of one of the three, and
+    as ``lens_mod.<name>`` from cli.py."""
+    defs, imported = {}, {}
+    for module in ("lens.py", "cli.py", "roots.py"):
         for node in _parse(module).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs[module, node.name] = node
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                imported.update({(module, alias.name): f"{node.module}.py"
+                                 for alias in node.names})
     seen, todo = set(), list(roots)
     while todo:
         key = todo.pop()
+        key = (imported[key], key[1]) if key in imported else key
         if key in seen or key not in defs:
             continue
         seen.add(key)
@@ -140,8 +145,8 @@ def test_lens_array_programs_are_integer():
     """The lens sweep, the lens table and its renderer run on integers: no
     Fraction(...) and no dedekind_sum(...) call in verify_lens_sweep,
     lens_table, cli.cmd_lens or any function or class of lens.py they reach
-    (their helpers and LensSpace), or in the functions of cli.py that
-    cmd_lens reaches."""
+    (their helpers and LensSpace), or in the functions of cli.py and
+    roots.py that cmd_lens reaches (the ratio formatter)."""
     reached = _reached([("lens.py", "verify_lens_sweep"), ("lens.py", "lens_table"),
                         ("cli.py", "cmd_lens")])
     assert {"_sweep_failures", "_chain_failures", "_e_failures", "_e_digits", "_n_tables",
@@ -201,6 +206,7 @@ CLASS_API = {
     "LensInvariants": ("lam", "sw_tcw"),          # the record lens_invariants returns
     "LatticeVector": ("__add__", "__sub__", "__neg__", "__rmul__", "__le__", "__ge__"),
     "DualVector": ("__add__", "__sub__", "__neg__", "__rmul__"),
+    "PlumbingGraph": ("dual_from_pairings",),     # the dual vector of a k_r (README)
 }
 
 # The arithmetic and order operators: no attribute read names them, so a
