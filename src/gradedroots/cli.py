@@ -15,6 +15,12 @@ invariant failed (a bug, not bad input).  Rationals are
 printed as "p/q" strings; the only floating-point outputs are the numeric
 oracle columns explicitly labelled approx.  Files are written to a
 temporary path and renamed, so failures leave no partial output.
+
+Implementation notes (kept out of --help)
+-----------------------------------------
+``--format json`` output is byte-identical to ``json.dumps(payload,
+indent=2)``; :func:`_json_text` writes it with C-level formatters, not the
+stdlib's pure-Python indent encoder.
 """
 
 from __future__ import annotations
@@ -67,11 +73,65 @@ def _orbit_filter(text, count):
     return lambda reports: [r for r in reports if r.orbit.orbit_index in wanted]
 
 
+_STR = json.encoder.encode_basestring_ascii
+_SCALARS = {str: _STR, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__,
+            type(None): lambda _: "null"}
+
+
+def _not_json(value):
+    return TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _key(k):
+    if type(k) is not str:
+        raise _not_json(k)
+    return _STR(k)
+
+
+def _json_text(obj, depth=0):
+    """``json.dumps(obj, indent=2)``, byte for byte, for str, int, bool and
+    None in lists, tuples and str-keyed dicts; any other type (a float, a
+    numpy scalar, a non-str key) raises TypeError.  The stdlib runs its
+    pure-Python encoder once ``indent`` is set; here every scalar goes
+    through one C-level formatter and every container through one join."""
+    t = type(obj)
+    if t in _SCALARS:
+        return _SCALARS[t](obj)
+    if t is dict:
+        return _json_items((obj,), depth)[0] if obj else "{}"
+    if t is list or t is tuple:
+        if not obj:
+            return "[]"
+        close = "\n" + "  " * depth
+        inner = close + "  "
+        return "[" + inner + ("," + inner).join(_json_items(obj, depth + 1)) + close + "]"
+    raise _not_json(obj)
+
+
+def _json_items(values, depth):
+    """The texts of the non-empty sequence ``values`` at ``depth``: one map
+    of one formatter for scalars of one type; dicts of one key order column
+    by column, one %-template per row; anything else value by value."""
+    types = set(map(type, values))
+    t = types.pop() if len(types) == 1 else None
+    if t in _SCALARS:
+        return list(map(_SCALARS[t], values))
+    if t is dict:
+        keys = tuple(values[0])
+        if keys and all(tuple(v) == keys for v in values):
+            inner = "\n" + "  " * (depth + 1)
+            row = "{" + inner + ("," + inner).join(
+                [_key(k).replace("%", "%%") + ": %s" for k in keys]) + inner[:-2] + "}"
+            columns = [_json_items(col, depth + 1) for col in zip(*map(dict.values, values))]
+            return list(map(row.__mod__, zip(*columns)))
+    return [_json_text(v, depth) for v in values]
+
+
 def _emit(fmt, header, rows, payload, preamble):
     """Print ``payload`` as json, or the ``header`` columns of the dict
     ``rows`` as csv, or as a table under the ``preamble`` lines."""
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
         return
     cells = [header] + [[str(row[h]) for h in header] for row in rows]
     if fmt == "csv":
@@ -286,7 +346,8 @@ def _leg(text):
 @functools.cache
 def build_parser():
     """The argument parser, built once per process; parsing leaves it unchanged."""
-    ap = argparse.ArgumentParser(prog="gradedroots", description=__doc__,
+    ap = argparse.ArgumentParser(prog="gradedroots",
+                                 description=__doc__.split("\n\nImplementation notes")[0],
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 

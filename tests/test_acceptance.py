@@ -253,9 +253,10 @@ def test_criterion_10_suite_is_headless():
 
 def test_criterion_11_engine_vs_lens_closed_forms():
     """Every L(p, q) with p <= 40: each engine orbit on the chain graph
-    matches the lens row a with l'_[k] = l'_[-a g_s], with equal d,
-    rank_red = 0 and the single ray from min tau as its root; < 30 s
-    (about 3 s on a 2-core host)."""
+    matches the lens row a with l'_[k] = l'_[-a g_s] = -sum E(a)_j g_j, by
+    its integer pairings -E(a), with |H| l'_[k] equal to the row's -A c
+    (A = adjugate_neg), equal d, rank_red = 0 and the single ray from min
+    tau as its root; < 30 s (about 3 s on a 2-core host)."""
     t0 = time.perf_counter()
     p_max = 20 if FAST else 40
     n_spaces = n_orbits = 0
@@ -264,13 +265,16 @@ def test_criterion_11_engine_vs_lens_closed_forms():
             if math.gcd(p, q) != 1:
                 continue
             L = lens.LensSpace(p, q)
-            rows = {slow_reference.lprime_of(L, a): a for a in range(p)}
+            rows = {tuple(-e for e in lens.spinc_coeffs(L, a).E): a for a in range(p)}
             _, reports = engine.analyze_all(L.graph)
             matched = set()
             for rep in reports:
                 where = f"{L}, engine orbit {rep.orbit.orbit_index}"
-                a = rows.get(rep.orbit.l_prime_min)
-                assert a is not None, f"{where}: no lens row with its l'"
+                c = tuple(rep.orbit.pairings)
+                a = rows.get(c)
+                assert a is not None, f"{where}: no lens row with its pairings"
+                l_num = tuple(-v for v in L.graph.form.numerators(c))
+                assert rep.orbit.l_prime_num == l_num, f"{where}: |H| l' != -A c of row {a}"
                 inv = lens.lens_invariants(L, a, check_numeric=False)
                 assert rep.d == inv.d, f"{where}: engine d {rep.d} != lens row {a} d {inv.d}"
                 assert rep.rank_red == 0, f"{where}: rank_red {rep.rank_red}"

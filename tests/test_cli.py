@@ -163,6 +163,81 @@ def test_seifert_command():
     assert payload["orbits"][0]["d"] == "0"
 
 
+JSON_ALPHABET = ["a", "Z", " ", "%", "%s", "%%", "%(a)s", '"', "\\", "/", "\n", "\t",
+                 "\x00", "\x1f", "\x7f", "é", "€", "\U0001F600", "\ud800"]
+JSON_KINDS = ["str", "int", "bool", "none"]
+
+
+def _json_scalar(rng, kind):
+    if kind == "str":
+        return "".join(rng.choice(JSON_ALPHABET) for _ in range(rng.randint(0, 6)))
+    if kind == "int":
+        return rng.choice([rng.randint(-9, 9), rng.randint(-2 ** 70, 2 ** 70),
+                           2 ** 63 + rng.randint(0, 9), -2 ** 64 - rng.randint(0, 9)])
+    if kind == "bool":
+        return rng.random() < 0.5
+    return None
+
+
+def _json_payload(rng, depth=0):
+    """A random payload: scalars, flat lists of one type, mixed lists (bool
+    next to int), empty containers, dicts, and lists of rows with one key
+    order, two key orders, or nested columns."""
+    shape = rng.choice(["scalar", "flat", "mixed", "empty"]
+                       + (["dict", "rows", "rows"] if depth < 3 else []))
+    n = rng.randint(1, 5)
+    if shape == "scalar":
+        return _json_scalar(rng, rng.choice(JSON_KINDS))
+    if shape in ("flat", "mixed"):
+        kinds = [rng.choice(JSON_KINDS)] if shape == "flat" else ["int", "bool", "none", "str"]
+        values = [_json_scalar(rng, rng.choice(kinds)) for _ in range(n)]
+        return tuple(values) if rng.random() < 0.3 else values
+    if shape == "empty":
+        return rng.choice([{}, [], ()])
+    if shape == "dict":
+        return {_json_scalar(rng, "str"): _json_payload(rng, depth + 1) for _ in range(n)}
+    keys = list(dict.fromkeys(_json_scalar(rng, "str") for _ in range(rng.randint(0, 4))))
+    kinds = {k: rng.choice(JSON_KINDS + ["bool_int", "nested"]) for k in keys}
+
+    def cell(kind):
+        if kind == "nested":
+            return _json_payload(rng, depth + 1)
+        if kind == "bool_int":
+            return rng.choice([True, False, 0, 1, -1])
+        return _json_scalar(rng, kind)
+    rows = [{k: cell(kinds[k]) for k in keys} for _ in range(n)]
+    if len(keys) > 1 and rng.random() < 0.3:
+        rows[rng.randrange(n)] = {k: cell(kinds[k]) for k in reversed(keys)}
+    return rows
+
+
+def test_json_text_matches_json_dumps(rng, monkeypatch):
+    """cli._json_text gives the bytes of json.dumps(indent=2): on 5 000 seeded
+    random payloads, and on the payloads of three real reports (analyze of
+    star51.json, an L(601, q) table and a Seifert report); it raises
+    TypeError on a float, a numpy scalar and a non-str key."""
+    import numpy as np
+    from gradedroots import cli
+    for _ in range(5000):
+        obj = _json_payload(rng)
+        assert cli._json_text(obj) == json.dumps(obj, indent=2), obj
+    emit, seen = cli._emit, []
+    monkeypatch.setattr(cli, "_emit", lambda fmt, header, rows, payload, preamble: (
+        seen.append(payload), emit(fmt, header, rows, payload, preamble)))
+    for argv in (["analyze", os.path.join(GOLDEN, "star51.json"), "--format", "json"],
+                 ["lens", "601", str(rng.choice([7, 24, 233, 388])), "--table",
+                  "--format", "json"],
+                 ["seifert", *S5711, "--format", "json"]):
+        code, out, _ = run_cli(argv)
+        assert code == 0
+        assert out == json.dumps(seen[-1], indent=2) + "\n", argv
+    assert len(seen) == 3 and len(seen[0]["orbits"]) == 51 and len(seen[1]) == 601
+    for bad in (1.5, np.int64(1), {1: "a"}, [{"a": 0.5}], [{"a": 1}, {"a": {2: 3}}],
+                [{1: "a"}, {1: "b"}], ("x", [np.str_("y")])):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            cli._json_text(bad)
+
+
 def test_verify_lens():
     code, out, _ = run_cli(["verify", "lens", "20"])
     assert code == 0 and "lens sweep ok" in out

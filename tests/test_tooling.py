@@ -97,6 +97,24 @@ def test_runtime_imports_are_stdlib_or_numpy():
     assert not found, f"imports outside the standard library and numpy: {found}"
 
 
+def test_one_json_writer():
+    """Indented JSON leaves the package through cli._json_text alone: with
+    ``indent`` set, json.dump and json.dumps run the stdlib's pure-Python
+    encoder, so no call of either in src/ passes that keyword."""
+    found = []
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py"):
+            continue
+        for node in ast.walk(_parse(name)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if called in ("dump", "dumps") and any(kw.arg == "indent" for kw in node.keywords):
+                found.append(f"{name}:{node.lineno} calls {called} with indent")
+    assert not found, f"indented JSON outside cli._json_text: {found}"
+
+
 def test_torsion_limit_loops_are_integer():
     """seifert_torsion_limit sums over the legs and their residues on
     integers: no Fraction(...) call inside a loop or a comprehension."""
