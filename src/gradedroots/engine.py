@@ -61,7 +61,6 @@ class Classification:
     e_prime: int = None
     l: int = None
     bound: int = None
-    chi_xmin: int = None
 
     def is_ar(self):
         return self.kind in ("rational", "weakly-elliptic", "almost-rational")
@@ -109,7 +108,8 @@ def fundamental_cycle(graph):
 def classify(graph, max_decrements=DEFAULT_AR_DECREMENT_CAP):
     """Rational / weakly elliptic / AR / not certified, tested in that
     order: rational iff chi(x_min) = 1, weakly elliptic iff chi(x_min) = 0
-    (with the elliptic length read off the canonical root), else AR when
+    (with the elliptic length, the rank_red of the canonical orbit's tau,
+    from the closed form of :func:`roots.tau_invariants`), else AR when
     some vertex's decoration can be decreased to a rational graph.  For
     each candidate j0 the decoration drops until the fundamental cycle has
     coefficient 1 at j0; a single rationality test there decides (pushing
@@ -119,29 +119,21 @@ def classify(graph, max_decrements=DEFAULT_AR_DECREMENT_CAP):
     e = list(graph.e)
     cxm = _chi_canonical(e, *_fundamental_cycle(e, adj))
     if cxm == 1:
-        return Classification(kind="rational", j0=0, e_prime=graph.e[0], chi_xmin=1)
+        return Classification(kind="rational", j0=0, e_prime=graph.e[0])
     for j0 in range(graph.s):
         for e_mod in range(graph.e[j0], graph.e[j0] - max_decrements - 1, -1):
             e[j0] = e_mod
             xm, pair = _fundamental_cycle(e, adj)
             if xm[j0] == 1:
                 if _chi_canonical(e, xm, pair) == 1:
-                    kind = "weakly-elliptic" if cxm == 0 else "almost-rational"
-                    cls = Classification(kind=kind, j0=j0, e_prime=e_mod, chi_xmin=cxm)
-                    if kind == "weakly-elliptic":
-                        cls = _attach_elliptic_length(graph, cls)
-                    return cls
+                    if cxm != 0:
+                        return Classification(kind="almost-rational", j0=j0, e_prime=e_mod)
+                    t = tau(graph, j0, canonical_orbit_data(graph))
+                    return Classification(kind="weakly-elliptic", j0=j0, e_prime=e_mod,
+                                          l=tau_invariants(t.values, 0)[1])
                 break
         e[j0] = graph.e[j0]
-    return Classification(kind="not-ar-certified", bound=max_decrements, chi_xmin=cxm)
-
-
-def _attach_elliptic_length(graph, cls):
-    orb = canonical_orbit_data(graph)
-    t = tau(graph, cls.j0, orb)
-    mod = module_of_root(root_from_tau(t))
-    return Classification(kind=cls.kind, j0=cls.j0, e_prime=cls.e_prime,
-                          l=mod.rank_reduced(), chi_xmin=cls.chi_xmin)
+    return Classification(kind="not-ar-certified", bound=max_decrements)
 
 
 def canonical_orbit_data(graph):

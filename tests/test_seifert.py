@@ -274,7 +274,7 @@ def test_numeric_limit_agrees():
 def test_numeric_limit_without_mpmath(monkeypatch):
     """The numeric oracle runs on numpy and exact integers alone."""
     monkeypatch.setitem(sys.modules, "mpmath", None)
-    assert verify_sw_identity(S2311, check_numeric=True)["ok"]
+    assert verify_sw_identity(S2311)["ok"]
     sp = enumerate_seifert_spinc(NU3_H29)[3]
     exact = seifert_torsion_limit(NU3_H29, sp)
     assert abs(torsion_limit_numeric(NU3_H29, sp) - float(exact)) < 1e-6
@@ -286,7 +286,7 @@ def test_verify_sw_identity_numeric_near_poles(legs):
     |H| = 218): the double-precision P1/|H| and the three-node Neville
     fit once put the numeric limit 5.7e-6 and 3.6e-5 off the exact one."""
     data = SeifertData(e0=-1, legs=legs)
-    rep = verify_sw_identity(data, check_numeric=True)
+    rep = verify_sw_identity(data)
     assert rep["ok"] and len(rep["orbits"]) == data.h_order
 
 
@@ -329,7 +329,7 @@ def test_numeric_periodicity_guard():
 
 
 def test_verify_sw_identity_small():
-    rep = verify_sw_identity(NU3_H29, check_numeric=False)
+    rep = verify_sw_identity(NU3_H29)
     assert rep["ok"] and len(rep["orbits"]) == 29
     assert rep["lambda"] == casson_walker(NU3_H29.graph)
 

@@ -367,6 +367,121 @@ def test_dead_members_finds_unread_members():
     assert stale == ["Box.area", "Box.missing"]
 
 
+# Defaulted parameters that no call in the package passes, kept as API for
+# callers outside it: function name -> parameter names.
+PARAMETER_API = {
+    "main": ("argv",),                  # tests and scripts run the CLI in-process
+    "root_from_tau": ("truncate_at",),  # a root seen up to a level (README)
+}
+
+
+def _unpassed_parameters(sources, exempt, parameter_api):
+    """The defaulted parameters of the functions and methods of ``sources``
+    (file name -> source text) that no call in them passes, by position or
+    by keyword, and the stale entries of ``parameter_api`` (function name
+    -> parameter names), as (unused, stale) lists.  The functions named in
+    ``exempt`` are skipped whole.
+
+    - A call reaches a function by the name it calls (``f(...)`` or
+      ``x.f(...)``); for a method, positions count from the parameter
+      after ``self`` or ``cls``.
+    - A call with ``*args`` or ``**kwargs`` passes every parameter.
+    - An entry of ``parameter_api`` is stale when the function has no such
+      defaulted parameter or a call passes it.
+
+    Matching is by name only, as in :func:`_dead_members`: a parameter
+    counts as passed once a call of any function of that name passes it."""
+    calls = {}              # called name -> [(positional count, keywords, splat)]
+    defined = []            # ("module:line", name, positional names, defaulted names)
+    for module, text in sources.items():
+        tree = ast.parse(text, filename=module)
+        methods = {id(f) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for f in cls.body}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                splat = (any(isinstance(a, ast.Starred) for a in node.args)
+                         or any(k.arg is None for k in node.keywords))
+                calls.setdefault(called, []).append(
+                    (len(node.args), {k.arg for k in node.keywords}, splat))
+            elif isinstance(node, ast.FunctionDef) and node.name not in exempt:
+                args = node.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                defaulted = positional[len(positional) - len(args.defaults):] + [
+                    a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                if id(node) in methods:
+                    positional = positional[1:]
+                defined.append((f"{module}:{node.lineno}", node.name, positional, defaulted))
+    listed = {(name, param) for name, params in parameter_api.items() for param in params}
+    unused, passed, known = [], set(), set()
+    for where, name, positional, defaulted in defined:
+        for param in defaulted:
+            known.add((name, param))
+            if any(splat or param in keywords or param in positional[:count]
+                   for count, keywords, splat in calls.get(name, ())):
+                passed.add((name, param))
+            elif (name, param) not in listed:
+                unused.append(f"{where} {name}({param})")
+    stale = [f"{name}({param})" for name, param in sorted(listed)
+             if (name, param) not in known or (name, param) in passed]
+    return unused, stale
+
+
+def test_every_parameter_is_passed():
+    """Every defaulted parameter of a function or method of the package is
+    passed by some call in the package's code (outside __init__.py), by
+    position or by keyword, unless the function is in LIBRARY_API or
+    PARAMETER_API lists the parameter; see _unpassed_parameters.  A
+    parameter that only ever takes its default is a constant."""
+    sources = {}
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py") and name != "__init__.py":
+            with open(os.path.join(SRC, name)) as f:
+                sources[name] = f.read()
+    unused, stale = _unpassed_parameters(sources, LIBRARY_API, PARAMETER_API)
+    assert not unused, f"defaulted parameters that no call in the package passes: {unused}"
+    assert not stale, f"PARAMETER_API entries the package defines nowhere or passes itself: {stale}"
+
+
+PARAMETERS = """
+class Grid:
+    def scale(self, f, g=1, h=2):
+        return f
+
+    def fill(self, v=0):
+        return v
+
+
+def build(n, cap=None, *, check=True, tag=None):
+    return Grid().scale(n, 3)
+
+
+def run(args=()):
+    return build(*args)
+
+
+def main(argv=None):
+    return build(1, tag="x") + Grid().fill(v=2)
+"""
+
+
+def test_unpassed_parameters_finds_constants():
+    """The scan flags a defaulted parameter that no call passes, counting
+    positions from after ``self`` for a method and honouring keywords and
+    splats; it skips exempt functions and reports a PARAMETER_API entry
+    that a call passes, or that names no parameter, as stale."""
+    unused, stale = _unpassed_parameters({"grid.py": PARAMETERS}, (), {})
+    assert sorted(u.split()[1] for u in unused) == ["main(argv)", "run(args)", "scale(h)"]
+    assert all(u.startswith("grid.py:") for u in unused)
+    assert not stale
+    unused, stale = _unpassed_parameters({"grid.py": PARAMETERS}, ("run",),
+                                         {"main": ("argv",), "scale": ("g",),
+                                          "fill": ("w",)})
+    assert sorted(u.split()[1] for u in unused) == ["scale(h)"]
+    assert stale == ["fill(w)", "scale(g)"]
+
+
 # subcommand -> its argparse arguments (option strings, or the dest of a
 # positional), in the order they are added
 CLI_ARGUMENTS = {
