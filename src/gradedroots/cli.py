@@ -53,8 +53,9 @@ def _write_atomic(path, text):
 
 
 def _load_graph(path):
+    # the text, parsed once: a file holding a JSON string is not a graph
     with open(path) as f:
-        return graph_from_json(json.load(f))
+        return graph_from_json(f.read())
 
 
 def _check_orbit(index, count):
@@ -285,19 +286,15 @@ def verify_oracle_graph(graph, point_cap=oracle.DEFAULT_POINT_CAP):
     engine root truncated at min tau + ORACLE_LEVEL_OFFSET must equal the
     enumerated sublevel root.  Returns a report dict; raises
     :class:`InvariantViolated` with the offending orbit otherwise."""
-    cls = engine.classify(graph)
-    if not cls.is_ar():
-        raise engine.NotAR(cls.describe())
-    orbits = spinc.enumerate_spinc(graph)
-    reports = [engine.analyze_orbit(graph, orb, cls) for orb in orbits]
+    cls, reports = engine.analyze_all(graph)
     cuts = [rep.min_tau + ORACLE_LEVEL_OFFSET for rep in reports]
-    orc_roots = oracle.graph_roots(graph, [orb.k_r for orb in orbits], cuts, point_cap)
+    orc_roots = oracle.graph_roots(graph, [rep.orbit.k_r for rep in reports], cuts, point_cap)
     checked = []
-    for orb, rep, cut, (orc_root, _) in zip(orbits, reports, cuts, orc_roots):
+    for rep, cut, (orc_root, _) in zip(reports, cuts, orc_roots):
         if rep.root.truncate(cut) != orc_root.truncate(cut):
-            raise InvariantViolated(f"orbit {orb.orbit_index}: engine root != oracle "
+            raise InvariantViolated(f"orbit {rep.orbit.orbit_index}: engine root != oracle "
                                     f"root at level {cut}")
-        checked.append(orb.orbit_index)
+        checked.append(rep.orbit.orbit_index)
     zero = oracle.component_zero_structure(graph, point_cap=point_cap)
     if not zero["ok"]:
         raise InvariantViolated(f"zero-component structure violated: {zero}")

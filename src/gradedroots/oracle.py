@@ -12,10 +12,11 @@ chi_k(x) <= n reads x^T Q x - c.x <= 2n, an ellipsoid.  Its integer points
 are enumerated by Fincke-Pohst (Math. Comp. 44, 1985): coordinates are
 fixed one at a time, last first, and each is bounded by the projection of
 the slice left by the coordinates already fixed, through the integer
-adjugate of a leading block of Q (all s of them from one O(s^3) bordering
-pass) and an integer square root.  Every prefix of one depth is processed
-at once.  All arithmetic is on integers, int64 where a bound proves it
-safe and Python integers otherwise.
+adjugate of a leading block of Q (all s of them from the one O(s^3)
+bordering pass, :func:`plumbing._leading_adjugates`) and an integer square
+root.  Every prefix of one depth is processed at once.  All arithmetic is
+on integers, int64 where a bound proves it safe and Python integers
+otherwise.
 
 One walk serves every spin^c orbit of a graph.  Q, the adjugates and the
 dtype proof depend on the graph alone, so each (k, n) enters as one start
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .plumbing import InvariantViolated, canonical_class
+from .plumbing import InvariantViolated, _leading_adjugates, canonical_class
 from .roots import _narrow, merge_tree, segment_sweeps
 
 DEFAULT_POINT_CAP = 10 ** 7
@@ -87,24 +88,6 @@ def _proven_dtype(Q, starts, blocks):
         a_row = max(sum(abs(v) for v in row) for row in A)
         bound = max(bound, a_row, (4 * D * L + (j + 1) * C * a_row * C) * A[j][j])
     return np.int64 if bound < 1 << 62 else object
-
-
-def _leading_adjugates(Q):
-    """(adj Q_j, det Q_j) of every leading block Q_j of a symmetric positive
-    definite Q, in O(s^3) by bordering: with A = adj Q_{j-1}, D = det Q_{j-1},
-    new column b and diagonal entry q, det Q_j = qD - b.Ab, and adj Q_j has
-    upper-left block (det Q_j A + (Ab)(Ab)^T) / D, an exact division, last
-    column -Ab and corner D."""
-    A, D, blocks = [], 1, []
-    for j, row in enumerate(Q):
-        b = row[:j]
-        Ab = [sum(a * v for a, v in zip(r, b)) for r in A]
-        Dj = row[j] * D - sum(x * v for x, v in zip(Ab, b))
-        A = [[(Dj * a + x * y) // D for a, y in zip(r, Ab)] + [-x] for r, x in zip(A, Ab)]
-        A.append([-x for x in Ab] + [D])
-        D = Dj
-        blocks.append((A, D))
-    return blocks
 
 
 @dataclass(frozen=True)

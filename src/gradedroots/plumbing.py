@@ -3,9 +3,10 @@
 A plumbing graph here is a decorated tree: every vertex j carries an Euler
 number e_j, and the associated symmetric bilinear form B has B[j][j] = e_j
 and B[i][j] = 1 exactly when {i,j} is an edge.  All arithmetic is exact:
-integer matrices, and big-integer minors and adjugates from one
-fraction-free elimination; Fractions appear only in the dual vectors handed
-out.  No floating point enters any computation in this module.
+integer matrices, and the big-integer adjugate and Sylvester minors of -B
+from one bordering pass (:func:`_leading_adjugates`); Fractions appear
+only in the dual vectors handed out.  No floating point enters any
+computation in this module.
 
 Conventions used throughout the package:
 
@@ -32,6 +33,11 @@ class NotATree(ValueError):
 
 class NotNegativeDefinite(ValueError):
     """The intersection form fails Sylvester's criterion."""
+
+
+class GraphSchemaError(ValueError):
+    """A graph description breaks the schema of graph files; the message
+    names the field by its position (``vertices[2]``, ``edges[0]``)."""
 
 
 class InvalidSite(ValueError):
@@ -165,50 +171,27 @@ class CharElement:
 # exact linear algebra
 
 
-def _eliminate(M):
-    """Fraction-free (Bareiss) Gauss-Jordan elimination of [M | I].
-
-    Every step k divides exactly by the previous pivot, so all entries stay
-    integers: minors of [M | I].  Rows are swapped only when a pivot
-    vanishes.  Returns (adj, det, minors): the adjugate and determinant of
-    M (adj = None and det = 0 for a singular M), and its leading principal
-    minors, which are the pivots up to the first vanishing one and zeros
-    from there on."""
-    s = len(M)
-    rows = [[int(v) for v in row] + [int(i == j) for j in range(s)]
-            for i, row in enumerate(M)]
-    minors = []
-    prev, sign = 1, 1
-    for k in range(s):
-        if rows[k][k] == 0:
-            minors.extend([0] * (s - len(minors)))
-            r = next((r for r in range(k + 1, s) if rows[r][k]), None)
-            if r is None:
-                return None, 0, minors
-            rows[k], rows[r] = rows[r], rows[k]
-            sign = -sign
-        elif len(minors) == k:
-            minors.append(rows[k][k])
-        pk = rows[k]
-        p = pk[k]
-        for i, row in enumerate(rows):
-            if i != k:
-                f = row[k]
-                # columns j < k are settled (0 off the diagonal); not read again
-                row[k + 1:] = [(p * a - f * b) // prev
-                               for a, b in zip(row[k + 1:], pk[k + 1:])]
-                row[k] = 0
-        prev = p
-    return [[sign * v for v in row[s:]] for row in rows], sign * prev, minors
-
-
-def adjugate(M):
-    """(adj, det) of a nonsingular integer matrix, so M adj = det I, by one
-    fraction-free elimination."""
-    adj, det, _ = _eliminate(M)
-    if not det:
-        raise ZeroDivisionError("singular matrix has no inverse")
-    return adj, det
+def _leading_adjugates(Q):
+    """(adj Q_j, det Q_j) of every leading block Q_j of Q = -B, in O(s^3) by
+    bordering, the package's one exact elimination: with A = adj Q_{j-1},
+    D = det Q_{j-1}, new column b and diagonal entry q, det Q_j = qD - b.Ab,
+    and adj Q_j has upper-left block (det Q_j A + (Ab)(Ab)^T) / D, an exact
+    division, last column -Ab and corner D.  Sylvester's criterion: the
+    first det Q_j <= 0 raises :class:`NotNegativeDefinite`, before it
+    would divide."""
+    A, D, blocks = [], 1, []
+    for j, row in enumerate(Q):
+        b = row[:j]
+        Ab = [sum(a * v for a, v in zip(r, b)) for r in A]
+        Dj = row[j] * D - sum(x * v for x, v in zip(Ab, b))
+        if Dj <= 0:
+            raise NotNegativeDefinite(f"leading principal minor of size {j + 1} "
+                                      "has the wrong sign (or vanishes)")
+        A = [[(Dj * a + x * y) // D for a, y in zip(r, Ab)] + [-x] for r, x in zip(A, Ab)]
+        A.append([-x for x in Ab] + [D])
+        D = Dj
+        blocks.append((A, D))
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -237,18 +220,13 @@ class IntersectionForm:
 
 
 def _build_form(B):
-    adj, det, minors = _eliminate(B)
-    for i, d in enumerate(minors):
-        if d == 0 or (d > 0) != (i % 2 == 1):
-            raise NotNegativeDefinite(f"leading principal minor of size {i + 1} "
-                                      "has the wrong sign (or vanishes)")
-    # |det B| (-B)^{-1} = -(|det| / det) adj(B), and det has the sign (-1)^s
-    neg = 1 if det < 0 else -1
-    adj_neg = tuple(tuple(neg * v for v in row) for row in adj)
+    B = tuple(tuple(map(int, r)) for r in B)
+    # adjugate_neg = |det B| (-B)^{-1} = adj(-B), and det B = (-1)^s det(-B)
+    adj_neg, det_neg = _leading_adjugates([[-v for v in row] for row in B])[-1]
     if any(v < 0 for row in adj_neg for v in row):
         raise InvariantViolated("entries of -B^{-1} must be >= 0")
-    return IntersectionForm(B=tuple(tuple(map(int, r)) for r in B),
-                            adjugate_neg=adj_neg, det=det)
+    return IntersectionForm(B=B, adjugate_neg=tuple(map(tuple, adj_neg)),
+                            det=-det_neg if len(B) % 2 else det_neg)
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +310,10 @@ def build_graph(vertices, edges):
 
     ``vertices`` is a sequence of (id, euler_number) pairs, ``edges`` a
     sequence of unordered id pairs.  Raises :class:`NotATree` (naming the
-    cycle or the disconnection certificate) or :class:`NotNegativeDefinite`
-    (naming the offending principal minor index).
+    cycle or the disconnection certificate), :class:`GraphSchemaError` on
+    an Euler number that is not an integer (-2.5 or -2.0, never truncated)
+    or :class:`NotNegativeDefinite` (naming the offending principal minor
+    index).
     """
     vertices = list(vertices)
     ids = [v[0] for v in vertices]
@@ -354,6 +334,10 @@ def build_graph(vertices, edges):
         adj[ib].append(ia)
     if len(norm_edges) != len(edges) or len(edges) != s - 1 or len(_search(adj, 0)) != s:
         raise NotATree(_tree_failure(edges, index, ids))
+    bad = [v for v in vertices if isinstance(v[1], bool) or not hasattr(v[1], "__index__")]
+    if bad:
+        raise GraphSchemaError(f"vertex {bad[0][0]!r}: Euler number {bad[0][1]!r} "
+                               "is not an integer")
     g = PlumbingGraph(labels=tuple(ids),
                       e=tuple(int(v[1]) for v in vertices),
                       edges=tuple(sorted(norm_edges)))
@@ -412,20 +396,47 @@ def _search(adj, a, target=None):
     return prev
 
 
+_KINDS = {type(None): "null", bool: "a boolean", int: "an integer", float: "a float",
+          str: "a string", dict: "an object"}
+_ID = "an integer or a string"
+
+
+def _expect(ok, field, what, value):
+    if not ok:
+        kind = (f"an array of {len(value)}" if type(value) is list
+                else _KINDS.get(type(value), type(value).__name__))
+        raise GraphSchemaError(f"{field} must be {what}, not {kind}")
+
+
+def _expect_keys(obj, where, keys):
+    extra, missing = sorted(set(obj) - set(keys)), [k for k in keys if k not in obj]
+    if extra:
+        raise GraphSchemaError(f"unknown keys in {where}: {extra}")
+    if missing:
+        raise GraphSchemaError(f"{where} has no {missing[0]!r}")
+
+
 def graph_from_json(data):
-    """Parse the on-disk schema; unknown keys are rejected."""
+    """Parse the on-disk schema (see the README), checked field by field
+    before the graph is built; a failure raises :class:`GraphSchemaError`,
+    which names the field by its position in the file."""
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
-    extra = set(data) - {"vertices", "edges"}
-    if extra:
-        raise ValueError(f"unknown keys in graph object: {sorted(extra)}")
-    verts = []
-    for v in data.get("vertices", []):
-        bad = set(v) - {"id", "e"}
-        if bad:
-            raise ValueError(f"unknown keys in vertex object: {sorted(bad)}")
-        verts.append((v["id"], v["e"]))
-    return build_graph(verts, [tuple(e) for e in data.get("edges", [])])
+    _expect(type(data) is dict, "a graph file", "an object", data)
+    _expect_keys(data, "graph object", ("vertices", "edges"))
+    for key in ("vertices", "edges"):
+        _expect(type(data[key]) is list, repr(key), "an array", data[key])
+    for i, v in enumerate(data["vertices"]):
+        _expect(type(v) is dict, f"vertices[{i}]", "an object", v)
+        _expect_keys(v, f"vertices[{i}]", ("id", "e"))
+        _expect(type(v["id"]) in (int, str), f"vertices[{i}]: 'id'", _ID, v["id"])
+        _expect(type(v["e"]) is int, f"vertices[{i}]: 'e'", "an integer", v["e"])
+    for i, edge in enumerate(data["edges"]):
+        _expect(type(edge) is list and len(edge) == 2, f"edges[{i}]", "an array of two ids", edge)
+        for t, end in enumerate(edge):
+            _expect(type(end) in (int, str), f"edges[{i}][{t}]", _ID, end)
+    return build_graph([(v["id"], v["e"]) for v in data["vertices"]],
+                       [tuple(e) for e in data["edges"]])
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,13 @@ CLI prints l' from the numerators (:func:`l_prime_strings`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .plumbing import (CharElement, DualVector, InvariantViolated, ParityViolation, adjugate,
+from .plumbing import (CharElement, DualVector, InvariantViolated, ParityViolation,
                        canonical_class, chi_k)
 from .roots import _fmt_ratios
 
@@ -132,16 +133,18 @@ class HGroup:
 
 
 def smith_decompose(B):
-    """Smith presentation of coker(B) for a nondegenerate integer matrix."""
-    diag, U, _ = smith_normal_form(B)
-    order = 1
-    for d in diag:
-        order *= d
-    if order == 0:
+    """Smith presentation of coker(B) for a nondegenerate integer matrix.
+
+    U B V = D gives U^{-1} = B V D^{-1}: column j of B V divided exactly by
+    d_j, so no matrix is inverted."""
+    diag, _, V = smith_normal_form(B)
+    if 0 in diag:
         raise InvariantViolated("B must be nondegenerate")
-    adj, det = adjugate(U)  # U is unimodular: det = +-1
-    return HGroup(order=abs(order), smith_diag=tuple(diag),
-                  U_inv=tuple(tuple(v // det for v in r) for r in adj))
+    BV = [[sum(int(b) * v for b, v in zip(row, col)) for col in zip(*V)] for row in B]
+    if any(x % d for row in BV for x, d in zip(row, diag)):
+        raise InvariantViolated("B V is not divisible by the Smith diagonal")
+    return HGroup(order=math.prod(diag), smith_diag=tuple(diag),
+                  U_inv=tuple(tuple(x // d for x, d in zip(row, diag)) for row in BV))
 
 
 # ---------------------------------------------------------------------------

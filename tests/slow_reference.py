@@ -3,14 +3,15 @@
 The package evaluates the lens, Seifert and plumbing invariants through
 closed forms on whole tables (``lens.LensTable``, the checked E(a) table,
 ``seifert.seifert_orbit``) and through the integer adjugate of the
-intersection form, checks the lens identities as integer array programs
-on every q of one p at once, and the oracle reads its lattice edges off
-its enumeration tree.  The per-a definitions, the Fraction Dedekind sum
-and Casson-Walker chain formula, the per-space lens sweep, the per-term
-numeric Seifert torsion limit, the Fraction inverse, the mpmath Fourier
-sum, the sorting lattice edges, the union-find merge tree and the
-per-orbit spin^c records below are the independent slow paths those are
-checked against; nothing in the package calls them.
+intersection form from one bordering pass, checks the lens identities as
+integer array programs on every q of one p at once, and the oracle reads
+its lattice edges off its enumeration tree.  The per-a definitions, the
+Fraction Dedekind sum and Casson-Walker chain formula, the per-space lens
+sweep, the per-term numeric Seifert torsion limit, the Bareiss
+elimination and the Fraction inverse read off it, the mpmath Fourier sum,
+the sorting lattice edges, the union-find merge tree and the per-orbit
+spin^c records below are the independent slow paths those are checked
+against; nothing in the package calls them.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from gradedroots import lens as lens_mod
 from gradedroots.lens import (FOURIER_TOL, LensIdentityError, LensSpace, NotCoprime,
                               RangeError, spinc_coeffs, torsion_fourier_all)
-from gradedroots.plumbing import (LatticeVector, _coeffs, adjugate, canonical_class,
+from gradedroots.plumbing import (LatticeVector, NotNegativeDefinite, _coeffs, canonical_class,
                                   characteristic_from_pairings, laufer_ascent)
 from gradedroots.roots import level_sweep, merge_tree
 from gradedroots.spinc import _integral_pairings, smith_decompose, smith_normal_form
@@ -393,6 +394,66 @@ def torsion_limit_numeric_per_term(data, sp, steps, block=1 << 16):
 
 # ---------------------------------------------------------------------------
 # plumbing graphs and spin^c orbits
+
+
+def _eliminate(M):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of [M | I].
+
+    Every step k divides exactly by the previous pivot, so all entries stay
+    integers: minors of [M | I].  Rows are swapped only when a pivot
+    vanishes.  Returns (adj, det, minors): the adjugate and determinant of
+    M (adj = None and det = 0 for a singular M), and its leading principal
+    minors, which are the pivots up to the first vanishing one and zeros
+    from there on."""
+    s = len(M)
+    rows = [[int(v) for v in row] + [int(i == j) for j in range(s)]
+            for i, row in enumerate(M)]
+    minors = []
+    prev, sign = 1, 1
+    for k in range(s):
+        if rows[k][k] == 0:
+            minors.extend([0] * (s - len(minors)))
+            r = next((r for r in range(k + 1, s) if rows[r][k]), None)
+            if r is None:
+                return None, 0, minors
+            rows[k], rows[r] = rows[r], rows[k]
+            sign = -sign
+        elif len(minors) == k:
+            minors.append(rows[k][k])
+        pk = rows[k]
+        p = pk[k]
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[k]
+                # columns j < k are settled (0 off the diagonal); not read again
+                row[k + 1:] = [(p * a - f * b) // prev
+                               for a, b in zip(row[k + 1:], pk[k + 1:])]
+                row[k] = 0
+        prev = p
+    return [[sign * v for v in row[s:]] for row in rows], sign * prev, minors
+
+
+def adjugate(M):
+    """(adj, det) of a nonsingular integer matrix, so M adj = det I, by one
+    fraction-free elimination."""
+    adj, det, _ = _eliminate(M)
+    if not det:
+        raise ZeroDivisionError("singular matrix has no inverse")
+    return adj, det
+
+
+def build_form_by_elimination(B):
+    """(adjugate_neg, det) of the form B as the package once built it: one
+    Bareiss elimination of B, Sylvester's criterion on its leading minors
+    (NotNegativeDefinite at the first that vanishes or has the wrong sign)
+    and adj(-B) = (-1)^(s-1) adj(B)."""
+    adj, det, minors = _eliminate(B)
+    for i, d in enumerate(minors):
+        if d == 0 or (d > 0) != (i % 2 == 1):
+            raise NotNegativeDefinite(f"leading principal minor of size {i + 1} "
+                                      "has the wrong sign (or vanishes)")
+    neg = 1 if det < 0 else -1
+    return tuple(tuple(neg * v for v in row) for row in adj), det
 
 
 def invert_form(B):

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import json
 import math
 import os
@@ -80,6 +81,69 @@ def test_bad_input_exit_1(tmp_path):
     assert code == 1 and "unknown keys" in err
     code, _, err = run_cli(["analyze", str(tmp_path / "missing.json")])
     assert code == 1
+
+
+def _mutate(rng, data):
+    """A copy of the graph object ``data`` with one field broken: a key
+    dropped, a type changed, a value nested, null, a float or a bool in its
+    place, or a third end on an edge.  Returns the copy and the texts that
+    the error must hold to name the field."""
+    d = copy.deepcopy(data)
+    how = rng.choice(("drop", "type", "nest", "null", "float", "bool"))
+    where = rng.choice(("file", "top", "vertex", "vertex", "edge", "edge"))
+    if where == "file":
+        return rng.choice((None, [d], 3, "graph")), ["graph file"]
+    if where == "top":
+        key = rng.choice(("vertices", "edges"))
+        if how == "drop":
+            del d[key]
+        else:
+            d[key] = {"type": "x", "nest": {key: d[key]}, "null": None, "float": 1.5,
+                      "bool": True}[how]
+        return d, [repr(key)]
+    if where == "vertex":
+        i = rng.randrange(len(d["vertices"]))
+        v, key = d["vertices"][i], rng.choice(("id", "e"))
+        if how == "drop":
+            del v[key]
+        else:
+            v[key] = {"type": str(v[key]) if key == "e" else {"id": v[key]},
+                      "nest": [v[key]], "null": None,
+                      "float": rng.choice((float(v[key]), v[key] + 0.5)),
+                      "bool": rng.choice((True, False))}[how]
+        return d, [f"vertices[{i}]", repr(key)]
+    j = rng.randrange(len(d["edges"]))
+    edge = d["edges"][j]
+    if how == "drop":  # no key to drop on an edge: a third end instead
+        edge.append(edge[0])
+    elif rng.random() < 0.5:
+        d["edges"][j] = {"type": edge[0], "nest": [edge], "null": None, "float": 0.5,
+                         "bool": False}[how]
+    else:
+        t = rng.randrange(2)
+        edge[t] = {"type": {"id": edge[t]}, "nest": [edge[t]], "null": None,
+                   "float": float(edge[t]), "bool": True}[how]
+    return d, [f"edges[{j}]"]
+
+
+def test_graph_file_mutations_exit_1(tmp_path, rng):
+    """Seeded mutations of the golden graph files: every one exits 1 with
+    an error that names the broken field, and none raises."""
+    path = tmp_path / "g.json"
+    seen = set()
+    for _ in range(300):
+        name = rng.choice(("e8", "sigma237", "star5", "star51"))
+        data, names = _mutate(rng, json.loads(_golden(f"{name}.json")))
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(["analyze", str(path)])
+        assert (code, out) == (1, ""), (data, err)
+        assert err.startswith("error: ") and all(n in err for n in names), (data, err)
+        seen.add(re.sub(r"\[\d+\]", "[i]", err))
+    assert len(seen) >= 35  # kinds of failure, positions aside
+    # the Euler number -2.5 was once analyzed as -2
+    path.write_text('{"vertices": [{"id": 0, "e": -2.5}], "edges": []}')
+    assert run_cli(["analyze", str(path)]) == (
+        1, "", "error: vertices[0]: 'e' must be an integer, not a float\n")
 
 
 def test_root_writes_dot(e8_file, tmp_path):
@@ -448,3 +512,14 @@ def test_root_bad_orbit_writes_nothing(tmp_path, e8_file):
     code, out, err = run_cli(["root", e8_file, "--orbits", "0,5", "-o", str(tmp_path / "e8")])
     assert (code, out, err) == (1, "", "error: no orbit 5; the graph has 1 orbits\n")
     assert sorted(os.listdir(tmp_path)) == ["e8.json"]
+
+
+def test_write_atomic_failure_leaves_no_temporary(tmp_path):
+    """A failed write or rename re-raises and removes its temporary file."""
+    from gradedroots.cli import _write_atomic
+    with pytest.raises(TypeError):
+        _write_atomic(str(tmp_path / "out.dot"), None)
+    (tmp_path / "dir").mkdir()
+    with pytest.raises(OSError):
+        _write_atomic(str(tmp_path / "dir"), "text")
+    assert sorted(os.listdir(tmp_path)) == ["dir"] and not os.listdir(tmp_path / "dir")

@@ -6,11 +6,11 @@ import pytest
 
 from conftest import (chain_graph, chain_level_one_rows, e8_graph, random_rational_tree,
                       random_small_tree, random_star, remark56_graph)
-from gradedroots import engine, oracle, spinc
+from gradedroots import engine, oracle, plumbing, spinc
 from gradedroots.plumbing import (LatticeVector, build_graph, canonical_class,
                                   characteristic_from_pairings, chi_k)
 from gradedroots.roots import ray_root, shift_root
-from slow_reference import lattice_edges, union_find_root
+from slow_reference import adjugate, lattice_edges, union_find_root
 
 
 def test_single_vertex_levels():
@@ -269,27 +269,18 @@ def test_point_cap_first_orbit_over_it_fails_as_alone():
     assert str(passes.value) == messages[0]
 
 
-def test_leading_adjugates_by_bordering(rng, monkeypatch):
-    """Every leading (adj, det) pair that bordering gives equals
-    plumbing.adjugate of that block, on random positive-definite forms with
-    s <= 16 and on -B of A_16; and _fincke_pohst runs no elimination."""
-    from gradedroots import plumbing
+def test_leading_adjugates_by_bordering(rng):
+    """Every leading (adj, det) pair that plumbing._leading_adjugates gives
+    equals the reference Bareiss adjugate of that block, on random
+    positive-definite forms with s <= 16 and on -B of A_16."""
     forms = [random_posdef(rng, rng.randint(1, 16)) for _ in range(40)]
     B = chain_graph(16).form.B
     forms.append([[-v for v in row] for row in B])
     for Q in forms:
-        blocks = oracle._leading_adjugates(Q)
+        blocks = plumbing._leading_adjugates(Q)
         assert len(blocks) == len(Q)
         for j, block in enumerate(blocks):
-            assert block == plumbing.adjugate([row[:j + 1] for row in Q[:j + 1]])
-    calls = []
-    eliminate = plumbing._eliminate
-    monkeypatch.setattr(plumbing, "_eliminate", lambda M: calls.append(M) or eliminate(M))
-    for Q in forms[-3:]:
-        oracle._fincke_pohst(Q, [([0] * len(Q), 4)], 10 ** 7)
-    assert calls == []
-    plumbing.adjugate([[2]])
-    assert len(calls) == 1  # the counter sees adjugate
+            assert block == adjugate([row[:j + 1] for row in Q[:j + 1]])
 
 
 def test_chain_level_one_is_output_sensitive():
@@ -378,3 +369,18 @@ def test_blow_up_root_multiset_invariance(rng):
         else:
             site = tuple(g.labels[i] for i in rng.choice(g.edges))
         assert multiset(g) == multiset(blow_up(g, site))
+
+
+@pytest.mark.parametrize("bad, message", [(0, "need n_max >= min chi_k + 1"),
+                                          (-1, "empty sublevel set")])
+def test_walk_roots_fails_after_a_good_start(bad, message):
+    """A start below min chi + 1 (E8: min chi = 0), or below min chi, after
+    a good one: the good start's root is yielded first, then the walk
+    raises for the bad one."""
+    g = e8_graph()
+    K = canonical_class(g)
+    roots = oracle.graph_roots(g, [K, K], [2, bad])
+    root, points = next(roots)
+    assert root == oracle.root_oracle(g, K, 2) and points > 1
+    with pytest.raises(ValueError, match=re.escape(message)):
+        next(roots)

@@ -1,21 +1,23 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from conftest import (e8_graph, fraction_inverse, random_small_tree,
                       random_star)
-from gradedroots.plumbing import (InvalidSite, LatticeVector, NotATree,
+from gradedroots.plumbing import (GraphSchemaError, InvalidSite, LatticeVector, NotATree,
                                   NotBlowDownable, NotNegativeDefinite,
-                                  ParityViolation, adjugate, blow_down, blow_up,
+                                  ParityViolation, _build_form, blow_down, blow_up,
                                   build_graph, canonical_class,
                                   casson_walker, characteristic_from_pairings,
                                   chi_k, graph_from_json,
                                   k_squared_plus_s, laufer_ascent)
 from gradedroots.spinc import smith_normal_form
 from gradedroots.lens import dedekind_sum
-from slow_reference import B_inv, invert_form
+from slow_reference import (B_inv, _eliminate, adjugate, build_form_by_elimination,
+                            invert_form)
 
 
 def test_single_vertex_m2():
@@ -236,6 +238,69 @@ def test_adjugate_negative_definite_trees(rng):
         assert all(v >= 0 for r in g.form.adjugate_neg for v in r)
 
 
+def _tree_form(rng, s):
+    """The form B of a random tree on s vertices, e_j in -4..1, with vertex
+    i joined to a vertex before it, so every leading block is a tree."""
+    B = [[0] * s for _ in range(s)]
+    for i in range(s):
+        B[i][i] = rng.randint(-4, 1)
+        if i:
+            j = rng.randrange(i)
+            B[i][j] = B[j][i] = 1
+    return B
+
+
+def _plant_minor(B, k, zero):
+    """Set e_{k-1} so that the leading minor of size k vanishes (``zero``)
+    or has the wrong sign for a negative-definite form, (-1)^(k-1).  The
+    minor is e_{k-1} d + d0, with d the minor of size k - 1 and d0 the
+    minor of size k at e_{k-1} = 0; returns False where no integer e_{k-1}
+    does it."""
+    B[k - 1][k - 1] = 0
+    d0 = _eliminate([row[:k] for row in B[:k]])[1]
+    d = _eliminate([row[:k - 1] for row in B[:k - 1]])[1] if k > 1 else 1
+    if d == 0 or (zero and d0 % d):
+        return False
+    if zero:
+        e = -d0 // d
+    else:  # the e nearest the root of e d + d0 that gives it the sign (-1)^(k-1)
+        sign = -1 if k % 2 == 0 else 1
+        X, t = -sign * d0, sign * d
+        e = X // t + 1 if t > 0 else -(-X // t) - 1
+    B[k - 1][k - 1] = e
+    return True
+
+
+def test_bordering_form_matches_elimination(rng):
+    """The form that _build_form reads off the bordering pass, det and
+    adjugate_neg, equals the one of the reference Bareiss elimination on
+    seeded random trees; on the non-definite ones both raise
+    NotNegativeDefinite with the same message and minor index, also where
+    a zero or a wrong-sign leading minor is planted."""
+    definite, zeros, wrong = 0, 0, 0
+    for _ in range(1500):
+        s = rng.randint(1, 7)
+        B = _tree_form(rng, s)
+        plant = rng.choice((None, "zero", "wrong"))
+        k = rng.randint(1, s)
+        if plant and not _plant_minor(B, k, plant == "zero"):
+            plant = None
+        try:
+            expect = build_form_by_elimination(B)
+        except NotNegativeDefinite as exc:
+            with pytest.raises(NotNegativeDefinite) as got:
+                _build_form(B)
+            assert str(got.value) == str(exc)
+            index = int(re.search(r"size (\d+)", str(exc)).group(1))
+            zeros += plant == "zero" and index == k
+            wrong += plant == "wrong" and index == k
+            continue
+        form = _build_form(B)
+        assert (form.adjugate_neg, form.det) == expect
+        definite += 1
+    assert definite > 80 and zeros > 150 and wrong > 200
+
+
 def _ascent_by_smallest_index(B, x, pair, skip=None):
     """Laufer's ascent as first written: one b_j at a time, smallest j first."""
     while True:
@@ -371,3 +436,19 @@ def test_json_roundtrip_and_unknown_keys():
         graph_from_json({"vertices": [{"id": 0, "e": -2}], "edges": [], "extra": 1})
     with pytest.raises(ValueError, match="unknown keys"):
         graph_from_json({"vertices": [{"id": 0, "e": -2, "genus": 1}], "edges": []})
+
+
+def test_graph_schema():
+    """Vertex ids load as integers or strings; an Euler number that is not
+    an integer is refused by graph_from_json and by build_graph alike, and
+    never truncated."""
+    g = graph_from_json('{"vertices": [{"id": "a", "e": -2}, {"id": 7, "e": -3}],'
+                        ' "edges": [["a", 7]]}')
+    assert (g.labels, g.e) == (("a", 7), (-2, -3))
+    for e in (-2.5, -2.0, True, None, "-2"):
+        with pytest.raises(GraphSchemaError, match=r"vertices\[1\]: 'e' must be an integer"):
+            graph_from_json({"vertices": [{"id": 0, "e": -2}, {"id": 1, "e": e}],
+                             "edges": [[0, 1]]})
+    for e in (-2.5, -2.0, Fraction(-2), True, "-2"):
+        with pytest.raises(GraphSchemaError, match="vertex 1: Euler number"):
+            build_graph([(0, -2), (1, e)], [(0, 1)])

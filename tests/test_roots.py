@@ -501,3 +501,15 @@ def test_library_dot_golden():
     path = os.path.join(os.path.dirname(__file__), "golden", "library_roots.dot")
     with open(path) as f:
         assert "".join(parts) == f.read()
+
+
+def test_truncation_below_the_root_is_refused():
+    """root_from_tau(truncate_at) below min tau, and GradedRoot.truncate
+    below the whole root, raise ValueError."""
+    tau = [0, -2, 1, -1, 3]
+    with pytest.raises(ValueError, match="below min tau"):
+        root_from_tau(tau, truncate_at=-3)
+    root = root_from_tau(tau, truncate_at=-2)
+    assert root.min_chi() == -2
+    with pytest.raises(ValueError, match="below the whole root"):
+        root_from_tau(tau).truncate(-3)

@@ -368,3 +368,13 @@ def test_minimality_check_names_a_non_minimal_solution(monkeypatch):
     with pytest.raises(seifert.CountMismatch,
                        match=re.escape(f"{shifted.a0};{shifted.a} is not a minimal representative")):
         seifert.enumerate_seifert_spinc(data)
+
+
+def test_numeric_limit_double_fallback(monkeypatch):
+    """Without an extended long double, torsion_limit_numeric falls back
+    to three nodes in double precision; on (-2; 2/1, 3/1, 5/1) its first
+    five orbits stay within NUMERIC_TOL of the exact limit."""
+    monkeypatch.setattr(seifert, "_float_dtype", lambda: None)
+    for sp in enumerate_seifert_spinc(NU3_H29)[:5]:
+        exact = seifert_torsion_limit(NU3_H29, sp)
+        assert abs(torsion_limit_numeric(NU3_H29, sp) - float(exact)) < seifert.NUMERIC_TOL

@@ -5,16 +5,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import e8_graph, non_ar_graph_b, pad_chain, random_small_tree
-from gradedroots import spinc
+from conftest import e8_graph, non_ar_graph_a, non_ar_graph_b, pad_chain, random_small_tree
+from gradedroots import engine, spinc
 from gradedroots.lens import LensSpace
-from gradedroots.plumbing import (DualVector, LatticeVector, build_graph, canonical_class,
-                                  characteristic_from_pairings, chi_k)
+from gradedroots.plumbing import (DualVector, InvariantViolated, LatticeVector, build_graph,
+                                  canonical_class, characteristic_from_pairings, chi_k)
 from gradedroots.spinc import (NotIntegral, distinguished_rep, enumerate_spinc,
                                m_k, smith_decompose,
                                smith_normal_form)
 from gradedroots.seifert import brieskorn
-from slow_reference import orbit_of, smith_coords, spinc_records
+from slow_reference import adjugate, orbit_of, smith_coords, spinc_records
 
 
 def brute_min_rep(graph, l_prime):
@@ -48,6 +48,34 @@ def test_smith_examples():
     H = smith_decompose(g.form.B)
     assert H.order == 5
     assert tuple(d for d in H.smith_diag if d > 1) == (5,)
+
+
+def test_smith_inverse_comes_off_v(rng):
+    """smith_decompose reads U^{-1} off V, as B V D^{-1}; it equals the
+    reference adjugate of the unimodular U on seeded random nonsingular
+    integer matrices, definite or not, and on graph forms."""
+    indefinite = 0
+    for _ in range(120):
+        s = rng.randint(1, 6)
+        M = [[rng.randint(-5, 5) for _ in range(s)] for _ in range(s)]
+        if rng.random() < 0.3:
+            M = [list(r) for r in random_small_tree(rng, s_max=8).form.B]
+        diag, U, _ = smith_normal_form(M)
+        if 0 in diag:
+            continue
+        adj, det = adjugate(U)
+        assert abs(det) == 1
+        assert smith_decompose(M).U_inv == tuple(tuple(v * det for v in r) for r in adj)
+        indefinite += any(row[i] >= 0 for i, row in enumerate(M))  # not negative definite
+    assert indefinite > 40
+
+
+def test_smith_inverse_checks_the_division(monkeypatch):
+    """A Smith diagonal that does not divide B V is an internal failure."""
+    monkeypatch.setattr(spinc, "smith_normal_form",
+                        lambda M: ([1, 3], [[1, 0], [0, 1]], [[1, 0], [0, 1]]))
+    with pytest.raises(InvariantViolated, match="not divisible"):
+        smith_decompose([[-2, 1], [1, -2]])
 
 
 def exact_det(M):
@@ -337,3 +365,13 @@ def test_int_dtype_bounds():
     assert spinc.l_prime_strings(huge, orbits) == [["2", f"1/{3 << 62}"], ["0", f"1/{1 << 62}"]]
     small = stand_in(((2, 1), (1, 3)), 5)
     assert spinc.l_prime_strings(small, [SimpleNamespace(l_prime_num=(10, 4))]) == [["2", "4/5"]]
+
+
+def test_m_k_engine_needs_ar():
+    """method="engine" on a graph that does not certify AR raises NotAR;
+    "auto" falls back to the oracle."""
+    g = non_ar_graph_a()
+    k = enumerate_spinc(g)[0].k_r
+    with pytest.raises(engine.NotAR, match="did not certify"):
+        m_k(g, k, method="engine")
+    assert m_k(g, k) == m_k(g, k, method="oracle")

@@ -1,7 +1,10 @@
 """Checks on the source tree itself."""
 
 import ast
+import contextlib
+import importlib.util
 import inspect
+import io
 import os
 import sys
 from collections import Counter
@@ -10,6 +13,7 @@ import gradedroots
 from gradedroots import cli
 
 SRC = os.path.dirname(gradedroots.__file__)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_no_assert_statements_in_package():
@@ -519,3 +523,27 @@ def test_cli_dispatch():
                if not isinstance(a, cli.argparse._HelpAction)]
         assert got == CLI_ARGUMENTS[name], name
     assert sum(map(len, CLI_ARGUMENTS.values())) == 30
+
+
+def test_traced_mode_runs():
+    """The benchmark's traced mode (perfbench/tracing.py, loaded here and
+    not changed) wraps package functions by module and name and reads its
+    counters off their return values.  With its Tracer installed, `analyze`
+    and `oracle` on E8 exit 0 and every counter they feed is positive; the
+    wrappers come off afterwards."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", os.path.join(ROOT, "perfbench", "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    e8 = os.path.join(ROOT, "tests", "golden", "e8.json")
+    main, tracer = cli.main, tracing.Tracer()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.main(["analyze", e8, "--format", "json"]),
+                     cli.main(["oracle", e8, "--level", "1", "--orbit", "0"])]
+    finally:
+        tracer.uninstall()
+    assert codes == [0, 0] and cli.main is main
+    for name in ("plumbing.forms", "engine.tau_terms", "roots.vertices", "oracle.points"):
+        assert tracer.counts[name] > 0, name
