@@ -114,7 +114,10 @@ def classify(graph, max_decrements=DEFAULT_AR_DECREMENT_CAP):
     each candidate j0 the decoration drops until the fundamental cycle has
     coefficient 1 at j0; a single rationality test there decides (pushing
     lower cannot change the answer, since the rational class is closed
-    under decreasing Euler numbers).  'not-ar-certified' carries the cap."""
+    under decreasing Euler numbers).  'not-ar-certified' carries the cap,
+    which must be >= 0."""
+    if max_decrements < 0:
+        raise ValueError(f"need an AR decrement cap >= 0, got {max_decrements}")
     adj = graph.adjacency
     e = list(graph.e)
     cxm = _chi_canonical(e, *_fundamental_cycle(e, adj))

@@ -540,7 +540,9 @@ def verify_lens_sweep(p_max):
     Casson-Walker against p s(q,p)/2, and the FFT torsion against the
     closed form within FOURIER_TOL.  Every coprime q of one p is
     checked together, on integer arrays; a failure names the first failing
-    L(p, q).  Returns counters."""
+    L(p, q).  Returns counters; p_max < 2 raises :class:`RangeError`."""
+    if p_max < 2:
+        raise RangeError(f"need p_max >= 2, got p_max={p_max}")
     pairs = 0
     orbits = 0
     for p in range(2, p_max + 1):

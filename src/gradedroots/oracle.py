@@ -49,6 +49,7 @@ import numpy as np
 from . import _kernels
 from .plumbing import InvariantViolated, _leading_adjugates, canonical_class
 from .roots import _narrow, merge_tree, segment_sweeps
+from .spinc import _int_dtype
 
 DEFAULT_POINT_CAP = 10 ** 7
 
@@ -87,7 +88,7 @@ def _proven_dtype(Q, starts, blocks):
     for j, (A, D) in enumerate(blocks):
         a_row = max(sum(abs(v) for v in row) for row in A)
         bound = max(bound, a_row, (4 * D * L + (j + 1) * C * a_row * C) * A[j][j])
-    return np.int64 if bound < 1 << 62 else object
+    return _int_dtype(bound)
 
 
 @dataclass(frozen=True)

@@ -30,9 +30,11 @@ so one level of the sweep serves every orbit.  Tau functions (path graphs,
 cost more than they save: on the 1 803 tau paths of one ``analyze`` batch
 the array sweep took 0.40 s against 0.066 s.
 
-The module H(R, chi) of a graded root decomposes as one infinite tower
-T+[2*chi(v1)] plus finite towers T[2*chi(v_k)](chi(w_k) - chi(v_k)) read
-off a greedy ordering of the local minima; see :func:`module_of_root`.
+The module H(R, chi) is one tower T+[2 min chi] plus a finite tower
+T[2*chi(v)](chi(w) - chi(v)) for each other local minimum v, where w is the
+vertex at which the component of v meets an older one (the elder rule).
+:func:`module_of_root` and :meth:`GradedRoot.canonical_key` each read the
+parent array in one pass up the levels.
 """
 
 from __future__ import annotations
@@ -136,39 +138,20 @@ class GradedRoot:
         """(v, parents[v]) for every vertex below top_level, in vertex order."""
         return tuple((v, p) for v, p in enumerate(self.parents) if p is not None)
 
-    @property
-    def children(self):
-        kids = [[] for _ in self.chi]
-        for v, p in enumerate(self.parents):
-            if p is not None:
-                kids[p].append(v)
-        return kids
-
-    def local_minima(self):
-        """Vertices with no neighbour below; these are the leaves V_1."""
-        kids = self.children
-        return [v for v in range(len(self.chi)) if not kids[v]]
-
     def min_chi(self):
         return min(self.chi)
 
     def canonical_key(self):
-        """Label-independent encoding: each component is encoded bottom-up
-        as nested sorted tuples of (chi, child encodings)."""
-        kids = self.children
-        tops = [v for v, p in enumerate(self.parents) if p is None]
-        enc = [None] * len(self.chi)
-        for top in tops:
-            # iterative post-order to keep deep rays off the call stack
-            stack = [(top, False)]
-            while stack:
-                v, done = stack.pop()
-                if done:
-                    enc[v] = (self.chi[v], tuple(sorted(enc[c] for c in kids[v])))
-                else:
-                    stack.append((v, True))
-                    stack.extend((c, False) for c in kids[v])
-        return (self.truncated, self.top_level, tuple(sorted(enc[t] for t in tops)))
+        """Label-independent encoding, in one pass up the levels: each
+        vertex is (chi, sorted encodings of its children), complete when
+        the pass reaches it, and the key holds the sorted top vertices."""
+        chi, parents = self.chi, self.parents
+        below = [[] for _ in chi]  # the encodings of each vertex's children
+        tops = []
+        for v in sorted(range(len(chi)), key=chi.__getitem__):
+            enc = (chi[v], tuple(sorted(below[v])))
+            (tops if parents[v] is None else below[parents[v]]).append(enc)
+        return (self.truncated, self.top_level, tuple(sorted(tops)))
 
     def __eq__(self, other):
         return isinstance(other, GradedRoot) and self.canonical_key() == other.canonical_key()
@@ -529,33 +512,26 @@ class ZUModule:
 
 
 def module_of_root(root):
-    """H(R, chi) via the greedy minima ordering.
-
-    v_1 is a global minimum; each later v_k is a remaining minimum of least
-    chi, and w_k is the lowest vertex dominating both v_k and some earlier
-    v.  The decomposition type does not depend on tie-breaks; ties are
-    resolved by vertex id (creation order).
+    """H(R, chi) by the elder rule, in one pass up the levels: each vertex
+    inherits the lowest birth level among its children, and a leaf is born
+    at its own chi.  Where a second child's component reaches a vertex w,
+    the younger of the two, born at b, ends as T[2b](chi(w) - b); which of
+    two equal births ends does not change the towers.  The one survivor is
+    the tower T+[2 min chi].
     """
     if root.truncated:
         raise ValueError("module of a truncated root is not determined")
-    parents = root.parents
-    minima = sorted(root.local_minima(), key=lambda v: (root.chi[v], v))
-    v1 = minima[0]
-    covered = set()
-    w = v1
-    while w is not None:
-        covered.add(w)
-        w = parents[w]
+    chi, parents = root.chi, root.parents
+    born = [None] * len(chi)
     finite = []
-    for v in minima[1:]:
-        w = v
-        path = []
-        while w not in covered:
-            path.append(w)
-            w = parents[w]
-        covered.update(path)
-        finite.append((Fraction(2 * root.chi[v]), root.chi[w] - root.chi[v]))
-    return ZUModule(Fraction(2 * root.chi[v1]), tuple(finite))
+    for v in sorted(range(len(chi)), key=chi.__getitem__):
+        b, p = chi[v] if born[v] is None else born[v], parents[v]
+        if p is not None:
+            if born[p] is not None:
+                b, young = sorted((b, born[p]))
+                finite.append((2 * young, chi[p] - young))
+            born[p] = b
+    return ZUModule(2 * root.min_chi(), tuple(finite))
 
 
 def tau_invariants(values, kr2s):

@@ -10,6 +10,12 @@ from gradedroots.plumbing import NotNegativeDefinite, build_graph
 from gradedroots.seifert import SeifertData
 
 
+def leaves(root):
+    """The local minima of a graded root: the vertices that are no vertex's parent."""
+    parents = set(root.parents)
+    return [v for v in range(len(root.chi)) if v not in parents]
+
+
 def e8_graph():
     """All -2 tree: chain of seven with a leg at the third vertex."""
     verts = [(i, -2) for i in range(8)]

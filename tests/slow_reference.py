@@ -9,8 +9,9 @@ its lattice edges off its enumeration tree.  The per-a definitions, the
 Fraction Dedekind sum and Casson-Walker chain formula, the per-space lens
 sweep, the per-term numeric Seifert torsion limit, the Bareiss
 elimination and the Fraction inverse read off it, the mpmath Fourier sum,
-the sorting lattice edges, the union-find merge tree and the per-orbit
-spin^c records below are the independent slow paths those are checked
+the sorting lattice edges, the union-find merge tree, the per-orbit
+spin^c records, and the greedy module and depth-first key of a graded root
+below are the independent slow paths those are checked
 against; nothing in the package calls them.
 """
 
@@ -28,7 +29,7 @@ from gradedroots.lens import (FOURIER_TOL, LensIdentityError, LensSpace, NotCopr
                               RangeError, spinc_coeffs, torsion_fourier_all)
 from gradedroots.plumbing import (LatticeVector, NotNegativeDefinite, _coeffs, canonical_class,
                                   characteristic_from_pairings, laufer_ascent)
-from gradedroots.roots import level_sweep, merge_tree
+from gradedroots.roots import ZUModule, level_sweep, merge_tree
 from gradedroots.spinc import _integral_pairings, smith_decompose, smith_normal_form
 
 
@@ -588,3 +589,62 @@ def union_find_root(levels, eu, ev, top=None, truncated=False):
                    for u, v in zip(np.asarray(eu).tolist(), np.asarray(ev).tolist()))
     steps = level_sweep(len(levels), sorted(zip(levels, range(len(levels)))), links, top)
     return merge_tree(steps, top=top, truncated=truncated)
+
+
+# ---------------------------------------------------------------------------
+# graded roots, from child lists
+
+
+def _children(root):
+    kids = [[] for _ in root.chi]
+    for v, p in enumerate(root.parents):
+        if p is not None:
+            kids[p].append(v)
+    return kids
+
+
+def module_of_root_greedy(root):
+    """H(R, chi) via the greedy minima ordering: v_1 is a global minimum;
+    each later v_k is a remaining minimum of least chi (ties by vertex id),
+    and w_k is the lowest vertex dominating both v_k and some earlier v.
+    The reference for the elder rule of ``roots.module_of_root``."""
+    if root.truncated:
+        raise ValueError("module of a truncated root is not determined")
+    kids, parents = _children(root), root.parents
+    minima = sorted((v for v in range(len(root.chi)) if not kids[v]),
+                    key=lambda v: (root.chi[v], v))
+    v1 = minima[0]
+    covered = set()
+    w = v1
+    while w is not None:
+        covered.add(w)
+        w = parents[w]
+    finite = []
+    for v in minima[1:]:
+        w = v
+        path = []
+        while w not in covered:
+            path.append(w)
+            w = parents[w]
+        covered.update(path)
+        finite.append((Fraction(2 * root.chi[v]), root.chi[w] - root.chi[v]))
+    return ZUModule(Fraction(2 * root.chi[v1]), tuple(finite))
+
+
+def canonical_key_dfs(root):
+    """The label-independent key of a graded root by an iterative
+    post-order from each top vertex: the reference for the one pass up the
+    levels of ``GradedRoot.canonical_key``."""
+    kids = _children(root)
+    tops = [v for v, p in enumerate(root.parents) if p is None]
+    enc = [None] * len(root.chi)
+    for top in tops:
+        stack = [(top, False)]
+        while stack:
+            v, done = stack.pop()
+            if done:
+                enc[v] = (root.chi[v], tuple(sorted(enc[c] for c in kids[v])))
+            else:
+                stack.append((v, True))
+                stack.extend((c, False) for c in kids[v])
+    return (root.truncated, root.top_level, tuple(sorted(enc[t] for t in tops)))

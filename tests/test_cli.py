@@ -466,6 +466,8 @@ CLI_CASES = {
     "error_verify_no_target": ["verify"],
     "error_verify_seifert_no_legs": ["verify", "seifert", "--e0", "-1"],
     "error_verify_lens_no_pmax": ["verify", "lens"],
+    "error_verify_lens_small_pmax": ["verify", "lens", "1"],
+    "error_analyze_negative_ar_cap": ["analyze", "star5.json", "--ar-cap", "-5"],
     "error_oracle_no_orbit": ["oracle", "e8.json", "--orbit", "1"],
     "error_oracle_negative_orbit": ["oracle", "e8.json", "--orbit", "-1"],
     "error_analyze_no_orbit": ["analyze", "e8.json", "--orbits", "5"],

@@ -121,6 +121,15 @@ def test_find_ar_vertex_matches_trial_graph_search(rng):
     assert kinds == {"rational", "weakly-elliptic", "almost-rational", "not-ar-certified"}
 
 
+def test_negative_ar_cap_is_refused():
+    """A negative decrement cap is bad input, not a classification, even
+    for a rational graph that needs no decrement."""
+    for g in (e8_graph(), non_ar_graph_a()):
+        with pytest.raises(ValueError, match="cap >= 0, got -5$"):
+            engine.classify(g, max_decrements=-5)
+    assert engine.classify(non_ar_graph_a(), max_decrements=0).bound == 0
+
+
 def test_certified_stop_index_matches_fraction_formula(rng):
     graphs = [remark56_graph(), brieskorn(5, 7, 11).graph]
     graphs += [g for g in (random_star(rng, 2) for _ in range(30)) if g.form.order <= 400]

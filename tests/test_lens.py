@@ -324,6 +324,14 @@ def test_corrupted_e_table_raises(monkeypatch):
         verify_lens_sweep(5)
 
 
+def test_sweep_refuses_small_pmax():
+    """A sweep needs p_max >= 2; below it the error names the value."""
+    for p_max in (1, 0, -3):
+        with pytest.raises(RangeError, match=f"got p_max={p_max}$"):
+            verify_lens_sweep(p_max)
+    assert verify_lens_sweep(2) == {"pairs": 1, "orbits": 2}
+
+
 def test_identity_checks_survive_optimize():
     """Under python -O, where assert statements are stripped, a corrupted
     E(a) table still raises LensIdentityError."""

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import (chain_graph, chain_level_one_rows, e8_graph, random_rational_tree,
+from conftest import (chain_graph, chain_level_one_rows, e8_graph, leaves, random_rational_tree,
                       random_small_tree, random_star, remark56_graph)
 from gradedroots import engine, oracle, plumbing, spinc
 from gradedroots.plumbing import (LatticeVector, build_graph, canonical_class,
@@ -42,7 +42,7 @@ def test_root_oracle_remark56():
     g = remark56_graph()
     root = oracle.root_oracle(g, canonical_class(g), 2)
     assert not root.truncated  # canonical class, n_max >= 1
-    mins = sorted(root.chi[v] for v in root.local_minima())
+    mins = sorted(root.chi[v] for v in leaves(root))
     assert mins == [0, 0]
     # the two chi = 0 minima are the zero cycle and Artin's fundamental cycle
     from gradedroots.engine import fundamental_cycle

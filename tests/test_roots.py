@@ -11,7 +11,8 @@ from gradedroots.roots import (ConditionViolated, EmptyTau, GradedRoot,
                                level_sweep, merge_tree, module_of_root,
                                rank_red_from_tau, ray_root, root_from_minima,
                                root_from_tau, segment_sweeps, shift_root)
-from slow_reference import union_find_root
+from conftest import leaves
+from slow_reference import canonical_key_dfs, module_of_root_greedy, union_find_root
 
 R1_TAU = (-3, -1, -2, 0, -2)
 R2_TAU = (-3, 0, -2, -1, -2)
@@ -37,10 +38,21 @@ def check_root_axioms(root):
         assert ups[v] == (chi[v] < root.top_level)
 
 
+def relabelled(root, rng):
+    """The same root with its vertex ids permuted and ``parents`` remapped."""
+    perm = list(range(len(root.chi)))
+    rng.shuffle(perm)
+    new = {v: i for i, v in enumerate(perm)}
+    new[None] = None
+    return GradedRoot(chi=tuple(root.chi[v] for v in perm),
+                      parents=tuple(new[root.parents[v]] for v in perm),
+                      top_level=root.top_level, truncated=root.truncated)
+
+
 def test_root_from_tau_r1_structure():
     r = root_from_tau(TauFunction(R1_TAU))
     check_root_axioms(r)
-    minima = sorted(r.chi[v] for v in r.local_minima())
+    minima = sorted(r.chi[v] for v in leaves(r))
     assert minima == [-3, -2, -2]
     assert r.min_chi() == -3
     assert r.top_level == 0
@@ -63,7 +75,7 @@ def test_constant_tau_gives_ray():
 
 def test_alternating_tau():
     r = root_from_tau(TauFunction((0, 1, 0)))
-    mins = [r.chi[v] for v in r.local_minima()]
+    mins = [r.chi[v] for v in leaves(r)]
     assert mins == [0, 0]
     assert module_of_root(r) == ZUModule(Fraction(0), ((Fraction(0), 1),))
 
@@ -150,13 +162,7 @@ def test_shift_root_and_module():
 def test_equality_is_structural():
     r = root_from_tau(TauFunction(R1_TAU))
     # relabel the vertices by a permutation; canonical form must not care
-    perm = list(range(len(r.chi)))
-    random.Random(3).shuffle(perm)
-    inv = {v: i for i, v in enumerate(perm)}
-    inv[None] = None
-    relabeled = GradedRoot(chi=tuple(r.chi[v] for v in perm),
-                           parents=tuple(inv[r.parents[v]] for v in perm),
-                           top_level=r.top_level, truncated=r.truncated)
+    relabeled = relabelled(r, random.Random(3))
     assert relabeled == r
     assert module_of_root(relabeled) == module_of_root(r)
 
@@ -165,7 +171,7 @@ def test_truncate_and_pad():
     r = root_from_tau(TauFunction(R1_TAU))
     cut = r.truncate(-1)
     assert cut.truncated and cut.top_level == -1
-    assert sorted(cut.chi[v] for v in cut.local_minima()) == [-3, -2, -2]
+    assert sorted(cut.chi[v] for v in leaves(cut)) == [-3, -2, -2]
     padded = ray_root(0).truncate(4)
     assert padded.truncated and padded.top_level == 4
     assert len(padded.chi) == 5
@@ -513,3 +519,65 @@ def test_truncation_below_the_root_is_refused():
     assert root.min_chi() == -2
     with pytest.raises(ValueError, match="below the whole root"):
         root_from_tau(tau).truncate(-3)
+
+
+def agrees_with_references(root, rng):
+    """The one-pass module and key of ``root`` and of a relabelled copy
+    against the greedy module and the depth-first key; counts the root as
+    stabilized (module and key compared) or truncated (key only)."""
+    key = canonical_key_dfs(root)
+    for r in (root, relabelled(root, rng)):
+        assert r.canonical_key() == canonical_key_dfs(r) == key
+        if r.truncated:
+            with pytest.raises(ValueError, match="truncated"):
+                module_of_root(r)
+        else:
+            assert module_of_root(r) == module_of_root_greedy(r)
+    return Counter(["truncated" if root.truncated else "stabilized"])
+
+
+def test_one_pass_matches_references_on_taus():
+    """Random taus of 1-14 terms in -6..6, certified or not, and their
+    truncations at a random level."""
+    rng = random.Random(2320)
+    seen = Counter()
+    for _ in range(600):
+        vals = [rng.randint(-6, 6) for _ in range(rng.randint(1, 14))]
+        root = root_from_tau(TauFunction(tuple(vals), certified=rng.random() < 0.8))
+        seen += agrees_with_references(root, rng)
+        cut = rng.randint(min(vals), root.top_level + 2 * (not root.truncated))
+        seen += agrees_with_references(root.truncate(cut), rng)
+    assert seen == Counter(stabilized=473, truncated=727)
+
+
+def test_one_pass_matches_references_on_minima():
+    """Random valid (n_i, n_ij) data of 1-8 rays, and their truncations."""
+    rng = random.Random(2321)
+    seen = Counter()
+    for _ in range(400):
+        root = root_from_minima(*random_ultrametric(rng, rng.randint(1, 8)))
+        seen += agrees_with_references(root, rng)
+        seen += agrees_with_references(root.truncate(rng.randint(root.min_chi(),
+                                                                 root.top_level + 2)), rng)
+    assert seen == Counter(stabilized=400, truncated=400)
+
+
+def test_one_pass_matches_references_on_oracle_roots():
+    """The oracle roots of every orbit of the golden graphs, cut above min
+    tau as ``verify --oracle`` cuts them, and the engine's roots."""
+    import os
+    from gradedroots import engine, oracle
+    from gradedroots.cli import ORACLE_LEVEL_OFFSET
+    from gradedroots.plumbing import graph_from_json
+    rng = random.Random(2322)
+    seen = Counter()
+    for name in ("e8", "sigma237", "star5", "star51"):
+        with open(os.path.join(os.path.dirname(__file__), "golden", f"{name}.json")) as f:
+            g = graph_from_json(f.read())
+        _, reports = engine.analyze_all(g)
+        cuts = [rep.min_tau + ORACLE_LEVEL_OFFSET for rep in reports]
+        for rep, (root, _) in zip(reports, oracle.graph_roots(
+                g, [rep.orbit.k_r for rep in reports], cuts)):
+            seen += agrees_with_references(root, rng)
+            seen += agrees_with_references(rep.root, rng)
+    assert seen == Counter(stabilized=73, truncated=65)
