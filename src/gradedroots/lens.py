@@ -39,6 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import spinc
 from .plumbing import InvariantViolated, build_graph
 
 
@@ -216,8 +217,9 @@ def _int_dtype(p):
     - the lens table entries are below 30 p^2 (< 2^53, so exact as
       floats) and their row sums below 30 p^3.
 
-    30 p^3 < 2^63 for p < 2^19."""
-    return np.int64 if p < 1 << 19 else object
+    So 30 p^3 bounds them all, and spinc._int_dtype holds the threshold:
+    int64 for p <= 535 689, every p < 2^19 among them."""
+    return spinc._int_dtype(30 * p ** 3)
 
 
 def _inverts(p, q, qp):

@@ -160,8 +160,9 @@ def _fincke_pohst(Q, starts, point_cap):
     ``point_cap`` bounds the nodes visited over all depths and starts.
 
     The pairs of rows that differ by one e_i enter as adjacent siblings at
-    the depth of x_i and are carried down by :func:`_join`.  Returns the
-    :class:`_Walk`."""
+    the depth of x_i and are carried down by :func:`_join`; their row ids
+    are int32, as each depth is checked to hold fewer than 2^31 rows before
+    they are built.  Returns the :class:`_Walk`."""
     s = len(Q)
     blocks = _leading_adjugates(Q)
     dtype = _proven_dtype(Q, starts, blocks)

@@ -265,7 +265,8 @@ def label_sweep(levels, eu, ev, top=None):
     down, so a component's fixed point is its smallest element.
 
     Bounds: labels and edge ends are int32, and :class:`SweepIndexError`
-    rejects what they cannot hold before the cast.  The levels and the edge
+    rejects what they cannot hold before the cast: 2^31 or more elements,
+    or an edge end outside them.  The levels and the edge
     levels are swept as levels - min(levels) (:func:`_narrow`), unsigned and
     below max - min + 1 <= 2^64, so the edges sort by a stable radix sort
     when the levels span fewer than 2^16; ``n`` is yielded in the caller's
@@ -323,7 +324,9 @@ def segment_sweeps(levels, eu, ev, ends):
     Bounds: the levels are int64, and the relative levels are unsigned
     (:func:`_narrow`), each below its segment's span + 1.  A segment that
     spans 2^63 or more wraps in the int64 subtraction, shows as a decrease
-    and is refused with the unsorted ones."""
+    and is refused with the unsorted ones.  The element ids ``own`` are
+    int32 and read only inside the loop, which :func:`label_sweep` enters
+    only after refusing 2^31 or more elements."""
     if not ends:
         return []
     levels = np.asarray(levels, dtype=np.int64)

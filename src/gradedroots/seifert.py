@@ -111,24 +111,27 @@ class SeifertData:
     @cached_property
     def numeric_weights(self):
         """The per-datum part of torsion_limit_numeric: the block length L
-        and, for each h in NUMERIC_STEPS, (1 - t, n, log t, w, S1,
-        P1(t)/|H|) at the binary t = 1.0 - h, in long double apart from the
-        exact node 1 - t.  n is the number of terms summed, w_j = t^(o j)
-        for j < min(L, n) and S1 = sum_j w_j; P1/|H|
-        is the exact integer ratio of _p1_ratio, rounded to long double.
-        None of it depends on the orbit."""
-        alpha, o, ld = self.alpha_lcm, self.o, np.longdouble
+        and, for each node h = c/(o alpha), c in NUMERIC_STEPS, (1 - t, n,
+        log t, w, S1, P1(t)/|H|) at the binary t = 1.0 - h, in the float
+        type of _float_dtype apart from the exact node 1 - t.  n < 60 alpha/c
+        + 9 is the number of terms summed, w_j = t^(o j) for j < min(L, n)
+        and S1 = sum_j w_j; P1/|H| is the exact integer ratio of _p1_ratio,
+        rounded.  Whatever alpha, L >= 2 alpha, so a node has n // L + 1 <
+        30/c + 1 + 9/L blocks, and w holds at most max(2 alpha,
+        NUMERIC_BLOCK) entries."""
+        alpha, o, f = self.alpha_lcm, self.o, _float_dtype()
         L = alpha * max(2, NUMERIC_BLOCK // alpha)
         rows = []
-        for h in NUMERIC_STEPS:
+        for c in NUMERIC_STEPS if f is np.longdouble else NUMERIC_STEPS[:3]:
+            h = c / (o * alpha)
             t = 1.0 - h
             n = int(60.0 / (o * h)) + 8
-            logt = np.log(ld(t))
-            w = np.exp((o * np.arange(min(L, n), dtype=np.int64)).astype(ld) * logt)
+            logt = np.log(f(t))
+            w = np.exp(o * np.arange(min(L, n), dtype=np.int64) * logt)
             num, den = _p1_ratio(self, t)
             hi = num / den  # int / int rounds correctly; add the rounded remainder
             hn, hd = hi.as_integer_ratio()
-            p1 = ld(hi) + ld((num * hd - hn * den) / (den * hd))
+            p1 = f(hi) + f((num * hd - hn * den) / (den * hd))
             rows.append((1.0 - t, n, logt, w, w.sum(), p1))
         return L, tuple(rows)
 
@@ -308,7 +311,7 @@ def tau_stop_index(data, sp):
 
 def seifert_tau(data, sp):
     """Certified tau function of the orbit, from the closed-form increments."""
-    c = _increments(data, sp, 0, tau_stop_index(data, sp))
+    c = _increments(data, sp, tau_stop_index(data, sp))
     return TauFunction(values=(0, *np.cumsum(c).tolist()), certified=True)
 
 
@@ -317,7 +320,7 @@ def dp_invariant(data):
     the canonical-orbit drop count; equals chi(HF+(-M, can)) - min chi."""
     can = _spinc_from_solution(data, 0, (0,) * data.nu)
     stop = tau_stop_index(data, can)
-    return int(np.maximum(-_increments(data, can, 0, stop + 1), 0).sum())
+    return int(np.maximum(-_increments(data, can, stop + 1), 0).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +367,10 @@ def seifert_torsion_limit(data, sp):
 
 
 def _float_dtype():
+    """np.longdouble where it is extended (eps below 1e-18), on all four
+    NUMERIC_STEPS; np.float64 on the first three otherwise."""
     ld = np.longdouble
-    return ld if np.finfo(ld).eps < 1e-18 else None
+    return ld if np.finfo(ld).eps < 1e-18 else np.float64
 
 
 def _p1_ratio(data, t):
@@ -380,67 +385,60 @@ def _p1_ratio(data, t):
     return num, den
 
 
-def _increments(data, sp, start, stop):
+def _increments(data, sp, stop):
     """The tau increments c(i) = tau(i+1) - tau(i) = 1 + a0 - i e0 +
-    sum_l floor((a_l - i omega_l)/alpha_l) for start <= i < stop, by the
-    floor divisions.  In int64, |i omega_l| < stop alpha_l:
+    sum_l floor((a_l - i omega_l)/alpha_l) for 0 <= i < stop, by the floor
+    divisions.  In int64, |i omega_l| < stop alpha_l:
 
-    - for the block of torsion_limit_numeric (start = 0, stop = L <=
+    - for the block of torsion_limit_numeric (stop = L <=
       max(NUMERIC_BLOCK, 2 alpha)) that is below max(NUMERIC_BLOCK,
       2 alpha) alpha;
-    - for seifert_tau and dp_invariant (start = 0, stop at most
-      tau_stop_index + 1 <= nu alpha, as -e = o/alpha >= 1/alpha and
-      0 <= a0 < |e0|) it is below nu alpha^2 and |i e0| below nu alpha
-      |e0|; each floor is at most i + 1 in size, so every c(i) is below
-      nu alpha (|e0| + nu + 1) and every partial sum of at most nu alpha of
-      them below (nu alpha)^2 (|e0| + nu + 1).
+    - for seifert_tau and dp_invariant (stop at most tau_stop_index + 1 <=
+      nu alpha, as -e = o/alpha >= 1/alpha and 0 <= a0 < |e0|) it is below
+      nu alpha^2 and |i e0| below nu alpha |e0|; each floor is at most
+      i + 1 in size, so every c(i) is below nu alpha (|e0| + nu + 1) and
+      every partial sum of at most nu alpha of them below (nu alpha)^2
+      (|e0| + nu + 1).
 
     Both are far inside int64 for any datum whose spin^c structures can be
     enumerated."""
-    i = np.arange(start, stop, dtype=np.int64)
+    i = np.arange(stop, dtype=np.int64)
     c = 1 + sp.a0 - i * data.e0
     for (al, om), a in zip(data.legs, sp.a):
         c += (a - i * om) // al
     return c
 
 
-def _neville(pts):
-    """The value at h = 0 of the polynomial through the points (h, y)."""
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    for level in range(1, len(pts)):
-        for k in range(len(pts) - level):
-            ys[k] = (xs[k + level] * ys[k] - xs[k] * ys[k + 1]) / (xs[k + level] - xs[k])
-    return ys[0]
-
-
 # The block of the numeric partial sums.  torsion_limit_numeric computes
 # c(i) directly for i < L = alpha * floor(NUMERIC_BLOCK / alpha) (at least
 # 2 alpha) once per orbit; every later block of L terms is the first one
-# shifted by a multiple of o, and costs one exponential.  A call sums about
-# 60/(o h) terms (6 * 10^7 for o = 1 at h = 1e-6, about 15 000 blocks);
-# 2^12 balances the block against the per-block exponentials, and on the
-# benchmark's data ran ten times faster than 2^16.
+# shifted by a multiple of o, and costs one exponential.  The numeric
+# checks of the closed-forms benchmark's three Seifert data took 14, 15, 60
+# and 220 ms at 2^10, 2^12, 2^14 and 2^16 (best of 5, 2-core x86-64, numpy
+# 2.4); on test_numeric_limit_scan_at_large_alpha 2^10 and 2^12 tie.
 NUMERIC_BLOCK = 1 << 12
 
 
-# The steps h at which torsion_limit_numeric samples t = 1 - h.  Near t = 1
-# the poles of P at t^(o alpha_l) = 1 come within 2 pi/(o alpha_l) of it, so
-# the fourth, finest node keeps the Neville truncation error small when o
-# alpha_l is large (o = 218, alpha_l = 11 on (-1; 5/1, 7/1, 11/1)).
-NUMERIC_STEPS = (1e-3, 1e-4, 1e-5, 1e-6)
+# The coefficients c of the nodes h = c/(o alpha) of torsion_limit_numeric.
+# The poles of P at t^(o alpha_l) = 1 come within 2 pi/(o alpha_l) of t = 1,
+# so the Taylor coefficients of P - P1/|H| in h grow like (o alpha)^k, and
+# nodes scaled by 1/(o alpha) keep the Neville error alike on every datum:
+# 1.8e-8 at worst on (-1; 5/1, 7/1, 11/1) and on 59 orbits with alpha up to
+# 7 752.  In double a fourth node raised the error sevenfold (3.0e-6 to
+# 2.1e-5 on that datum), so double reads three.
+NUMERIC_STEPS = (0.03, 0.01, 0.003, 0.001)
 
 
 def torsion_limit_numeric(data, sp):
     """Partial-sum evaluation of P_[k](t) - P1(t)/|H| at t = 1 - h for the
-    h in NUMERIC_STEPS, extrapolated to h = 0 (Neville through the actual
-    sample nodes).
+    nodes h of SeifertData.numeric_weights, extrapolated to h = 0 (Neville
+    through the actual sample nodes).
 
-    P is a long-double partial sum of the terms c(i) t^(o i + alpha
-    atilde), i < n; P1/|H| is the exact integer ratio at the same binary t
-    rounded to long double (SeifertData.numeric_weights), and so is their
-    difference.  Near t = 1 each is of size 1/h^2, so even a one-ulp
-    disagreement in t would not cancel.
+    P is a partial sum of the terms c(i) t^(o i + alpha atilde), i < n, in
+    the float type of _float_dtype; P1/|H| is the exact integer ratio at the
+    same binary t rounded to that type, and so is their difference.  Near
+    t = 1 each is of size 1/h^2, so even a one-ulp disagreement in t would
+    not cancel.
 
     The increments are periodic, c(i + alpha) = c(i) + o, since o = -e
     alpha; the block c(i), i < L, is computed once and this identity is
@@ -454,42 +452,29 @@ def torsion_limit_numeric(data, sp):
     partial sum; no geometric series is summed in closed form, so the
     check stays independent of seifert_torsion_limit.  Per orbit it costs
     one block of L terms and one exponential per further block; the
-    weights are computed once per datum and h."""
+    weights are computed once per datum."""
     alpha, o = data.alpha_lcm, data.o
     alpha_at = int(alpha * sp.atilde)
-    ld = _float_dtype()
-    if ld is None:  # pragma: no cover - platforms without extended doubles
-        # three nodes, every term by the floor divisions, in double
-        pts = []
-        for h in NUMERIC_STEPS[:3]:
-            t = 1.0 - h
-            n = int(60.0 / (o * h)) + 8
-            logt = math.log(t)
-            p_val = math.fsum(
-                ci * math.exp((o * i + alpha_at) * logt)
-                for start in range(0, n, NUMERIC_BLOCK)
-                for i, ci in enumerate(
-                    _increments(data, sp, start, min(n, start + NUMERIC_BLOCK)).tolist(), start))
-            num, den = _p1_ratio(data, t)
-            pts.append((1.0 - t, p_val - num / den))
-        return _neville(pts)
     L, rows = data.numeric_weights
-    c = _increments(data, sp, 0, L)
+    c = _increments(data, sp, L)
     if not np.array_equal(c[alpha:], c[:-alpha] + o):
         raise IdentityViolated(
             f"{data.describe()} orbit {sp.a0};{sp.a}: c(i + alpha) != c(i) + o for o = {o}")
     shift = o * L // alpha  # c(i + L) - c(i)
-    c = c.astype(ld)
-    pts = []
+    xs, ys = [], []
     for node, n, logt, w, s1, p1 in rows:
         nb, r = divmod(n, L)
         k = np.arange(nb + 1, dtype=np.int64)
-        # .sum() adds pairwise; np.dot on long doubles adds one by one
-        sums = (c[:w.size] * w).sum() + (shift * k).astype(ld) * s1
+        # int64 promotes to w's type; .sum() adds pairwise, np.dot one by one
+        sums = (c[:w.size] * w).sum() + shift * k * s1
         sums[nb] = ((c[:r] + shift * nb) * w[:r]).sum()
-        p_val = (sums * np.exp((o * L * k + alpha_at).astype(ld) * logt)).sum()
-        pts.append((node, float(p_val - p1)))
-    return _neville(pts)
+        p_val = (sums * np.exp((o * L * k + alpha_at) * logt)).sum()
+        xs.append(node)
+        ys.append(float(p_val - p1))
+    for level in range(1, len(xs)):  # Neville: the value at h = 0
+        for j in range(len(xs) - level):
+            ys[j] = (xs[j + level] * ys[j] - xs[j] * ys[j + 1]) / (xs[j + level] - xs[j])
+    return ys[0]
 
 
 # ---------------------------------------------------------------------------

@@ -430,6 +430,11 @@ S235 = ["--e0", "-2", "--leg", "2/1", "--leg", "3/2", "--leg", "5/4"]
 S237 = ["--e0", "-1", "--leg", "2/1", "--leg", "3/1", "--leg", "7/1"]
 SEIFERT_3_7_2 = ["--e0", "-2", "--leg", "2/1", "--leg", "3/1", "--leg", "7/2"]
 S5711 = ["--e0", "-1", "--leg", "5/2", "--leg", "7/1", "--leg", "11/5"]
+# alpha = 6 930 and 1 430: the numeric limit needs nodes scaled to o alpha
+ALPHA6930 = ["--e0", "-1", "--leg", "3/1", "--leg", "14/1", "--leg", "9/2", "--leg", "11/3",
+             "--leg", "10/1"]
+ALPHA1430 = ["--e0", "-3", "--leg", "5/4", "--leg", "2/1", "--leg", "11/8", "--leg", "13/6",
+             "--leg", "2/1"]
 
 
 def _formats(name, argv):
@@ -458,6 +463,8 @@ CLI_CASES = {
     "verify_lens": ["verify", "lens", "12"],
     "verify_seifert": ["verify", "seifert"] + S237,
     "verify_seifert_sigma5711": ["verify", "seifert"] + S5711,
+    "verify_seifert_alpha6930": ["verify", "seifert"] + ALPHA6930,
+    "verify_seifert_alpha1430": ["verify", "seifert"] + ALPHA1430,
     "verify_oracle": ["verify", "--oracle", "star5.json"],
     "error_missing_file": ["analyze", "missing.json"],
     "error_bad_orbits": ["analyze", "star5.json", "--orbits", "1,x"],

@@ -275,6 +275,17 @@ def _lens_cli(argv):
     return out.getvalue()
 
 
+def test_int_dtype_reads_the_one_threshold(monkeypatch):
+    """lens._int_dtype(p) is spinc._int_dtype(30 p^3): int64 for every
+    p < 2^19 and up to 535 689, the last p with 30 p^3 < 2^62, object from
+    535 690; patching the spinc threshold reaches it."""
+    for p in (2, 5, 2003, (1 << 19) - 1, 1 << 19, 535689):
+        assert lens_mod._int_dtype(p) is np.int64
+    assert lens_mod._int_dtype(535690) is object
+    monkeypatch.setattr(spinc, "_int_dtype", lambda bound: object)
+    assert lens_mod._int_dtype(5) is object
+
+
 def test_object_dtype_table_agrees(monkeypatch):
     """The exact object-integer path, taken beyond the int64 bound, gives
     the same table, the same batched sweep and the same rendered rows as

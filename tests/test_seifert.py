@@ -3,6 +3,7 @@ import re
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import random_seifert
@@ -292,11 +293,11 @@ def test_verify_sw_identity_numeric_near_poles(legs):
 
 def test_numeric_blocks_match_per_term(monkeypatch):
     """The periodic block sum of torsion_limit_numeric equals the per-term
-    long-double sum at the same nodes, on every orbit of seeded random
-    data with alpha <= 60.  Coarse nodes keep the per-term sums short; the
-    data are built inside the patch, so no cached weights of other nodes
-    reach them."""
-    steps = (1e-2, 1e-3, 1e-4)
+    long-double sum at the same nodes h = c/(o alpha), on every orbit of
+    seeded random data with alpha <= 60.  Coarse c keep the per-term sums
+    short; the data are built inside the patch, so no cached weights of
+    other nodes reach them."""
+    steps = (1.0, 0.1, 0.01)
     monkeypatch.setattr(seifert, "NUMERIC_STEPS", steps)
     rng = random.Random(1111)
     datas = []
@@ -308,15 +309,36 @@ def test_numeric_blocks_match_per_term(monkeypatch):
     orbits = 0
     for data in datas:
         fresh = SeifertData(e0=data.e0, legs=data.legs)
+        nodes = [c / (data.o * data.alpha_lcm) for c in steps]
         for sp in enumerate_seifert_spinc(data):
             fast = torsion_limit_numeric(fresh, sp)
-            slow = torsion_limit_numeric_per_term(data, sp, steps)
+            slow = torsion_limit_numeric_per_term(data, sp, nodes)
             assert abs(fast - slow) < 1e-10, f"{data.describe()} orbit {sp.a0};{sp.a}"
             orbits += 1
         L, rows = fresh.numeric_weights
         full |= rows[-1][1] > L          # whole blocks at the finest node
         partial_only |= rows[0][1] < L   # one partial block at the coarsest
     assert full and partial_only and orbits >= 40
+
+
+def test_numeric_limit_scan_at_large_alpha():
+    """Nodes scaled by 1/(o alpha) resolve every datum: on the first two
+    orbits of 30 seeded random data with 3-5 legs, alpha_l <= 19 and |H| <=
+    60 (alpha up to 7 752) the numeric limit stays within NUMERIC_TOL of
+    the exact one.  The fixed nodes h = 1e-3 ... 1e-6 missed it by up to
+    5.4e-4 here."""
+    rng = random.Random(5)
+    datas = [random_seifert(rng, 3, 5, 19, 60) for _ in range(30)]
+    assert max(data.alpha_lcm for data in datas) > 5000
+    orbits = 0
+    for data in datas:
+        for sp in enumerate_seifert_spinc(data)[:2]:
+            exact = float(seifert_torsion_limit(data, sp))
+            approx = torsion_limit_numeric(data, sp)
+            assert abs(approx - exact) < seifert.NUMERIC_TOL, \
+                f"{data.describe()} orbit {sp.a0};{sp.a}: {approx} vs {exact}"
+            orbits += 1
+    assert orbits == 59
 
 
 def test_numeric_periodicity_guard():
@@ -371,10 +393,14 @@ def test_minimality_check_names_a_non_minimal_solution(monkeypatch):
 
 
 def test_numeric_limit_double_fallback(monkeypatch):
-    """Without an extended long double, torsion_limit_numeric falls back
-    to three nodes in double precision; on (-2; 2/1, 3/1, 5/1) its first
-    five orbits stay within NUMERIC_TOL of the exact limit."""
-    monkeypatch.setattr(seifert, "_float_dtype", lambda: None)
-    for sp in enumerate_seifert_spinc(NU3_H29)[:5]:
-        exact = seifert_torsion_limit(NU3_H29, sp)
-        assert abs(torsion_limit_numeric(NU3_H29, sp) - float(exact)) < seifert.NUMERIC_TOL
+    """Without an extended long double, torsion_limit_numeric sums in
+    double on the first three nodes; on (-2; 2/1, 3/1, 5/1) its first five
+    orbits stay within NUMERIC_TOL of the exact limit.  The weights are
+    cached per datum, so the datum is built under the patch."""
+    monkeypatch.setattr(seifert, "_float_dtype", lambda: np.float64)
+    data = SeifertData(e0=NU3_H29.e0, legs=NU3_H29.legs)
+    for sp in enumerate_seifert_spinc(data)[:5]:
+        exact = seifert_torsion_limit(data, sp)
+        assert abs(torsion_limit_numeric(data, sp) - float(exact)) < seifert.NUMERIC_TOL
+    L, rows = data.numeric_weights
+    assert len(rows) == 3 and all(row[3].dtype == np.float64 for row in rows)
