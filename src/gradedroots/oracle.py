@@ -109,7 +109,11 @@ class _Walk:
     def columns(self, narrow=False):
         """The coordinates x_0, ..., x_{s-1} of the leaves, one array each,
         read up the tree: int64, or with ``narrow`` as :func:`_narrow` sort
-        keys of the same order."""
+        keys of the same order.  Every coordinate lies within the box bound
+        m of :func:`_proven_dtype`, below 2^62 on an int64 walk; on an
+        object walk a coordinate of 2^63 or more makes the cast raise
+        OverflowError (numpy refuses a Python int it cannot hold), never
+        wrap."""
         row = np.arange(len(self.h))
         cols = []
         for parent, x in zip(reversed(self.parent), reversed(self.x)):
@@ -123,7 +127,11 @@ def _join(pa, pb, lo, count, first):
     same value: node a has the children first[a] + t with values lo[a] + t,
     t < count[a], so the pairs come from the overlap of the two intervals.
     Rows are int32, as a depth has fewer than 2^31 of them, and so are the
-    pair counts, below 2^31 by the check."""
+    pair counts, below 2^31 by the check.  The overlaps n are cast to int64
+    from the walk's dtype: both intervals lie within the box bound m of
+    :func:`_proven_dtype`, so |n| <= 2m + 2, below 2^63 on an int64 walk;
+    on an object walk a value beyond int64 makes the cast raise
+    OverflowError, never wrap."""
     la, lb = lo[pa], lo[pb]
     top = np.maximum(la, lb)
     n = (np.minimum(la + count[pa], lb + count[pb]) - top).astype(np.int64)
@@ -162,7 +170,11 @@ def _fincke_pohst(Q, starts, point_cap):
     The pairs of rows that differ by one e_i enter as adjacent siblings at
     the depth of x_i and are carried down by :func:`_join`; their row ids
     are int32, as each depth is checked to hold fewer than 2^31 rows before
-    they are built.  Returns the :class:`_Walk`."""
+    they are built.  The node counts, at most 2m + 1 for the box bound m,
+    and the values h, within the bound of :func:`_proven_dtype`, are cast
+    to int64: below 2^62 on an int64 walk, and on an object walk a value
+    of 2^63 or more makes the cast raise OverflowError, never wrap.
+    Returns the :class:`_Walk`."""
     s = len(Q)
     blocks = _leading_adjugates(Q)
     dtype = _proven_dtype(Q, starts, blocks)
@@ -217,6 +229,10 @@ class SublevelComplex:
     labels: np.ndarray        # [N] component label (min point index)
 
     def component_of(self, x):
+        """The label of the point x.  x is read as int64, as the coordinates
+        are: a coordinate of 2^63 or more raises OverflowError (numpy
+        refuses a Python int it cannot hold), and such a point lies in no
+        sublevel set whose coordinates are int64."""
         row = np.asarray(tuple(x), dtype=np.int64)
         hits = np.nonzero((self.coords == row).all(axis=1))[0]
         if len(hits) != 1:

@@ -62,13 +62,12 @@ class InvariantViolated(AssertionError):
 # coefficient vectors
 
 
-class LatticeVector:
-    """Integer vector in the basis {b_j}; supports the componentwise order."""
+class _Coefficients:
+    """Coefficients in the basis {b_j}, the body of both vector types: equal
+    only within one type, and each operator returns its left operand's type,
+    reading the other operand through :func:`_coeffs`."""
 
     __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = tuple(int(c) for c in coeffs)
 
     def __len__(self):
         return len(self.coeffs)
@@ -83,19 +82,35 @@ class LatticeVector:
         return hash(self.coeffs)
 
     def __eq__(self, other):
-        return isinstance(other, LatticeVector) and self.coeffs == other.coeffs
+        return type(other) is type(self) and self.coeffs == other.coeffs
 
     def __add__(self, other):
-        return LatticeVector(a + b for a, b in zip(self.coeffs, other.coeffs))
+        return type(self)(a + b for a, b in zip(self.coeffs, _coeffs(other)))
 
     def __sub__(self, other):
-        return LatticeVector(a - b for a, b in zip(self.coeffs, other.coeffs))
+        return type(self)(a - b for a, b in zip(self.coeffs, _coeffs(other)))
 
     def __neg__(self):
-        return LatticeVector(-a for a in self.coeffs)
+        return type(self)(-a for a in self.coeffs)
 
-    def __rmul__(self, n):
-        return LatticeVector(n * a for a in self.coeffs)
+    def __rmul__(self, r):
+        return type(self)(r * a for a in self.coeffs)
+
+
+class LatticeVector(_Coefficients):
+    """Integer vector in the basis {b_j}; supports the componentwise order.
+
+    A coefficient that is not an integer (1/2, 2.5) raises ValueError; an
+    integral one of any type (2, numpy's 2, Fraction(4, 2)) converts."""
+
+    __slots__ = ()
+
+    def __init__(self, coeffs):
+        coeffs = tuple(coeffs)
+        self.coeffs = tuple(map(int, coeffs))
+        if self.coeffs != coeffs:
+            j, c = next((j, c) for j, (n, c) in enumerate(zip(self.coeffs, coeffs)) if n != c)
+            raise ValueError(f"coefficient {j} of a lattice vector is {c!r}, not an integer")
 
     def __le__(self, other):
         return all(a <= b for a, b in zip(self.coeffs, other.coeffs))
@@ -107,51 +122,24 @@ class LatticeVector:
         return f"LatticeVector({list(self.coeffs)})"
 
 
-class DualVector:
+class DualVector(_Coefficients):
     """Rational vector in b-coordinates, representing an element of L (x) Q.
 
     An element lies in L' exactly when its pairing with every b_j is an
     integer; use :func:`PlumbingGraph.pairings` to read those off.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs):
         self.coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
-
-    def __len__(self):
-        return len(self.coeffs)
-
-    def __iter__(self):
-        return iter(self.coeffs)
-
-    def __getitem__(self, i):
-        return self.coeffs[i]
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, DualVector) and self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        return DualVector(a + b for a, b in zip(self.coeffs, _coeffs(other)))
-
-    def __sub__(self, other):
-        return DualVector(a - b for a, b in zip(self.coeffs, _coeffs(other)))
-
-    def __neg__(self):
-        return DualVector(-a for a in self.coeffs)
-
-    def __rmul__(self, r):
-        return DualVector(r * a for a in self.coeffs)
 
     def __repr__(self):
         return f"DualVector({[str(c) for c in self.coeffs]})"
 
 
 def _coeffs(v):
-    return v.coeffs if isinstance(v, (LatticeVector, DualVector)) else tuple(v)
+    return v.coeffs if isinstance(v, _Coefficients) else tuple(v)
 
 
 @dataclass(frozen=True)
@@ -279,19 +267,17 @@ class PlumbingGraph:
     # -- pairings ----------------------------------------------------------
 
     def pairing(self, y, x):
-        """(y, x) = y^T B x, exact (int when both arguments are integral)."""
-        B = self.form.B
-        ys, xs = _coeffs(y), _coeffs(x)
-        acc = 0
-        for i, yi in enumerate(ys):
-            if yi:
-                row = B[i]
-                acc += yi * sum(row[j] * xj for j, xj in enumerate(xs) if xj)
-        return acc
+        """(y, x) = sum_j y_j (x, b_j), exact (int when both arguments are
+        integral); a vector that does not have s coefficients raises
+        ValueError."""
+        return sum(yj * p for yj, p in zip(_coeffs(y), self.pairings(x), strict=True) if yj)
 
     def pairings(self, y):
-        """The vector ((y, b_j))_j = B y, along the tree adjacency."""
+        """The vector ((y, b_j))_j = B y, along the tree adjacency; a y that
+        does not have s coefficients raises ValueError."""
         ys = _coeffs(y)
+        if len(ys) != self.s:
+            raise ValueError(f"{len(ys)} coefficients for a graph of {self.s} vertices")
         return tuple(ej * yj + sum(ys[n] for n in nbrs)
                      for ej, yj, nbrs in zip(self.e, ys, self.adjacency))
 
@@ -531,33 +517,27 @@ def laufer_ascent(e, adjacency, x, pair, skip=None):
 def blow_up(graph, site):
     """Blow up a vertex (attach a new (-1)-vertex, e_j -> e_j - 1) or an edge
     (subdivide through a new (-1)-vertex, both endpoint Euler numbers dropped
-    by one).  ``site`` is a vertex label or a pair of labels."""
+    by one).  ``site`` is a vertex label or a pair of labels: it names the
+    vertices whose Euler numbers drop, each joined to the new vertex, and
+    the edge that goes (none for a vertex)."""
+    index, labels = graph.label_index, graph.labels
     if isinstance(site, (tuple, list)) and len(site) == 2:
         a, b = site
-        if a not in graph.label_index or b not in graph.label_index:
+        if a not in index or b not in index:
             raise InvalidSite(f"edge site {site} references unknown vertex")
-        ia, ib = graph.label_index[a], graph.label_index[b]
-        pair = (min(ia, ib), max(ia, ib))
-        if pair not in graph.edges:
+        drop = gone = (min(index[a], index[b]), max(index[a], index[b]))
+        if gone not in graph.edges:
             raise InvalidSite(f"no edge between {a} and {b}")
-        new_label = max(graph.labels) + 1
-        verts = [(lab, ej - 1 if i in pair else ej)
-                 for i, (lab, ej) in enumerate(zip(graph.labels, graph.e))]
-        verts.append((new_label, -1))
-        edges = [(graph.labels[i], graph.labels[j])
-                 for i, j in graph.edges if (i, j) != pair]
-        edges += [(a, new_label), (b, new_label)]
-        return build_graph(verts, edges)
-    if site in graph.label_index:
-        i0 = graph.label_index[site]
-        new_label = max(graph.labels) + 1
-        verts = [(lab, ej - 1 if i == i0 else ej)
-                 for i, (lab, ej) in enumerate(zip(graph.labels, graph.e))]
-        verts.append((new_label, -1))
-        edges = [(graph.labels[i], graph.labels[j]) for i, j in graph.edges]
-        edges.append((site, new_label))
-        return build_graph(verts, edges)
-    raise InvalidSite(f"site {site!r} is neither a vertex label nor an edge")
+    elif site in index:
+        drop, gone = (index[site],), None
+    else:
+        raise InvalidSite(f"site {site!r} is neither a vertex label nor an edge")
+    new_label = max(labels) + 1
+    verts = [(lab, ej - 1 if i in drop else ej)
+             for i, (lab, ej) in enumerate(zip(labels, graph.e))]
+    edges = [(labels[i], labels[j]) for i, j in graph.edges if (i, j) != gone]
+    edges += [(labels[i], new_label) for i in drop]
+    return build_graph(verts + [(new_label, -1)], edges)
 
 
 def blow_down(graph, label):

@@ -142,16 +142,32 @@ class GradedRoot:
         return min(self.chi)
 
     def canonical_key(self):
-        """Label-independent encoding, in one pass up the levels: each
-        vertex is (chi, sorted encodings of its children), complete when
-        the pass reaches it, and the key holds the sorted top vertices."""
-        chi, parents = self.chi, self.parents
-        below = [[] for _ in chi]  # the encodings of each vertex's children
-        tops = []
-        for v in sorted(range(len(chi)), key=chi.__getitem__):
-            enc = (chi[v], tuple(sorted(below[v])))
-            (tops if parents[v] is None else below[parents[v]]).append(enc)
-        return (self.truncated, self.top_level, tuple(sorted(tops)))
+        """Label-independent encoding, flat, in one pass up the levels: a
+        vertex's signature is the sorted tuple of its children's names, its
+        name the rank of its signature among its level's distinct ones, and
+        the key holds each level's sorted signatures, lowest first.  A lone
+        vertex on its level, as on most levels of most roots, is named 0."""
+        chi, parents, top = self.chi, self.parents, self.top_level
+        lo = min(chi)
+        on = [[] for _ in range(top - lo + 1)]  # the vertices of each level
+        for v, c in enumerate(chi):
+            on[c - lo].append(v)
+        below = [[] for _ in chi]  # the names of each vertex's children
+        levels = []
+        for group in on:
+            if len(group) == 1:
+                v = group[0]
+                levels.append((tuple(sorted(below[v])),))
+                if parents[v] is not None:
+                    below[parents[v]].append(0)
+                continue
+            sigs = [tuple(sorted(below[v])) for v in group]
+            levels.append(tuple(sorted(sigs)))
+            names = {sig: n for n, sig in enumerate(dict.fromkeys(levels[-1]))}
+            for v, sig in zip(group, sigs):
+                if parents[v] is not None:
+                    below[parents[v]].append(names[sig])
+        return (self.truncated, top, tuple(levels))
 
     def __eq__(self, other):
         return isinstance(other, GradedRoot) and self.canonical_key() == other.canonical_key()
@@ -326,7 +342,8 @@ def segment_sweeps(levels, eu, ev, ends):
     spans 2^63 or more wraps in the int64 subtraction, shows as a decrease
     and is refused with the unsorted ones.  The element ids ``own`` are
     int32 and read only inside the loop, which :func:`label_sweep` enters
-    only after refusing 2^31 or more elements."""
+    only after refusing 2^31 or more elements; the int64 segment starts are
+    element ids, below 2^31 for the same reason."""
     if not ends:
         return []
     levels = np.asarray(levels, dtype=np.int64)

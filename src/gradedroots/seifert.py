@@ -112,13 +112,16 @@ class SeifertData:
     def numeric_weights(self):
         """The per-datum part of torsion_limit_numeric: the block length L
         and, for each node h = c/(o alpha), c in NUMERIC_STEPS, (1 - t, n,
-        log t, w, S1, P1(t)/|H|) at the binary t = 1.0 - h, in the float
+        log t, w, S1, T, P1(t)/|H|) at the binary t = 1.0 - h, in the float
         type of _float_dtype apart from the exact node 1 - t.  n < 60 alpha/c
-        + 9 is the number of terms summed, w_j = t^(o j) for j < min(L, n)
-        and S1 = sum_j w_j; P1/|H| is the exact integer ratio of _p1_ratio,
-        rounded.  Whatever alpha, L >= 2 alpha, so a node has n // L + 1 <
-        30/c + 1 + 9/L blocks, and w holds at most max(2 alpha,
-        NUMERIC_BLOCK) entries."""
+        + 9 is the number of terms summed, w_j = t^(o j) for j < min(L, n),
+        S1 = sum_j w_j and T_k = t^(o L k) for k <= n // L, the factor of
+        block k; P1/|H| is the exact integer ratio of _p1_ratio, rounded.
+        Whatever alpha, L >= 2 alpha, so a node has n // L + 1 < 30/c + 1 +
+        9/L blocks, and w holds at most max(2 alpha, NUMERIC_BLOCK) entries.
+        The int64 exponents o j < o L and o L k <= o n <= 60 000 o alpha +
+        8 o are below 2^62 when o alpha < 2^45, as when |H| alpha < 2^45:
+        o <= |H| = o prod_l alpha_l / alpha."""
         alpha, o, f = self.alpha_lcm, self.o, _float_dtype()
         L = alpha * max(2, NUMERIC_BLOCK // alpha)
         rows = []
@@ -132,7 +135,8 @@ class SeifertData:
             hi = num / den  # int / int rounds correctly; add the rounded remainder
             hn, hd = hi.as_integer_ratio()
             p1 = f(hi) + f((num * hd - hn * den) / (den * hd))
-            rows.append((1.0 - t, n, logt, w, w.sum(), p1))
+            blocks = np.exp(o * L * np.arange(n // L + 1, dtype=np.int64) * logt)
+            rows.append((1.0 - t, n, logt, w, w.sum(), blocks, p1))
         return L, tuple(rows)
 
     @cached_property
@@ -400,8 +404,9 @@ def _increments(data, sp, stop):
       every partial sum of at most nu alpha of them below (nu alpha)^2
       (|e0| + nu + 1).
 
-    Both are far inside int64 for any datum whose spin^c structures can be
-    enumerated."""
+    Both are below 2^62, far inside int64, for any datum whose spin^c
+    structures can be enumerated: the first while alpha < 2^30, the
+    second while nu alpha < 2^20 and |e0| + nu < 2^21."""
     i = np.arange(stop, dtype=np.int64)
     c = 1 + sp.a0 - i * data.e0
     for (al, om), a in zip(data.legs, sp.a):
@@ -451,8 +456,10 @@ def torsion_limit_numeric(data, sp):
     partial block is summed term by term.  This only regroups the float
     partial sum; no geometric series is summed in closed form, so the
     check stays independent of seifert_torsion_limit.  Per orbit it costs
-    one block of L terms and one exponential per further block; the
-    weights are computed once per datum."""
+    one block of L terms and one exponential per node: the block factors
+    t^(o s) and the weights are computed once per datum.  The int64 block
+    shifts (o L / alpha) k <= o n / alpha <= 60 008 o are below 2^62
+    under the bound of SeifertData.numeric_weights."""
     alpha, o = data.alpha_lcm, data.o
     alpha_at = int(alpha * sp.atilde)
     L, rows = data.numeric_weights
@@ -462,13 +469,12 @@ def torsion_limit_numeric(data, sp):
             f"{data.describe()} orbit {sp.a0};{sp.a}: c(i + alpha) != c(i) + o for o = {o}")
     shift = o * L // alpha  # c(i + L) - c(i)
     xs, ys = [], []
-    for node, n, logt, w, s1, p1 in rows:
+    for node, n, logt, w, s1, blocks, p1 in rows:
         nb, r = divmod(n, L)
-        k = np.arange(nb + 1, dtype=np.int64)
         # int64 promotes to w's type; .sum() adds pairwise, np.dot one by one
-        sums = (c[:w.size] * w).sum() + shift * k * s1
+        sums = (c[:w.size] * w).sum() + shift * np.arange(nb + 1, dtype=np.int64) * s1
         sums[nb] = ((c[:r] + shift * nb) * w[:r]).sum()
-        p_val = (sums * np.exp((o * L * k + alpha_at) * logt)).sum()
+        p_val = (sums * blocks).sum() * np.exp(alpha_at * logt)
         xs.append(node)
         ys.append(float(p_val - p1))
     for level in range(1, len(xs)):  # Neville: the value at h = 0

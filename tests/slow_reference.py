@@ -634,7 +634,10 @@ def module_of_root_greedy(root):
 def canonical_key_dfs(root):
     """The label-independent key of a graded root by an iterative
     post-order from each top vertex: the reference for the one pass up the
-    levels of ``GradedRoot.canonical_key``."""
+    levels of ``GradedRoot.canonical_key``.  Each vertex gets the nested
+    encoding (chi, sorted encodings of its children); the flat key follows
+    by ranking each level's distinct encodings, a vertex's signature being
+    the sorted ranks of its children's encodings."""
     kids = _children(root)
     tops = [v for v, p in enumerate(root.parents) if p is None]
     enc = [None] * len(root.chi)
@@ -647,4 +650,9 @@ def canonical_key_dfs(root):
             else:
                 stack.append((v, True))
                 stack.extend((c, False) for c in kids[v])
-    return (root.truncated, root.top_level, tuple(sorted(enc[t] for t in tops)))
+    levels, rank = [], {}  # rank: the previous level's encodings, ranked
+    for c in range(min(root.chi), root.top_level + 1):
+        on = [v for v, cv in enumerate(root.chi) if cv == c]
+        levels.append(tuple(sorted(tuple(sorted(rank[enc[k]] for k in kids[v])) for v in on)))
+        rank = {e: n for n, e in enumerate(sorted({enc[v] for v in on}))}
+    return (root.truncated, root.top_level, tuple(levels))

@@ -3,11 +3,12 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import (e8_graph, fraction_inverse, random_small_tree,
                       random_star)
-from gradedroots.plumbing import (GraphSchemaError, InvalidSite, LatticeVector, NotATree,
+from gradedroots.plumbing import (DualVector, GraphSchemaError, InvalidSite, LatticeVector, NotATree,
                                   NotBlowDownable, NotNegativeDefinite,
                                   ParityViolation, _build_form, blow_down, blow_up,
                                   build_graph, canonical_class,
@@ -365,6 +366,94 @@ def test_chi_bilinearity(rng):
         x = LatticeVector([rng.randint(-3, 3) for _ in range(g.s)])
         y = LatticeVector([rng.randint(-3, 3) for _ in range(g.s)])
         assert chi_k(g, K, x + y) == chi_k(g, K, x) + chi_k(g, K, y) - g.pairing(x, y)
+
+
+def test_vector_types_and_operators():
+    """The two coefficient vectors keep their types, reprs, hashes and
+    equality: equal coefficients in different types are unequal, and each
+    operator returns the type of its left operand."""
+    lv, dv = LatticeVector([1, 2]), DualVector([1, 2])
+    assert lv != dv and dv != lv
+    assert not isinstance(lv, DualVector) and not isinstance(dv, LatticeVector)
+    assert type(lv + lv) is LatticeVector and (lv + lv).coeffs == (2, 4)
+    assert type(lv - lv) is LatticeVector and type(-lv) is LatticeVector
+    assert type(3 * lv) is LatticeVector and (3 * lv).coeffs == (3, 6)
+    half = DualVector([Fraction(1, 2), 1])
+    assert type(half + lv) is DualVector and (half + lv).coeffs == (Fraction(3, 2), 3)
+    assert type(half + (1, 1)) is DualVector and (half - (1, 1)).coeffs == (Fraction(-1, 2), 0)
+    assert type(-half) is DualVector and (Fraction(2) * half).coeffs == (1, 2)
+    assert repr(lv) == "LatticeVector([1, 2])"
+    assert repr(half) == "DualVector(['1/2', '1'])"
+    assert hash(lv) == hash(lv.coeffs) and hash(half) == hash(half.coeffs)
+    assert lv <= LatticeVector([1, 3]) and LatticeVector([2, 2]) >= lv
+    with pytest.raises(TypeError):
+        half <= half
+    assert list(lv) == [1, 2] and len(half) == 2 and half[0] == Fraction(1, 2)
+
+
+def test_lattice_vector_refuses_non_integers():
+    """A lattice vector refuses a coefficient that is not an integer,
+    naming its position and value, and converts an integral one of any
+    type; an operator with a rational right operand goes through the same
+    check."""
+    with pytest.raises(ValueError, match=r"coefficient 0 .* Fraction\(1, 2\), not an integer"):
+        LatticeVector([Fraction(1, 2)])
+    with pytest.raises(ValueError, match=r"coefficient 1 .* 2\.5, not an integer"):
+        LatticeVector([1, 2.5])
+    with pytest.raises(ValueError, match=r"coefficient 0 .* Fraction\(3, 2\)"):
+        LatticeVector([1, 2]) + DualVector([Fraction(1, 2), 1])
+    with pytest.raises(ValueError, match="coefficient 1"):
+        Fraction(1, 2) * LatticeVector([2, 3])
+    v = LatticeVector([np.int64(3), Fraction(4, 2), 5])
+    assert v.coeffs == (3, 2, 5) and all(type(c) is int for c in v)
+    assert LatticeVector([1, 2]) + DualVector([1, 1]) == LatticeVector([2, 3])
+    assert Fraction(1, 2) * LatticeVector([2, 4]) == LatticeVector([1, 2])
+
+
+def test_blow_up_invalid_sites():
+    """Each bad site raises InvalidSite with its own message: an edge site
+    with an unknown end, a pair of vertices that is no edge, and a label
+    that is neither."""
+    chain = build_graph([(0, -2), (1, -2), (2, -2)], [(0, 1), (1, 2)])
+    for site, message in (((0, 9), "edge site (0, 9) references unknown vertex"),
+                          ([7, 1], "edge site [7, 1] references unknown vertex"),
+                          ((0, 2), "no edge between 0 and 2"),
+                          ((1, 1), "no edge between 1 and 1"),
+                          (9, "site 9 is neither a vertex label nor an edge"),
+                          ((0, 1, 2), "site (0, 1, 2) is neither a vertex label nor an edge")):
+        with pytest.raises(InvalidSite, match=re.escape(message)):
+            blow_up(chain, site)
+
+
+def test_pairing_is_dense_form(rng):
+    """(y, x) equals the dense y^T B x on random trees, for integer and
+    rational y."""
+    for _ in range(40):
+        g = random_small_tree(rng)
+        B = g.form.B
+        x = LatticeVector([rng.randint(-3, 3) for _ in range(g.s)])
+        for y in (LatticeVector([rng.randint(-3, 3) for _ in range(g.s)]),
+                  DualVector([Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+                              for _ in range(g.s)])):
+            dense = sum(y[i] * B[i][j] * x[j] for i in range(g.s) for j in range(g.s))
+            assert g.pairing(y, x) == dense
+
+
+def test_pairing_refuses_wrong_lengths():
+    """A vector with more or fewer coefficients than the graph has vertices
+    raises ValueError in pairings, in either slot of pairing and in chi_k,
+    instead of being cut or padded."""
+    g = build_graph([(0, -2), (1, -2), (2, -2)], [(0, 1), (1, 2)])
+    K = canonical_class(g)
+    for bad in ((1, 1), (1, 1, 1, 9)):
+        with pytest.raises(ValueError, match="coefficients for a graph of 3 vertices"):
+            g.pairings(bad)
+        with pytest.raises(ValueError):
+            g.pairing((1, 0, 1), bad)
+        with pytest.raises(ValueError):
+            g.pairing(bad, (1, 0, 1))
+        with pytest.raises(ValueError):
+            chi_k(g, K, bad)
 
 
 def test_k_squared_plus_s_examples():

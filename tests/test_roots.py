@@ -167,6 +167,18 @@ def test_equality_is_structural():
     assert module_of_root(relabeled) == module_of_root(r)
 
 
+def test_deep_roots_compare_and_hash():
+    """Two branches that span 3 000 levels: the flat key compares and
+    hashes them without recursion, and tells a one-level difference in a
+    minimum apart."""
+    deep, shallower = root_from_tau([0, 3000, 0]), root_from_tau([0, 3000, 1])
+    assert deep != shallower
+    assert deep == root_from_tau([0, 3000, 0])
+    assert hash(deep) == hash(root_from_tau([0, 3000, 0]))
+    assert isinstance(hash(shallower), int)
+    assert module_of_root(deep) != module_of_root(shallower)
+
+
 def test_truncate_and_pad():
     r = root_from_tau(TauFunction(R1_TAU))
     cut = r.truncate(-1)

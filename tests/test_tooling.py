@@ -134,26 +134,59 @@ def test_no_coverage_pragmas():
     assert not found, f"pragma comments in the package: {found}"
 
 
-def _unproved_int32_casts(sources):
-    """The uses of ``<module>.int32`` in ``sources`` (file name -> source
-    text) whose innermost enclosing function has no docstring stating
-    "2^31", as "file:line in function" ("<module>" outside any function).
-    numpy wraps int32 silently, so each such function states why its
-    values stay below 2^31."""
+def _unproved_casts(sources, is_cast, bounds):
+    """The nodes of ``sources`` (file name -> source text) for which
+    ``is_cast`` holds and whose innermost enclosing function has no
+    docstring stating one of ``bounds``, as "file:line in function"
+    ("<module>" outside any function)."""
     found = []
 
     def visit(module, node, where, proved):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(module, child, child.name, "2^31" in (ast.get_docstring(child) or ""))
+                doc = ast.get_docstring(child) or ""
+                visit(module, child, child.name, any(b in doc for b in bounds))
             else:
-                if isinstance(child, ast.Attribute) and child.attr == "int32" and not proved:
+                if is_cast(child) and not proved:
                     found.append(f"{module}:{child.lineno} in {where}")
                 visit(module, child, where, proved)
 
     for module, text in sources.items():
         visit(module, ast.parse(text, filename=module), "<module>", False)
     return found
+
+
+def _unproved_int32_casts(sources):
+    """The uses of ``<module>.int32`` in ``sources`` outside a function
+    whose docstring states "2^31".  numpy wraps int32 silently, so each
+    such function states why its values stay below 2^31."""
+    return _unproved_casts(sources, lambda node: isinstance(node, ast.Attribute)
+                           and node.attr == "int32", ("2^31",))
+
+
+def _is_int64_cast(node):
+    """A use of ``<module>.int64``, or an ``.astype(dtype)`` call to an
+    integer dtype: any dtype but a float type, an int32 (which the int32
+    scan covers), an int64 (flagged as itself) or a call of _int_dtype,
+    whose own docstring states its 2^62 bound."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "int64"
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "astype" and node.args):
+        return False
+    dtype = node.args[0]
+    if isinstance(dtype, ast.Call):
+        dtype = dtype.func
+    name = getattr(dtype, "attr", getattr(dtype, "id", ""))
+    return not (name.startswith(("float", "longdouble")) or name in ("int32", "int64", "_int_dtype"))
+
+
+def _unproved_int64_casts(sources):
+    """The int64 casts of ``sources`` (see _is_int64_cast) outside a
+    function whose docstring states "2^62" or "2^63".  numpy wraps int64
+    arithmetic silently, so each such function states why its values stay
+    below the bound."""
+    return _unproved_casts(sources, _is_int64_cast, ("2^62", "2^63"))
 
 
 def test_int32_casts_state_their_bound():
@@ -200,6 +233,62 @@ def test_int32_scan_finds_unproved_casts():
     found = _unproved_int32_casts({"ids.py": INT32})
     assert [f.split(" in ")[1] for f in found] == ["<module>", "inner", "unproved", "silent"]
     assert all(f.startswith("ids.py:") for f in found)
+
+
+def test_int64_casts_state_their_bound():
+    """Every np.int64 and integer .astype of the package sits in a function
+    whose docstring states its 2^62 or 2^63 bound; see
+    _unproved_int64_casts."""
+    sources = {}
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name)) as f:
+                sources[name] = f.read()
+    assert "np.int64" in sources["oracle.py"] and ".astype(dtype)" in sources["oracle.py"]
+    found = _unproved_int64_casts(sources)
+    assert not found, f"int64 casts without a stated 2^62 or 2^63 bound: {found}"
+
+
+INT64 = """
+import numpy as np
+
+from .spinc import _int_dtype
+
+STEPS = np.arange(4, dtype=np.int64)
+
+
+def proved(x, n):
+    '''Values below 2^62, checked by the caller.'''
+    def inner(y):
+        return y.astype(np.uint16)
+    return x.astype(np.int64), np.zeros(n, dtype=np.int64), inner
+
+
+def wide(x):
+    '''Sums of two stay below 2^63.'''
+    return x.astype(np.min_scalar_type(int(x.max())))
+
+
+def unproved(x, dtype):
+    '''Widens x.'''
+    return x.astype(dtype)
+
+
+def silent(x, b):
+    return x.astype(int), x.astype(np.int32), x.astype(float), x.astype(_int_dtype(b))
+"""
+
+
+def test_int64_scan_finds_unproved_casts():
+    """The scan flags an int64 at module level, an unsigned .astype in a
+    nested function (which does not inherit its parent's docstring), an
+    .astype to a dtype variable under a docstring without a bound and one
+    to the builtin int in a function without a docstring; it passes casts
+    under a 2^62 or 2^63 docstring, a float cast, an int32 cast (the int32
+    scan's) and a dtype of _int_dtype."""
+    found = _unproved_int64_casts({"wide.py": INT64})
+    assert [f.split(" in ")[1] for f in found] == ["<module>", "inner", "unproved", "silent"]
+    assert all(f.startswith("wide.py:") for f in found)
 
 
 def test_torsion_limit_loops_are_integer():
@@ -309,8 +398,8 @@ def test_every_definition_has_a_caller():
 CLASS_API = {
     "ZUModule": ("pretty",),                      # the README example prints it
     "LensInvariants": ("lam", "sw_tcw"),          # the record lens_invariants returns
-    "LatticeVector": ("__add__", "__sub__", "__neg__", "__rmul__", "__le__", "__ge__"),
-    "DualVector": ("__add__", "__sub__", "__neg__", "__rmul__"),
+    "_Coefficients": ("__add__", "__sub__", "__neg__", "__rmul__"),
+    "LatticeVector": ("__le__", "__ge__"),
     "PlumbingGraph": ("dual_from_pairings",),     # the dual vector of a k_r (README)
 }
 
