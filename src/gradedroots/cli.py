@@ -147,6 +147,16 @@ def _emit(fmt, header, rows, payload, preamble):
 # analyze / root
 
 
+def _ratio_strings(nums, den):
+    """Each of the Python integers ``nums`` over ``den`` > 0 as a reduced
+    ratio string, as ``roots._fmt_q`` prints it, from one
+    :func:`roots._fmt_ratios` call.  np.gcd and // make nothing larger in
+    magnitude than the largest |num| and den, so that bound picks the
+    dtype: int64 below 2^62, else object (``spinc._int_dtype``)."""
+    bound = max(den, max(map(abs, nums), default=0))
+    return _fmt_ratios(np.array(nums, dtype=spinc._int_dtype(bound)), den)
+
+
 def cmd_analyze(args):
     graph = _load_graph(args.graph)
     select = _orbit_filter(args.orbits, graph.form.order)
@@ -158,13 +168,23 @@ def cmd_analyze(args):
         return 2
     cls, reports = engine.analyze_all(graph, cls)
     chosen = select(reports)
+    # each column from its integer numerators over 4|H| (see engine.ARReport);
+    # 8|H| sw_osz = 8|H| rank_red - 4|H| d and the tower starts in degree -d
+    den = 4 * graph.form.order
+    l_prime = spinc.l_prime_strings(graph, [r.orbit for r in chosen])
+    d = _ratio_strings([r.d_num for r in chosen], den)
+    sw_osz = _ratio_strings([2 * den * r.rank_red - r.d_num for r in chosen], 2 * den)
+    tower = _ratio_strings([-r.d_num for r in chosen], den)
+    finite = iter(_ratio_strings([a for r in chosen for a, _ in r.towers], den))
     orbits = []
-    for r, l_prime in zip(chosen, spinc.l_prime_strings(graph, [r.orbit for r in chosen])):
-        entry = r.to_json(l_prime)
+    for i, r in enumerate(chosen):
         # orbits are rendered both as b-coordinates and pairing vectors
-        entry["l_prime_pairings"] = list(r.orbit.pairings)
-        entry["module"] = r.module.to_json()
-        orbits.append(entry)
+        orbits.append({"orbit": r.orbit.orbit_index, "l_prime": l_prime[i], "d": d[i],
+                       "rank_red": r.rank_red, "chi_hf": r.rank_red, "sw_osz": sw_osz[i],
+                       "tau": list(r.tau.values), "certified": r.certified,
+                       "l_prime_pairings": list(r.orbit.pairings),
+                       "module": {"tower": tower[i],
+                                  "finite": [[next(finite), n] for _, n in r.towers]}})
     k2s, lam = _fmt_q(k_squared_plus_s(graph)), _fmt_q(casson_walker(graph))
     payload = {"classification": cls.describe(), "k2_plus_s": k2s,
                "casson_walker": lam, "orbits": orbits}

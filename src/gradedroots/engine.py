@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .plumbing import InvariantViolated, LatticeVector, laufer_ascent
-from .roots import (TauFunction, descent_prefix, module_of_root, root_from_tau,
-                    tau_invariants)
+from .roots import (TauFunction, ZUModule, descent_prefix, root_from_tau, tau_invariants,
+                    tau_towers)
 from .spinc import SpincOrbit, _orbit_from, enumerate_spinc
 
 DEFAULT_AR_DECREMENT_CAP = 64
@@ -133,7 +133,7 @@ def classify(graph, max_decrements=DEFAULT_AR_DECREMENT_CAP):
                         return Classification(kind="almost-rational", j0=j0, e_prime=e_mod)
                     t = tau(graph, j0, canonical_orbit_data(graph))
                     return Classification(kind="weakly-elliptic", j0=j0, e_prime=e_mod,
-                                          l=tau_invariants(t.values, 0)[1])
+                                          l=tau_invariants(t.values, 0, 1)[1])
                 break
         e[j0] = graph.e[j0]
     return Classification(kind="not-ar-certified", bound=max_decrements)
@@ -202,61 +202,80 @@ def tau(graph, j0, orbit):
 
 @dataclass(frozen=True)
 class ARReport:
-    """Everything the engine knows about one spin^c orbit."""
+    """Everything the engine knows about one spin^c orbit, in integers.
+
+    With |H| = ``orbit.order`` and shift = |H| (k_r^2 + s):
+    * ``d_num`` = 4 |H| d(M, [k]) = shift - 8 |H| min tau,
+    * ``towers``: the finite towers of HF+(-M, [k]) as pairs
+      (4 |H| degree, length), in increasing order; the tower T+ starts in
+      degree -d.
+    chi(HF+(-M, [k])) = ``rank_red``, since the odd part vanishes; ``tau``
+    is whole.  The ``Fraction`` views ``kr2s``, ``d``, ``sw_osz`` and
+    ``module`` and the graded ``root`` are built on each read."""
 
     orbit: SpincOrbit
     tau: TauFunction
-    root: object            # GradedRoot, relative grading chi_{k_r}
-    module: object          # ZUModule, absolutely graded (for -M)
-    kr2s: Fraction          # k_r^2 + s
-    d: Fraction             # d(M, [k]) = (k_r^2+s)/4 - 2 min tau
     min_tau: int
     rank_red: int
-    chi_hf: int             # chi(HF+(-M, [k])) = rank_red (odd part = 0)
-    sw_osz: Fraction        # chi_hf - d/2
+    d_num: int
+    towers: tuple
 
     @property
     def certified(self):
         return self.tau.certified
 
-    def to_json(self, l_prime):
-        """The JSON record, with l'_[k] given as its ratio strings
-        (:func:`spinc.l_prime_strings` formats a whole graph at once)."""
-        from .roots import _fmt_q
-        return {"orbit": self.orbit.orbit_index,
-                "l_prime": l_prime,
-                "d": _fmt_q(self.d),
-                "rank_red": self.rank_red,
-                "chi_hf": self.chi_hf,
-                "sw_osz": _fmt_q(self.sw_osz),
-                "tau": list(self.tau.values),
-                "certified": self.certified}
+    @property
+    def kr2s(self):
+        """k_r^2 + s."""
+        return self.orbit.kr2s
+
+    @property
+    def d(self):
+        """d(M, [k]) = (k_r^2 + s)/4 - 2 min tau."""
+        return Fraction(self.d_num, 4 * self.orbit.order)
+
+    @property
+    def sw_osz(self):
+        """chi(HF+) - d/2."""
+        return self.rank_red - self.d / 2
+
+    @property
+    def module(self):
+        """HF+(-M, [k]) as a ZUModule, absolutely graded."""
+        den = 4 * self.orbit.order
+        return ZUModule(Fraction(-self.d_num, den),
+                        tuple((Fraction(a, den), n) for a, n in self.towers))
+
+    @property
+    def root(self):
+        """The graded root R_tau, relative grading chi_{k_r}: the certified
+        root, built from tau up to one past its last strict descent
+        (:func:`roots.descent_prefix`)."""
+        return root_from_tau(descent_prefix(self.tau.values))
 
 
 def analyze_orbit(graph, orbit, classification=None):
-    """Full invariant package for one orbit of an AR graph.
-
-    The module carries the absolute grading of HF+(-M, [k]), i.e. the
-    relative one shifted by -(k_r^2 + s)/4; its tower then starts in
-    degree -d(M, [k]).  The root is built from tau up to one past its last
-    strict descent (:func:`roots.descent_prefix`), the same certified
-    root; the report keeps the whole tau."""
+    """Full invariant package for one orbit of an AR graph, in integers
+    (see :class:`ARReport`): min tau, rank_red and 4 |H| d by the closed
+    form of :func:`roots.tau_invariants`, with shift = |H| (k_r^2 + s) =
+    ``kr2_num`` + s |H|, and the towers of H(R_tau) by
+    :func:`roots.tau_towers` on tau up to one past its last strict
+    descent, T[2b](n) moved to degree (8 |H| b - shift) / 4 |H|.  The
+    closed-form rank and the towers' total length are computed apart, and
+    a mismatch raises InvariantViolated.  No root is built."""
     cls = classification or classify(graph)
     if not cls.is_ar():
         raise NotAR(cls.describe())
     t = tau(graph, cls.j0, orbit)
-    root = root_from_tau(descent_prefix(t.values))
-    kr2s = orbit.kr2s
-    min_tau, rank_red, d = tau_invariants(t.values, kr2s)
-    module = module_of_root(root).shifted(-Fraction(kr2s, 4))
-    if module.rank_reduced() != rank_red:
-        raise InvariantViolated(f"Cor-2.10 rank {rank_red} != module rank "
-                                f"{module.rank_reduced()}")
-    chi_hf = rank_red
-    return ARReport(orbit=orbit, tau=t, root=root, module=module,
-                    kr2s=Fraction(kr2s), d=d, min_tau=min_tau,
-                    rank_red=rank_red, chi_hf=chi_hf,
-                    sw_osz=chi_hf - d / 2)
+    order = orbit.order
+    shift = orbit.kr2_num + graph.s * order
+    min_tau, rank_red, d_num = tau_invariants(t.values, shift, order)
+    towers = tuple((4 * order * a - shift, n) for a, n in tau_towers(descent_prefix(t.values)))
+    rank = sum(n for _, n in towers)
+    if rank != rank_red:
+        raise InvariantViolated(f"Cor-2.10 rank {rank_red} != module rank {rank}")
+    return ARReport(orbit=orbit, tau=t, min_tau=min_tau, rank_red=rank_red,
+                    d_num=d_num, towers=towers)
 
 
 def analyze_all(graph, classification=None):

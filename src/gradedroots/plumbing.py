@@ -65,7 +65,8 @@ class InvariantViolated(AssertionError):
 class _Coefficients:
     """Coefficients in the basis {b_j}, the body of both vector types: equal
     only within one type, and each operator returns its left operand's type,
-    reading the other operand through :func:`_coeffs`."""
+    reading the other operand through :func:`_coeffs`.  Operands of unequal
+    length raise ValueError (``zip(strict=True)``)."""
 
     __slots__ = ("coeffs",)
 
@@ -85,10 +86,10 @@ class _Coefficients:
         return type(other) is type(self) and self.coeffs == other.coeffs
 
     def __add__(self, other):
-        return type(self)(a + b for a, b in zip(self.coeffs, _coeffs(other)))
+        return type(self)(a + b for a, b in zip(self.coeffs, _coeffs(other), strict=True))
 
     def __sub__(self, other):
-        return type(self)(a - b for a, b in zip(self.coeffs, _coeffs(other)))
+        return type(self)(a - b for a, b in zip(self.coeffs, _coeffs(other), strict=True))
 
     def __neg__(self):
         return type(self)(-a for a in self.coeffs)
@@ -112,11 +113,13 @@ class LatticeVector(_Coefficients):
             j, c = next((j, c) for j, (n, c) in enumerate(zip(self.coeffs, coeffs)) if n != c)
             raise ValueError(f"coefficient {j} of a lattice vector is {c!r}, not an integer")
 
+    # a list, not a generator: all() stops at the first False, and a
+    # length mismatch past it would go unseen
     def __le__(self, other):
-        return all(a <= b for a, b in zip(self.coeffs, other.coeffs))
+        return all([a <= b for a, b in zip(self.coeffs, other.coeffs, strict=True)])
 
     def __ge__(self, other):
-        return all(a >= b for a, b in zip(self.coeffs, other.coeffs))
+        return all([a >= b for a, b in zip(self.coeffs, other.coeffs, strict=True)])
 
     def __repr__(self):
         return f"LatticeVector({list(self.coeffs)})"

@@ -34,7 +34,9 @@ The module H(R, chi) is one tower T+[2 min chi] plus a finite tower
 T[2*chi(v)](chi(w) - chi(v)) for each other local minimum v, where w is the
 vertex at which the component of v meets an older one (the elder rule).
 :func:`module_of_root` and :meth:`GradedRoot.canonical_key` each read the
-parent array in one pass up the levels.
+parent array in one pass up the levels.  For a tau function the same
+towers come straight off the path (:func:`tau_towers`), with no root built:
+the engine's reports read them there.
 """
 
 from __future__ import annotations
@@ -526,10 +528,6 @@ class ZUModule:
         parts += [f"T[{_fmt_q(a)}]({n})" for a, n in self.finite]
         return " (+) ".join(parts)
 
-    def to_json(self):
-        return {"tower": _fmt_q(self.tower_degree),
-                "finite": [[_fmt_q(a), n] for a, n in self.finite]}
-
 
 def module_of_root(root):
     """H(R, chi) by the elder rule, in one pass up the levels: each vertex
@@ -554,16 +552,45 @@ def module_of_root(root):
     return ZUModule(2 * root.min_chi(), tuple(finite))
 
 
-def tau_invariants(values, kr2s):
-    """(min tau, rank_red, d) of the tau function ``values`` (Cor. 2.10):
+def tau_towers(values):
+    """The finite towers of H(R_tau) for the tau function ``values``, the
+    towers of :func:`module_of_root` of :func:`root_from_tau`, read off the
+    path by the elder rule with no root built: sorted integer pairs
+    (2b, w - b), one per T[2b](w - b); T+[2 min tau] is the run that never
+    ends.  The runs of indices with tau <= n are intervals, each known by
+    its ends: ``start`` holds the left end of the run ending at an index,
+    ``end`` the right end of the run starting at one, ``born`` that run's
+    lowest tau.  Link i, of level w = max(tau(i), tau(i+1)), joins the run
+    ending at i to the one starting at i+1; links enter in level order,
+    and of the two runs, born at b1 <= b2, the younger ends when w > b2
+    (at w = b2 it is no local minimum).  Which of two equal births ends
+    does not change the pairs."""
+    levels = list(map(max, values, values[1:]))
+    start, end, born = list(range(len(values))), list(range(len(values))), list(values)
+    towers = []
+    for i in sorted(range(len(levels)), key=levels.__getitem__):
+        w, lo, hi = levels[i], start[i], end[i + 1]
+        b1, b2 = born[lo], born[i + 1]
+        if b1 > b2:
+            b1, b2 = b2, b1
+        if w > b2:
+            towers.append((2 * b2, w - b2))
+        born[lo], start[hi], end[lo] = b1, lo, hi
+    towers.sort()
+    return towers
+
+
+def tau_invariants(values, shift, order):
+    """(min tau, rank_red, 4 |H| d) of the tau function ``values``
+    (Cor. 2.10), with k_r^2 + s = ``shift`` / ``order`` (|H| = ``order``):
 
         rank_red = -tau(0) + min tau + sum_i max(tau(i) - tau(i+1), 0),
-        d = (k_r^2 + s)/4 - 2 min tau,  with ``kr2s`` = k_r^2 + s.
+        d = (k_r^2 + s)/4 - 2 min tau,  so 4 |H| d = shift - 8 |H| min tau.
 
-    rank_red is an int and d a Fraction."""
+    All three are integers."""
     m = min(values)
     drops = sum(max(a - b, 0) for a, b in zip(values, values[1:]))
-    return m, -values[0] + m + drops, Fraction(kr2s) / 4 - 2 * m
+    return m, -values[0] + m + drops, shift - 8 * order * m
 
 
 def rank_red_from_tau(tau):
@@ -574,7 +601,7 @@ def rank_red_from_tau(tau):
     """
     if not isinstance(tau, TauFunction):
         tau = TauFunction(tuple(tau), certified=True)
-    m, rank, _ = tau_invariants(tau.values, 0)
+    m, rank, _ = tau_invariants(tau.values, 0, 1)
     return (rank, m)
 
 

@@ -507,10 +507,11 @@ def seifert_orbit(data, sp, k2s):
     chi_l = seifert_chi_lprime(data, sp)
     kr2s = k2s - 8 * chi_l
     tau_f = seifert_tau(data, sp)
-    min_tau, rank_red, d = tau_invariants(tau_f.values, kr2s)
+    q = Fraction(kr2s)
+    min_tau, rank_red, d_num = tau_invariants(tau_f.values, q.numerator, q.denominator)
     limit = seifert_torsion_limit(data, sp)
     return SeifertOrbit(chi_lprime=chi_l, kr2s=kr2s, tau=tau_f, min_tau=min_tau,
-                        rank_red=rank_red, d=d, limit=limit,
+                        rank_red=rank_red, d=Fraction(d_num, 4 * q.denominator), limit=limit,
                         torsion=limit + rank_red - min_tau)
 
 

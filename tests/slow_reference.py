@@ -10,9 +10,9 @@ Fraction Dedekind sum and Casson-Walker chain formula, the per-space lens
 sweep, the per-term numeric Seifert torsion limit, the Bareiss
 elimination and the Fraction inverse read off it, the mpmath Fourier sum,
 the sorting lattice edges, the union-find merge tree, the per-orbit
-spin^c records, and the greedy module and depth-first key of a graded root
-below are the independent slow paths those are checked
-against; nothing in the package calls them.
+spin^c records, the greedy module and depth-first key of a graded root
+and the row-by-row ``analyze`` report below are the independent slow
+paths those are checked against; nothing in the package calls them.
 """
 
 from __future__ import annotations
@@ -24,13 +24,15 @@ from fractions import Fraction
 
 import numpy as np
 
+from gradedroots import engine, plumbing
 from gradedroots import lens as lens_mod
 from gradedroots.lens import (FOURIER_TOL, LensIdentityError, LensSpace, NotCoprime,
                               RangeError, spinc_coeffs, torsion_fourier_all)
 from gradedroots.plumbing import (LatticeVector, NotNegativeDefinite, _coeffs, canonical_class,
                                   characteristic_from_pairings, laufer_ascent)
-from gradedroots.roots import ZUModule, level_sweep, merge_tree
-from gradedroots.spinc import _integral_pairings, smith_decompose, smith_normal_form
+from gradedroots.roots import ZUModule, _fmt_q, level_sweep, merge_tree, root_from_tau
+from gradedroots.spinc import (_integral_pairings, enumerate_spinc, smith_decompose,
+                               smith_normal_form)
 
 
 # ---------------------------------------------------------------------------
@@ -656,3 +658,34 @@ def canonical_key_dfs(root):
         levels.append(tuple(sorted(tuple(sorted(rank[enc[k]] for k in kids[v])) for v in on)))
         rank = {e: n for n, e in enumerate(sorted({enc[v] for v in on}))}
     return (root.truncated, root.top_level, tuple(levels))
+
+
+# ---------------------------------------------------------------------------
+# the analyze report, row by row
+
+
+def analyze_payload(graph):
+    """The ``analyze --format json`` payload of an AR graph, rendered orbit
+    by orbit in Fraction arithmetic: the engine's tau, the whole of it,
+    gives the root R_tau, whose greedy module shifted by -(k_r^2 + s)/4 is
+    HF+(-M, [k]); d = (k_r^2 + s)/4 - 2 min tau, rank_red is the module's
+    length, and every rational goes through ``_fmt_q``.  The reference for
+    ``cli.cmd_analyze``, which prints each column from integer numerators."""
+    cls = engine.classify(graph)
+    orbits = []
+    for orb in enumerate_spinc(graph):
+        tau = engine.tau(graph, cls.j0, orb)
+        kr2s = Fraction(orb.kr2_num, orb.order) + graph.s
+        module = module_of_root_greedy(root_from_tau(tau)).shifted(-kr2s / 4)
+        d = kr2s / 4 - 2 * tau.min()
+        rank = module.rank_reduced()
+        orbits.append({"orbit": orb.orbit_index,
+                       "l_prime": [_fmt_q(c) for c in orb.l_prime_min],
+                       "d": _fmt_q(d), "rank_red": rank, "chi_hf": rank,
+                       "sw_osz": _fmt_q(rank - d / 2), "tau": list(tau.values),
+                       "certified": tau.certified, "l_prime_pairings": list(orb.pairings),
+                       "module": {"tower": _fmt_q(module.tower_degree),
+                                  "finite": [[_fmt_q(a), n] for a, n in module.finite]}})
+    return {"classification": cls.describe(),
+            "k2_plus_s": _fmt_q(plumbing.k_squared_plus_s(graph)),
+            "casson_walker": _fmt_q(plumbing.casson_walker(graph)), "orbits": orbits}

@@ -218,6 +218,65 @@ def test_lens_table_json_matches_slow_rendering(p, rng):
         assert out == json.dumps(rows, indent=2) + "\n", (p, q)
 
 
+def test_analyze_json_matches_slow_rendering(tmp_path, rng):
+    """`analyze --format json`, printed from integer numerators, equals the
+    row-by-row Fraction rendering of slow_reference.analyze_payload (root
+    R_tau, its greedy module, _fmt_q), on eight seeded random stars with
+    |H| <= 600."""
+    from slow_reference import analyze_payload
+    stars = []
+    while len(stars) < 8:
+        g = random_star(rng, max_leg_len=3)
+        if g.form.order <= 600:
+            stars.append(g)
+    for i, g in enumerate(stars):
+        path = tmp_path / f"star{i}.json"
+        path.write_text(json.dumps(g.to_json()))
+        code, out, _ = run_cli(["analyze", str(path), "--format", "json"])
+        assert code == 0
+        assert out == json.dumps(analyze_payload(g), indent=2) + "\n", g.to_json()
+
+
+def test_ratio_strings_match_fmt_q(rng):
+    """cli._ratio_strings prints each numerator over den as _fmt_q does, in
+    int64 and, past 2^62 in a numerator or in den, in object integers."""
+    from fractions import Fraction
+    from gradedroots.cli import _ratio_strings
+    from gradedroots.roots import _fmt_q
+    for _ in range(200):
+        bits = rng.choice((8, 40, 61, 62, 63, 90))
+        den = rng.randint(1, 1 << rng.choice((4, 20, 61, 62, 64)))
+        nums = [rng.randint(-(1 << bits), 1 << bits) for _ in range(rng.randint(0, 6))]
+        assert _ratio_strings(nums, den) == [_fmt_q(Fraction(n, den)) for n in nums]
+
+
+def test_analyze_builds_no_root(tmp_path, monkeypatch):
+    """`analyze` reads every report off tau and builds no graded root: no
+    roots.merge_tree call over the golden graphs, where `root` makes one
+    per orbit."""
+    from gradedroots import roots
+    calls = []
+    merge_tree = roots.merge_tree
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return merge_tree(*args, **kwargs)
+
+    monkeypatch.setattr(roots, "merge_tree", counted)
+    graphs = ("e8", "sigma237", "star5", "star51")
+    for name in graphs:
+        for fmt in ("table", "json", "csv"):
+            code, _, _ = run_cli(["analyze", os.path.join(GOLDEN, f"{name}.json"),
+                                  "--format", fmt])
+            assert code == 0
+    assert not calls
+    for name in graphs:
+        code, _, _ = run_cli(["root", os.path.join(GOLDEN, f"{name}.json"),
+                              "-o", str(tmp_path / name)])
+        assert code == 0
+    assert len(calls) == len(list(tmp_path.glob("*_orbit*.dot"))) > 0
+
+
 def test_seifert_command():
     code, out, _ = run_cli(["seifert", "--e0", "-1", "--leg", "2/1",
                             "--leg", "3/1", "--leg", "7/1", "--format", "json"])

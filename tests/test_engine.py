@@ -1,4 +1,7 @@
+import contextlib
+import io
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -12,9 +15,11 @@ from conftest import (e8_graph, fraction_inverse, non_ar_graph_a, non_ar_graph_b
                       random_star, remark56_graph)
 from gradedroots import engine, oracle, spinc
 from gradedroots.plumbing import (LatticeVector, PlumbingGraph, build_graph,
-                                  canonical_class, chi_k, k_squared_plus_s)
+                                  canonical_class, chi_k, graph_from_json, k_squared_plus_s)
 from gradedroots.roots import module_of_root, ray_root, root_from_tau
 from gradedroots.seifert import brieskorn
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def test_fundamental_cycle_single_vertex():
@@ -369,26 +374,58 @@ def test_engine_root_multiset_blowup_invariant():
             assert before == after
 
 
-def test_report_json_schema():
+def test_report_json_schema(tmp_path):
+    """The orbit records of `analyze --format json` carry the report's
+    fields as strings, ints and bools, and agree with its Fraction views."""
+    from gradedroots.cli import main
+    from gradedroots.roots import _fmt_q
     g = remark56_graph()
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(g.to_json()))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["analyze", str(path), "--format", "json"]) == 0
     _, reports = engine.analyze_all(g)
-    (l_prime,) = spinc.l_prime_strings(g, [reports[0].orbit])
-    js = reports[0].to_json(l_prime)
-    assert set(js) == {"orbit", "l_prime", "d", "rank_red", "chi_hf",
-                       "sw_osz", "tau", "certified"}
-    assert isinstance(js["d"], str) and isinstance(js["certified"], bool)
+    for js, rep in zip(json.loads(out.getvalue())["orbits"], reports, strict=True):
+        assert set(js) == {"orbit", "l_prime", "d", "rank_red", "chi_hf", "sw_osz", "tau",
+                           "certified", "l_prime_pairings", "module"}
+        assert isinstance(js["d"], str) and isinstance(js["certified"], bool)
+        assert (js["d"], js["sw_osz"], js["rank_red"]) == (_fmt_q(rep.d), _fmt_q(rep.sw_osz),
+                                                           rep.rank_red)
+        assert js["module"] == {"tower": _fmt_q(rep.module.tower_degree),
+                                "finite": [[_fmt_q(a), n] for a, n in rep.module.finite]}
+
+
+def test_report_module_matches_root(rng):
+    """The report's module, read off tau in integers, is the root's module
+    shifted by -(k_r^2 + s)/4, with the tower in degree -d, on every orbit
+    of the golden graphs and of six seeded random stars with |H| <= 600."""
+    graphs = []
+    for name in ("e8", "sigma237", "star5", "star51"):
+        with open(os.path.join(GOLDEN, f"{name}.json")) as f:
+            graphs.append(graph_from_json(f.read()))
+    while len(graphs) < 10:
+        g = random_star(rng, max_leg_len=3)
+        if g.form.order <= 600:
+            graphs.append(g)
+    for g in graphs:
+        _, reports = engine.analyze_all(g)
+        for rep in reports:
+            expect = module_of_root(root_from_tau(rep.tau)).shifted(-rep.kr2s / 4)
+            assert rep.module == expect
+            assert rep.module.tower_degree == -rep.d
+            assert rep.module.rank_reduced() == rep.rank_red
+            assert rep.sw_osz == rep.rank_red - rep.d / 2
 
 
 def test_rank_check_survives_optimize():
-    """Under python -O a module whose rank disagrees with the Cor-2.10 rank
-    still raises InvariantViolated."""
+    """Under python -O towers read off tau (roots.tau_towers) whose total
+    length disagrees with the Cor-2.10 rank still raise InvariantViolated."""
     snippet = """
-from fractions import Fraction
 from gradedroots import build_graph, engine, spinc
 from gradedroots.plumbing import InvariantViolated
-from gradedroots.roots import ZUModule
 g = build_graph([(0, -2)], [])
-engine.module_of_root = lambda root: ZUModule(Fraction(0), ((Fraction(0), 1),))
+engine.tau_towers = lambda values: [(0, 1)]
 try:
     engine.analyze_orbit(g, spinc.enumerate_spinc(g)[0])
 except InvariantViolated:

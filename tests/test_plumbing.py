@@ -391,6 +391,28 @@ def test_vector_types_and_operators():
     assert list(lv) == [1, 2] and len(half) == 2 and half[0] == Fraction(1, 2)
 
 
+def test_vector_operators_refuse_length_mismatch():
+    """+, - and the componentwise order refuse operands of unequal length,
+    where they used to cut the longer one: LatticeVector([1, 2]) +
+    LatticeVector([5]) was LatticeVector([6]).  The order raises even when
+    a first coordinate already decides it."""
+    lv, short = LatticeVector([1, 2]), LatticeVector([5])
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a <= b,
+               lambda a, b: a >= b):
+        for a, b in ((lv, short), (short, lv)):
+            with pytest.raises(ValueError):
+                op(a, b)
+    with pytest.raises(ValueError):
+        lv <= LatticeVector([0])
+    with pytest.raises(ValueError):
+        lv >= LatticeVector([9])
+    with pytest.raises(ValueError):
+        lv + (1, 1, 1)
+    with pytest.raises(ValueError):
+        DualVector([Fraction(1, 2)]) - lv
+    assert lv + (1, 1) == LatticeVector([2, 3]) and lv - lv == LatticeVector([0, 0])
+
+
 def test_lattice_vector_refuses_non_integers():
     """A lattice vector refuses a coefficient that is not an integer,
     naming its position and value, and converts an integral one of any

@@ -1,3 +1,4 @@
+import os
 import random
 from collections import Counter
 from fractions import Fraction
@@ -5,12 +6,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gradedroots import engine
+from gradedroots.plumbing import graph_from_json
+from gradedroots.spinc import enumerate_spinc
 from gradedroots.roots import (ConditionViolated, EmptyTau, GradedRoot,
                                SweepIndexError, TauFunction, ZUModule,
                                descent_prefix, dot_export, label_sweep,
                                level_sweep, merge_tree, module_of_root,
                                rank_red_from_tau, ray_root, root_from_minima,
-                               root_from_tau, segment_sweeps, shift_root)
+                               root_from_tau, segment_sweeps, shift_root, tau_towers)
 from conftest import leaves
 from slow_reference import canonical_key_dfs, module_of_root_greedy, union_find_root
 
@@ -144,6 +148,60 @@ def test_rank_matches_module_randomized():
         assert rank == mod.rank_reduced()
         assert mtau == min(vals)
         assert mod.tower_degree == 2 * mtau
+
+
+def _random_tau(rng):
+    """A seeded random tau of one of five shapes: small steps (plateaus and
+    equal births), one value, all rising, a flat run with dips to one
+    level, or wide jumps."""
+    shape, m = rng.randrange(5), rng.randint(1, 40)
+    if shape == 0:
+        vals = [rng.randint(-2, 2) for _ in range(m)]
+    elif shape == 1:
+        vals = [rng.randint(-5, 5)] * m
+    elif shape == 2:
+        vals = sorted(rng.randint(-9, 9) for _ in range(m))
+    elif shape == 3:
+        vals = [rng.choice((0, 0, 3)) for _ in range(m)]
+    else:
+        vals = [rng.randint(-300, 300) for _ in range(m)]
+    return tuple(vals)
+
+
+def _tau_module(vals):
+    return ZUModule(2 * min(vals), tuple(tau_towers(vals)))
+
+
+def test_tau_towers_match_module_of_root():
+    """The towers read off the tau path equal the module of the root built
+    from it, on 2 000 seeded random taus; past the last strict descent the
+    towers do not change."""
+    rng = random.Random(26)
+    for _ in range(2000):
+        vals = _random_tau(rng)
+        expect = module_of_root(root_from_tau(vals))
+        assert _tau_module(vals) == expect, vals
+        assert _tau_module(descent_prefix(vals)) == expect, vals
+        assert tau_towers(vals) == sorted(tau_towers(vals))
+    assert tau_towers((4,)) == [] and tau_towers((0, 1, 2)) == []
+    assert tau_towers((0, 2, 0)) == [(0, 2)] and tau_towers((1, 1, 1)) == []
+
+
+def test_tau_towers_on_golden_orbits():
+    """On every orbit of the golden graphs the towers read off tau equal
+    the module of R_tau and its greedy reference (69 orbits)."""
+    golden = os.path.join(os.path.dirname(__file__), "golden")
+    seen = 0
+    for name in ("e8", "sigma237", "star5", "star51"):
+        with open(os.path.join(golden, f"{name}.json")) as f:
+            g = graph_from_json(f.read())
+        cls = engine.classify(g)
+        for orb in enumerate_spinc(g):
+            vals = engine.tau(g, cls.j0, orb).values
+            root = root_from_tau(vals)
+            assert _tau_module(vals) == module_of_root(root) == module_of_root_greedy(root)
+            seen += 1
+    assert seen == 69
 
 
 def test_shift_root_and_module():

@@ -357,7 +357,7 @@ def test_lens_array_programs_are_integer():
 # points offered to callers outside it.
 LIBRARY_API = ("blow_up", "blow_down", "brieskorn", "fundamental_cycle", "x_sequence",
                "ray_root", "root_from_minima", "rank_red_from_tau", "shift_root", "m_k",
-               "distinguished_rep", "dedekind_sum", "lens_invariants")
+               "distinguished_rep", "dedekind_sum", "lens_invariants", "module_of_root")
 
 
 def _names(node):
@@ -396,11 +396,16 @@ def test_every_definition_has_a_caller():
 # API of exported classes offered to callers outside it, and the arithmetic
 # and order operators (see _dead_members).
 CLASS_API = {
-    "ZUModule": ("pretty",),                      # the README example prints it
-    "LensInvariants": ("lam", "sw_tcw"),          # the record lens_invariants returns
+    "ZUModule": ("pretty",                        # the README example prints it
+                 "shifted",                       # README: it replaced roots.shift_module
+                 "rank_reduced"),                 # rank_red of a root's module (tests)
+    "ARReport": ("module",                        # the README example reads it
+                 "sw_osz"),                       # a Fraction view built on read (README)
+    "LensInvariants": ("lam", "sw_tcw", "sw_osz"),  # the record lens_invariants returns
     "_Coefficients": ("__add__", "__sub__", "__neg__", "__rmul__"),
     "LatticeVector": ("__le__", "__ge__"),
-    "PlumbingGraph": ("dual_from_pairings",),     # the dual vector of a k_r (README)
+    "PlumbingGraph": ("dual_from_pairings",       # the dual vector of a k_r (README)
+                      "to_json"),                 # a graph file, as graph_from_json reads it
 }
 
 # The arithmetic and order operators: no attribute read names them, so a
@@ -697,13 +702,14 @@ def test_cli_dispatch():
     assert sum(map(len, CLI_ARGUMENTS.values())) == 30
 
 
-def test_traced_mode_runs():
+def test_traced_mode_runs(tmp_path):
     """The benchmark's traced mode (perfbench/tracing.py, loaded here and
     not changed) wraps package functions by module and name and reads its
-    counters off their return values.  With its Tracer installed, `analyze`
-    and `oracle` on E8, `verify seifert` and `verify lens` exit 0, every
-    counter they feed is positive and the numeric Seifert check runs under
-    its span; the wrappers come off afterwards."""
+    counters off their return values.  With its Tracer installed, `analyze`,
+    `root` (the one of them that builds a graded root) and `oracle` on E8,
+    `verify seifert` and `verify lens` exit 0, every counter they feed is
+    positive and the numeric Seifert check runs under its span; the
+    wrappers come off afterwards."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", os.path.join(ROOT, "perfbench", "tracing.py"))
     tracing = importlib.util.module_from_spec(spec)
@@ -714,13 +720,14 @@ def test_traced_mode_runs():
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             codes = [cli.main(["analyze", e8, "--format", "json"]),
+                     cli.main(["root", e8, "--out", str(tmp_path / "e8")]),
                      cli.main(["oracle", e8, "--level", "1", "--orbit", "0"]),
                      cli.main(["verify", "seifert", "--e0", "-2", "--leg", "2/1",
                                "--leg", "3/1", "--leg", "5/1"]),
                      cli.main(["verify", "lens", "5"])]
     finally:
         tracer.uninstall()
-    assert codes == [0, 0, 0, 0] and cli.main is main
+    assert codes == [0, 0, 0, 0, 0] and cli.main is main
     for name in ("plumbing.forms", "engine.tau_terms", "roots.vertices", "oracle.points",
                  "seifert.orbits", "lens.sweep_orbits"):
         assert tracer.counts[name] > 0, name
